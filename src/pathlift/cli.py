@@ -216,8 +216,10 @@ def cmd_uvb_scan(args) -> int:
     verdicts = []
     for idx, p in enumerate(points):
         try:
-            report = fiber_scan(conn, p, weight=weight, eps=args.eps)
-        except ValueError as e:
+            # An overflowing Gamma is reported by coeff's finiteness check alone.
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = fiber_scan(conn, p, weight=weight, eps=args.eps)
+        except (ValueError, RuntimeError) as e:
             raise ConfigError(str(e)) from None
         verdicts.append(report.verdict)
         if args.format == "csv":

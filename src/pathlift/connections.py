@@ -36,9 +36,15 @@ __all__ = [
 class ConnectionField:
     """A connection given by its coefficient map Gamma(p, v).
 
+    ``coeff`` is the validated entry point.  A lift validates through it
+    once, at the seed, and then calls ``gamma`` raw in every rhs evaluation:
+    ``gamma`` must return an (n, n) float array; non-finite entries (an
+    overflow during a blow-up) make the integrator reject the trial step.
+
     Attributes:
         dimension: chart dimension n.
-        gamma: map (p, v) -> n x n coefficient matrix.
+        gamma: map (p, v) -> n x n coefficient matrix, for 1-d float arrays
+            p and v of length n.
         is_linear_in_fiber: whether Gamma(p, a v) = a Gamma(p, v) for all
             scalars a (true for connections built from Christoffel data).
         growth_hint: exponent alpha with ||Gamma(p, v)|| = O(||v||^alpha)

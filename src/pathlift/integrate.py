@@ -8,12 +8,17 @@ proportional-integral step control.  Integration ends in one of three ways:
     step-collapse  the controller pushed the step below the minimum, or the
                    step budget ran out, away from the escape regime
 
+A trial step whose stages or error estimate are not finite (the rhs
+overflowed during a blow-up, or returned NaN) counts as a rejected step and
+is retried with a tenth of the step, silently: no RuntimeWarning.
+
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,11 +111,6 @@ class IntegrationResult:
         return self.y[-1]
 
 
-def _error_norm(e: np.ndarray, y0: np.ndarray, y1: np.ndarray, opts: IntegratorOptions) -> float:
-    scale = opts.atol + opts.rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
-
-
 def _initial_step(rhs, f0: np.ndarray, y0: np.ndarray, opts: IntegratorOptions) -> float:
     # Hairer-style two-phase guess: balance state and derivative scales, then
     # probe the local curvature with one Euler step.
@@ -129,30 +129,34 @@ def _initial_step(rhs, f0: np.ndarray, y0: np.ndarray, opts: IntegratorOptions) 
 
 
 def _hermite_dense(nodes_t, nodes_y, nodes_f, ts: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of the accepted nodes at the sample times ts."""
     t_arr = np.asarray(nodes_t)
-    out = np.empty((ts.size, nodes_y[0].size))
-    for m, t in enumerate(ts):
-        k = int(np.searchsorted(t_arr, t, side="right") - 1)
-        k = min(max(k, 0), t_arr.size - 2)
-        h = t_arr[k + 1] - t_arr[k]
-        s = (t - t_arr[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out[m] = (
-            h00 * nodes_y[k]
-            + h10 * h * nodes_f[k]
-            + h01 * nodes_y[k + 1]
-            + h11 * h * nodes_f[k + 1]
-        )
-    return out
+    k = np.clip(np.searchsorted(t_arr, ts, side="right") - 1, 0, t_arr.size - 2)
+    t0 = t_arr[k]
+    h = t_arr[k + 1] - t0
+    s = (ts - t0) / h
+    # float_power calls libm pow() per element, as a scalar ``x ** 2`` does;
+    # an array ``x ** 2`` squares by multiplication and can round differently.
+    sq1 = np.float_power(1 - s, 2)
+    h00 = (1 + 2 * s) * sq1
+    h10 = s * sq1
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    y, f = np.asarray(nodes_y), np.asarray(nodes_f)
+    return (
+        h00[:, None] * y[k]
+        + (h10 * h)[:, None] * f[k]
+        + h01[:, None] * y[k + 1]
+        + (h11 * h)[:, None] * f[k + 1]
+    )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0,
     opts: IntegratorOptions | None = None,
+    f0=None,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1].
 
@@ -160,17 +164,22 @@ def integrate_adaptive(
     stops early with status ``escaped`` once ||y|| reaches opts.escape_norm
     (the escape time is the last accepted t), or with ``step-collapse`` when
     the controller would drop below opts.min_step or the step budget is
-    exhausted.
+    exhausted.  ``f0`` is rhs(0, y0) when the caller has already evaluated
+    it; it must equal that value, and saves one evaluation.
     """
     opts = opts or IntegratorOptions()
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError(f"initial state must be finite, got {y0}")
+    rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
+    min_step, max_steps = opts.min_step, opts.max_steps
+    A, C, B5, E = _A, list(_C), _B5, _E
+    n = y.size
 
     t = 0.0
-    f = np.asarray(rhs(t, y), dtype=float)
-    max_rhs = float(np.linalg.norm(f))
-    nodes_t, nodes_y, nodes_f = [t], [y.copy()], [f.copy()]
+    f = np.array(rhs(t, y) if f0 is None else f0, dtype=float, ndmin=1)
+    max_rhs = math.sqrt(float(f @ f))
+    nodes_t, nodes_y, nodes_f = [t], [y.copy()], [f]
 
     status = COMPLETE
     t_escape = None
@@ -178,18 +187,16 @@ def integrate_adaptive(
     steps = 0
     rejected = 0
 
-    if float(np.linalg.norm(y)) >= opts.escape_norm:
-        status, t_escape, norm_at_escape = ESCAPED, 0.0, float(np.linalg.norm(y))
+    ynorm = math.sqrt(float(y @ y))
+    if ynorm >= escape_norm:
+        status, t_escape, norm_at_escape = ESCAPED, 0.0, ynorm
 
     h = _initial_step(rhs, f, y, opts) if status == COMPLETE else 0.0
     facold = 1e-4
-    k = np.empty((7, y.size))
+    k = np.empty((7, n))
 
     while status == COMPLETE and t < 1.0:
-        if steps + rejected >= opts.max_steps:
-            status = STEP_COLLAPSE
-            break
-        if h < opts.min_step:
+        if steps + rejected >= max_steps or h < min_step:
             status = STEP_COLLAPSE
             break
         last = h >= 1.0 - t
@@ -197,12 +204,13 @@ def integrate_adaptive(
 
         k[0] = f
         for i in range(1, 7):
-            yi = y + h_use * (_A[i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h_use, yi)
-        y_new = y + h_use * (_B5 @ k)
-        err = _error_norm(h_use * (_E @ k), y, y_new, opts)
+            yi = y + h_use * (A[i] @ k[:i])
+            k[i] = rhs(t + C[i] * h_use, yi)
+        y_new = y + h_use * (B5 @ k)
+        q = h_use * (E @ k) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = math.sqrt(np.add.reduce(q * q) / n)
 
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             rejected += 1
             h = 0.1 * h_use
             continue
@@ -213,12 +221,12 @@ def integrate_adaptive(
             y = y_new
             f = k[6].copy()  # FSAL
             nodes_t.append(t)
-            nodes_y.append(y.copy())
-            nodes_f.append(f.copy())
-            max_rhs = max(max_rhs, float(np.linalg.norm(f)))
+            nodes_y.append(y)
+            nodes_f.append(f)
+            max_rhs = max(max_rhs, math.sqrt(float(f @ f)))
 
-            ynorm = float(np.linalg.norm(y))
-            if not np.isfinite(ynorm) or ynorm >= opts.escape_norm:
+            ynorm = math.sqrt(float(y @ y))
+            if not math.isfinite(ynorm) or ynorm >= escape_norm:
                 status = ESCAPED
                 t_escape = t
                 norm_at_escape = ynorm
@@ -236,8 +244,7 @@ def integrate_adaptive(
             h = h_use * max(_FAC_MIN, _SAFETY / err**_EXPO)
 
     t_end = t
-    n_nodes = len(nodes_t)
-    if n_nodes == 1 or t_end <= 0.0:
+    if len(nodes_t) == 1 or t_end <= 0.0:
         dense_t = np.array([0.0])
         dense_y = np.array([nodes_y[0]])
     else:

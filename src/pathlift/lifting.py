@@ -84,11 +84,19 @@ def horizontal_lift(conn: ConnectionField, path: PathCurve, v0,
     """Integrate the lift of ``path`` through the fiber value v0."""
     v = as_coords(v0, "initial fiber vector")
     _check_dims(conn, path, v)
+    # Validate Gamma once at the seed; inside the lift it is called raw, so a
+    # trial stage that overflows during a blow-up reaches the integrator as a
+    # non-finite value (a rejected step) instead of a configuration error.
+    f0 = -conn.coeff(path.position(0.0), v) @ path.velocity(0.0)
+    g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        return -conn.coeff(path.position(t), c) @ path.velocity(t)
+        m = np.asarray(g(pos(t), c), dtype=float)
+        if m.shape != (n, n):
+            raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
+        return -m @ vel(t)
 
-    res = integrate_adaptive(rhs, v, opts)
+    res = integrate_adaptive(rhs, v, opts, f0)
     base = path.sample(res.t)
     return LiftTrajectory(
         t=res.t,

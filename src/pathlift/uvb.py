@@ -212,8 +212,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     """Sample theta_min at v = r * d over fiber rays and classify the decay.
 
     Defaults: signed coordinate-axis directions and the geometric radius
-    grid from default_radii().  Directions must be unit vectors.
+    grid from default_radii().  Directions must be unit vectors, and eps
+    positive and finite.
     """
+    eps = _check_eps(eps)
     pc = as_coords(p, "base point")
     dirs = axis_directions(conn.dimension) if directions is None else np.atleast_2d(
         np.asarray(directions, dtype=float)
@@ -246,8 +248,14 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
         theta_min=theta,
         beta=beta,
         verdict=verdict,
-        epsilon=float(eps),
+        epsilon=eps,
     )
+
+
+def _check_eps(eps) -> float:
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return float(eps)
 
 
 def _classify(radii: np.ndarray, theta: np.ndarray, beta: np.ndarray, eps: float) -> str:
@@ -270,6 +278,7 @@ def uvb_classify(report: FiberScanReport, eps: float = DEFAULT_EPS) -> str:
     the top two decades, ends below eps, and fits a decay slope of at most
     BETA_DECAY.  UVB needs every sample at or above eps with near-flat fits
     on every direction.  Anything else (including scans with fewer than 4
-    radii) is Inconclusive.
+    radii) is Inconclusive.  Raises ValueError unless eps is positive and
+    finite.
     """
-    return _classify(report.radii, report.theta_min, report.beta, float(eps))
+    return _classify(report.radii, report.theta_min, report.beta, _check_eps(eps))

@@ -100,6 +100,20 @@ class TestTransportCommand:
         assert abs(payload["t_escape"] - (np.pi / 2 - np.arctan(0.7))) < 1e-3
 
 
+class TestBlowupIsNotConfigError:
+    def test_power_growth_overflow_is_classified(self, tmp_path, capsys):
+        # Trial stages overflow Gamma = -(1 + v^2)^4 during the blow-up; they
+        # are rejected steps, so the lift ends with a classified status.
+        code = main([
+            "lift", "--connection", "power-growth:8", "--path", "segment:0:1",
+            "--v", "10", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        status = _read_json(tmp_path / "lift_000.json")
+        assert status["status"] in ("escaped", "step-collapse")
+        assert capsys.readouterr().err == ""
+
+
 class TestUvbScanCommand:
     def test_flat_uvb(self, tmp_path):
         code = main(["uvb-scan", "--connection", "flat", "--out", str(tmp_path)])
@@ -216,6 +230,18 @@ class TestConfigErrors:
     def test_bad_vector_text(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--path", "segment:0:1",
                      "--v", "zero", "--out", str(tmp_path)]) == 1
+
+    def test_scan_angle_failure(self, tmp_path, capsys):
+        code = main(["uvb-scan", "--connection", "power-growth:1000", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "direction 0" in err and "radius 2.0" in err
+
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_scan_eps_must_be_positive_and_finite(self, tmp_path, capsys, eps):
+        code = main(["uvb-scan", "--connection", "fig1", "--eps", eps, "--out", str(tmp_path)])
+        assert code == 1
+        assert "eps must be positive and finite" in capsys.readouterr().err
 
 
 class TestSpecFiles:

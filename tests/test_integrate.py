@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlift.integrate import (
     COMPLETE,
     ESCAPED,
     STEP_COLLAPSE,
     IntegratorOptions,
+    _hermite_dense,
     integrate_adaptive,
 )
 
@@ -85,6 +88,42 @@ class TestDenseOutput:
     def test_custom_sample_count(self):
         res = integrate_adaptive(lambda t, y: y, [1.0], IntegratorOptions(dense_samples=11))
         assert res.t.size == 11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 201),
+    )
+    def test_vectorized_hermite_matches_scalar_reference(self, n, gaps, seed, samples):
+        rng = np.random.default_rng(seed)
+        nodes_t = [0.0]
+        for g in gaps:
+            nodes_t.append(nodes_t[-1] + g)
+        nodes_y = list(rng.standard_normal((len(nodes_t), n)) * 10.0)
+        nodes_f = list(rng.standard_normal((len(nodes_t), n)) * 100.0)
+        ts = np.linspace(0.0, nodes_t[-1], samples)
+
+        # One sample at a time, as the dense output was first written.
+        t_arr = np.asarray(nodes_t)
+        ref = np.empty((ts.size, n))
+        for m, t in enumerate(ts):
+            k = int(np.searchsorted(t_arr, t, side="right") - 1)
+            k = min(max(k, 0), t_arr.size - 2)
+            h = t_arr[k + 1] - t_arr[k]
+            s = (t - t_arr[k]) / h
+            h00 = (1 + 2 * s) * (1 - s) ** 2
+            h10 = s * (1 - s) ** 2
+            h01 = s * s * (3 - 2 * s)
+            h11 = s * s * (s - 1)
+            ref[m] = (
+                h00 * nodes_y[k]
+                + h10 * h * nodes_f[k]
+                + h01 * nodes_y[k + 1]
+                + h11 * h * nodes_f[k + 1]
+            )
+        assert _hermite_dense(nodes_t, nodes_y, nodes_f, ts).tobytes() == ref.tobytes()
 
 
 class TestFailureModes:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlift.connections import ConnectionSpec, gallery
 from pathlift.geometry import path_circle, path_polyline, path_reverse, path_segment
-from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions
+from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
 from pathlift.lifting import (
     TransportEscapedError,
     completion_threshold,
@@ -76,6 +78,61 @@ class TestHorizontalLift:
         b = horizontal_lift(FIG1, UNIT, [delta])
         assert a.complete and b.complete
         assert np.max(np.abs(a.fiber - b.fiber)) < 1e-6
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _lift_cases(draw):
+    name = draw(st.sampled_from(
+        ["fig1", "power-growth", "scalar-linear", "sphere-stereographic", "flat"]))
+    if name == "power-growth":
+        conn = gallery(ConnectionSpec(name, {"alpha": draw(_floats(0.0, 3.0))}))
+    elif name == "scalar-linear":
+        conn = _scalar(draw(_floats(-3.0, 3.0)))
+    elif name == "flat":
+        conn = _flat(draw(st.integers(1, 3)))
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
+    if n == 2 and draw(st.booleans()):
+        path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
+    else:
+        path = path_segment(draw(point), draw(point))
+    v0 = draw(st.lists(_floats(-3.0, 3.0), min_size=n, max_size=n))
+    return conn, path, v0
+
+
+class TestRawRhsEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(_lift_cases())
+    def test_lift_matches_validated_rhs_bitwise(self, case):
+        # The lift validates Gamma once and calls it raw; driving the
+        # integrator with the fully validated coefficient map must give the
+        # same trajectory bit for bit wherever that map stays finite.
+        conn, path, v0 = case
+        traj = horizontal_lift(conn, path, v0)
+
+        def validated(t, c):
+            return -conn.coeff(path.position(t), c) @ path.velocity(t)
+
+        try:
+            ref = integrate_adaptive(validated, v0)
+        except ValueError:
+            # The validated map met a non-finite Gamma at some trial stage;
+            # the raw lift counts that stage as a rejected step instead.
+            assert traj.rejected > 0
+            return
+        assert traj.t.tobytes() == ref.t.tobytes()
+        assert traj.fiber.tobytes() == ref.y.tobytes()
+        assert traj.base.tobytes() == path.sample(ref.t).tobytes()
+        assert (traj.status, traj.steps, traj.rejected) == (ref.status, ref.steps, ref.rejected)
+        assert traj.t_escape == ref.t_escape
+        assert traj.norm_at_escape == ref.norm_at_escape
+        assert traj.max_vertical_speed == ref.max_rhs_norm
 
 
 class TestParallelTransport:

@@ -202,6 +202,14 @@ class TestClassifier:
         # With an absurdly small margin the tail never undershoots it.
         assert uvb_classify(report, eps=1e-12) != NOT_UVB
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            fiber_scan(FIG1, [0.0], eps=eps)
+        report = fiber_scan(FIG1, [0.0], radii=[1.0, 10.0])
+        with pytest.raises(ValueError, match="eps"):
+            uvb_classify(report, eps=eps)
+
     def test_euclidean_weight_downgrades_linear_members(self):
         # Under the raw euclidean metric even the fiber-linear member decays;
         # the normalized weight is what reproduces the intended dichotomy.
