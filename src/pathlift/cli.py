@@ -18,7 +18,7 @@ from .connections import ConnectionField, connection_from_json, gallery, gallery
 from .connections import ConnectionSpec
 from .emit import fmt_float, write_csv, write_json
 from .geometry import PathCurve, path_from_json, path_segment
-from .integrate import COMPLETE, IntegratorOptions
+from .integrate import COMPLETE, ESCAPED, IntegratorOptions
 from .lifting import (
     TransportEscapedError,
     completion_threshold,
@@ -156,6 +156,13 @@ def cmd_lift(args) -> int:
     return 0 if all_complete else 2
 
 
+def _stopped_payload(e: TransportEscapedError) -> dict:
+    if e.status == ESCAPED:
+        return {"status": e.status, "t_escape": e.t_escape}
+    # A stalled lift has no escape time, only the t where it stopped (as in lift_*.json).
+    return {"status": e.status, "t_escape": None, "final_t": e.t_escape}
+
+
 def cmd_transport(args) -> int:
     path = _resolve_path(args.path)
     if path is None:
@@ -172,7 +179,7 @@ def cmd_transport(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     except TransportEscapedError as e:
-        write_json(out / "transport.json", {"status": e.status, "t_escape": e.t_escape})
+        write_json(out / "transport.json", _stopped_payload(e))
         print(f"transport: {e.status} at t={fmt_float(e.t_escape)}")
         return 2
     payload = {
@@ -185,7 +192,7 @@ def cmd_transport(args) -> int:
         try:
             jac = transport_jacobian(conn, path, v0, opts=opts)
         except TransportEscapedError as e:
-            write_json(out / "transport.json", {"status": e.status, "t_escape": e.t_escape})
+            write_json(out / "transport.json", _stopped_payload(e))
             print("transport: jacobian probe escaped")
             return 2
         payload["jacobian"] = jac.tolist()
@@ -216,9 +223,7 @@ def cmd_uvb_scan(args) -> int:
     verdicts = []
     for idx, p in enumerate(points):
         try:
-            # An overflowing Gamma is reported by coeff's finiteness check alone.
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = fiber_scan(conn, p, weight=weight, eps=args.eps)
+            report = fiber_scan(conn, p, weight=weight, eps=args.eps)
         except (ValueError, RuntimeError) as e:
             raise ConfigError(str(e)) from None
         verdicts.append(report.verdict)

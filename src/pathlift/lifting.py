@@ -38,7 +38,8 @@ class TransportEscapedError(RuntimeError):
     """Raised when a lift fails to reach the far fiber.
 
     Attributes:
-        t_escape: parameter at which the lift left the integrable regime.
+        t_escape: parameter at which the lift left the integrable regime
+            (for step-collapse, the last parameter the lift reached).
         status: underlying trajectory status (escaped or step-collapse).
     """
 
@@ -87,7 +88,9 @@ def horizontal_lift(conn: ConnectionField, path: PathCurve, v0,
     # Validate Gamma once at the seed; inside the lift it is called raw, so a
     # trial stage that overflows during a blow-up reaches the integrator as a
     # non-finite value (a rejected step) instead of a configuration error.
-    f0 = -conn.coeff(path.position(0.0), v) @ path.velocity(0.0)
+    # An overflow at the seed is reported by coeff's finiteness check alone.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = -conn.coeff(path.position(0.0), v) @ path.velocity(0.0)
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:

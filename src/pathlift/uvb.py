@@ -86,6 +86,15 @@ class FiberWeight:
             raise ValueError(f"fiber weight must be positive and finite, got {w} at v={vc}")
         return w
 
+    def stack(self, vs: np.ndarray) -> np.ndarray:
+        """Weights at the rows of a finite (m, n) array, bit for bit as row-by-row calls."""
+        if self.mode == "euclidean":
+            return np.ones(vs.shape[0])
+        if self.mode == "normalized":
+            # A stacked matmul rounds like v @ v; einsum and (vs * vs).sum(1) do not.
+            return 1.0 / np.sqrt(1.0 + (vs[:, None, :] @ vs[:, :, None]).ravel())
+        return np.array([self(v) for v in vs])
+
 
 EUCLIDEAN = FiberWeight("euclidean")
 NORMALIZED = FiberWeight("normalized")
@@ -122,9 +131,13 @@ def principal_angles(conn: ConnectionField, p, v,
     of w(v) Gamma(p, v).  Angles lie in (0, pi/2] and come out ascending.
     """
     g = conn.coeff(p, v)
-    w = weight(v)
-    s = np.linalg.svd(w * g, compute_uv=False)  # descending
-    return AngleSpectrum(np.arctan2(1.0, s))
+    return AngleSpectrum(_angle_stack(np.array([weight(v)]), g[None])[0])
+
+
+def _angle_stack(w: np.ndarray, G: np.ndarray) -> np.ndarray:
+    # Row j holds arccot of the singular values of w[j] G[j]; svd sorts them
+    # descending, so every row of angles comes out ascending.
+    return np.arctan2(1.0, np.linalg.svd(w[:, None, None] * G, compute_uv=False))
 
 
 def cross_gram_angles(conn: ConnectionField, p, v,
@@ -206,6 +219,7 @@ def _decade_fit(radii: np.ndarray, thetas: np.ndarray) -> float:
     return float(np.polyfit(np.log(radii[window]), np.log(thetas[window]), 1)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                weight: FiberWeight = NORMALIZED,
                eps: float = DEFAULT_EPS) -> FiberScanReport:
@@ -214,6 +228,13 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     Defaults: signed coordinate-axis directions and the geometric radius
     grid from default_radii().  Directions must be unit vectors, and eps
     positive and finite.
+
+    All samples are evaluated as one stack under np.errstate(over/invalid=
+    "ignore"): the weights first, then ``conn.gamma`` raw once per sample (it
+    must not modify an array it returned earlier), then coeff's checks once
+    over the stack and one batched SVD.  On failure the samples are rerun in
+    (direction, radius) order through principal_angles, and the first to
+    fail raises a RuntimeError naming its direction and radius.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
@@ -229,15 +250,26 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     if rads.size < 2 or np.any(rads <= 0) or np.any(np.diff(rads) <= 0):
         raise ValueError("radii must be a strictly increasing positive grid")
 
-    theta = np.empty((dirs.shape[0], rads.size))
-    for i, d in enumerate(dirs):
-        for k, r in enumerate(rads):
-            try:
-                theta[i, k] = principal_angles(conn, pc, r * d, weight).theta_min
-            except Exception as e:
-                raise RuntimeError(
-                    f"angle computation failed at direction {i} ({d}), radius {r}: {e}"
-                ) from e
+    n = conn.dimension
+    vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
+    try:
+        if pc.size != n or not np.all(np.isfinite(vs)):
+            raise ValueError("base point or fiber points invalid")
+        w = weight.stack(vs)
+        G = np.asarray([conn.gamma(pc, v) for v in vs], dtype=float)
+        if G.shape != (vs.shape[0], n, n) or not np.all(np.isfinite(G)):
+            raise ValueError("coefficient stack invalid")
+        theta = _angle_stack(w, G)[:, 0].reshape(dirs.shape[0], rads.size)
+    except Exception as e:
+        for i, d in enumerate(dirs):
+            for r in rads:
+                try:
+                    principal_angles(conn, pc, r * d, weight)
+                except Exception as e_i:
+                    raise RuntimeError(
+                        f"angle computation failed at direction {i} ({d}), radius {r}: {e_i}"
+                    ) from e_i
+        raise RuntimeError(f"angle computation failed: {e}") from e
     beta = np.array([_decade_fit(rads, theta[i]) for i in range(dirs.shape[0])])
     verdict = _classify(rads, theta, beta, eps)
     return FiberScanReport(

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from pathlift import cli
 from pathlift.cli import main
+from pathlift.lifting import TransportEscapedError
 
 TAN1 = np.tan(1.0)
 
@@ -112,6 +114,45 @@ class TestBlowupIsNotConfigError:
         status = _read_json(tmp_path / "lift_000.json")
         assert status["status"] in ("escaped", "step-collapse")
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["lift", "transport"])
+    def test_seed_overflow_is_one_error_line(self, tmp_path, capsys, command):
+        # Gamma = -(1 + v^2)^500 overflows at the seed v = 10: a configuration
+        # error, reported without a numpy overflow warning.
+        code = main([
+            command, "--connection", "power-growth:1000", "--path", "segment:0:1",
+            "--v", "10", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: coefficient matrix is not finite at p=[0.], v=[10.]\n"
+        )
+
+    def test_stalled_transport_has_no_escape_time(self, tmp_path):
+        argv = ["--connection", "power-growth:8", "--path", "segment:0:1", "--v", "10"]
+        assert main(["transport", *argv, "--out", str(tmp_path / "transport")]) == 2
+        assert main(["lift", *argv, "--out", str(tmp_path / "lift")]) == 2
+        lift = _read_json(tmp_path / "lift" / "lift_000.json")
+        assert lift["status"] == "step-collapse" and lift["t_escape"] is None
+        assert _read_json(tmp_path / "transport" / "transport.json") == {
+            "status": "step-collapse", "t_escape": None, "final_t": lift["final_t"],
+        }
+
+    @pytest.mark.parametrize("status, payload", [
+        ("step-collapse", {"status": "step-collapse", "t_escape": None, "final_t": 0.25}),
+        ("escaped", {"status": "escaped", "t_escape": 0.25}),
+    ])
+    def test_jacobian_probe_stop_payload(self, tmp_path, monkeypatch, status, payload):
+        def probe(*args, **kwargs):
+            raise TransportEscapedError(0.25, status)
+
+        monkeypatch.setattr(cli, "transport_jacobian", probe)
+        code = main([
+            "transport", "--connection", "fig1", "--path", "segment:0:1",
+            "--v", "0", "--jacobian", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert _read_json(tmp_path / "transport.json") == payload
 
 
 class TestUvbScanCommand:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from pathlift.connections import ConnectionField, ConnectionSpec, gallery
@@ -18,6 +22,7 @@ from pathlift.uvb import (
     principal_angles,
     uvb_classify,
 )
+from pathlift.uvb import DEFAULT_EPS, _classify, _decade_fit
 
 FIG1 = gallery("fig1")
 
@@ -232,3 +237,169 @@ class TestReportSerialization:
         assert rows[0][:2] == (0, 1.0)
         assert rows[-1][:2] == (1, 8.0)
         assert len(rows) == 8
+
+
+def _reference_scan(conn, p, directions, radii, weight=NORMALIZED, eps=DEFAULT_EPS):
+    """The per-sample scan: one principal_angles call per (direction, radius)."""
+    theta = np.empty((directions.shape[0], radii.size))
+    for i, d in enumerate(directions):
+        for k, r in enumerate(radii):
+            try:
+                theta[i, k] = principal_angles(conn, p, r * d, weight).theta_min
+            except Exception as e:
+                raise RuntimeError(
+                    f"angle computation failed at direction {i} ({d}), radius {r}: {e}"
+                ) from e
+    beta = np.array([_decade_fit(radii, theta[i]) for i in range(directions.shape[0])])
+    return theta, beta, _classify(radii, theta, beta, eps)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+CUSTOM = FiberWeight("custom", lambda v: 1.0 / (1.0 + np.abs(v).sum()))
+
+
+@st.composite
+def _christoffel(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "k": index, "i": index, "j": index, "coeff": _floats(-3.0, 3.0),
+        "monomial": st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    }), min_size=1, max_size=6))
+    return _member("christoffel", dimension=n, terms=terms)
+
+
+@st.composite
+def _scan_cases(draw):
+    conn = draw(st.one_of(
+        st.just(FIG1),
+        _floats(0.0, 3.0).map(lambda a: _member("power-growth", alpha=a)),
+        _floats(-3.0, 3.0).map(lambda lam: _member("scalar-linear", **{"lambda": lam})),
+        st.integers(1, 3).map(lambda n: _member("flat", dimension=n)),
+        st.just(gallery("sphere-stereographic")),
+        _christoffel(),
+    ))
+    n = conn.dimension
+    p = np.array(draw(st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)))
+    raw = np.array(draw(st.lists(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n),
+                                 min_size=1, max_size=3)))
+    norms = np.linalg.norm(raw, axis=1)
+    assume(np.all(norms > 0.1))
+    dirs = raw / norms[:, None]
+    assume(np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12))
+    if draw(st.booleans()):
+        radii = default_radii()
+    else:
+        start = draw(_floats(0.01, 10.0))
+        steps = draw(st.lists(_floats(0.01, 1e3), min_size=1, max_size=23))
+        radii = np.cumsum([start, *steps])
+    weight = draw(st.sampled_from([NORMALIZED, EUCLIDEAN, CUSTOM]))
+    return conn, p, dirs, radii, weight
+
+
+class TestStackedScan:
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_cases())
+    def test_matches_per_sample_reference_bitwise(self, case):
+        conn, p, dirs, radii, weight = case
+        report = fiber_scan(conn, p, dirs, radii, weight)
+        theta, beta, verdict = _reference_scan(conn, p, dirs, radii, weight)
+        assert report.theta_min.tobytes() == theta.tobytes()
+        assert report.beta.tobytes() == beta.tobytes()
+        assert report.verdict == verdict
+
+    def test_principal_angles_match_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            mat = rng.normal(size=(n, n)) * np.exp(rng.normal(scale=3.0))
+            v = rng.normal(size=n) * np.exp(rng.normal(scale=3.0))
+            for weight in (EUCLIDEAN, NORMALIZED):
+                ref = np.arctan2(1.0, np.linalg.svd(weight(v) * mat, compute_uv=False))
+                got = principal_angles(_const_field(mat), np.zeros(n), v, weight).angles
+                assert got.tobytes() == ref.tobytes()
+
+    def test_weights_are_taken_before_gamma_runs(self):
+        # A gamma that writes into its fiber argument cannot move the weights.
+        def gamma(p, v):
+            v[:] = 0.0
+            return np.array([[1.0]])
+
+        radii = np.array([1.0, 2.0, 4.0, 8.0])
+        report = fiber_scan(ConnectionField(1, gamma), [0.0], radii=radii)
+        expected = np.arctan2(1.0, 1.0 / np.sqrt(1.0 + radii**2))
+        assert np.allclose(report.theta_min, expected, rtol=0, atol=1e-15)
+
+    def test_overflow_is_reported_as_not_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as info:
+                fiber_scan(_member("power-growth", alpha=1000.0), [0.0])
+        message = str(info.value)
+        assert "direction 0" in message and "radius 2.0" in message
+        assert "not finite" in message
+
+
+def _fails_beyond(radius, bad):
+    # Gamma equal to 1, replaced by ``bad(v)`` on the ray -e_1 (direction 1)
+    # from ``radius`` on.
+    def gamma(p, v):
+        return bad(v) if v[0] <= -radius else np.ones((1, 1))
+    return ConnectionField(1, gamma, name="faulty")
+
+
+def _raise(v):
+    raise ZeroDivisionError(f"gamma blew up at {v}")
+
+
+class TestStackedScanErrors:
+    RADII = np.array([1.0, 2.0, 4.0, 8.0])
+
+    @pytest.mark.parametrize("conn, p, weight", [
+        (_fails_beyond(3.0, lambda v: np.ones((2, 2))), [0.0], NORMALIZED),
+        (_fails_beyond(3.0, lambda v: np.ones(1)), [0.0], NORMALIZED),
+        (ConnectionField(1, lambda p, v: np.ones((1, 2))), [0.0], NORMALIZED),
+        (_fails_beyond(3.0, _raise), [0.0], NORMALIZED),
+        (_fails_beyond(3.0, lambda v: np.array([[np.nan]])), [0.0], EUCLIDEAN),
+        (_fails_beyond(3.0, lambda v: np.array([[-np.inf]])), [0.0], CUSTOM),
+        (FIG1, [0.0], FiberWeight("custom", lambda v: 0.0 if v[0] <= -3.0 else 1.0)),
+        (FIG1, [0.0, 0.0], NORMALIZED),
+    ], ids=["wrong-shape", "wrong-rank", "wrong-shape-everywhere", "raises", "nan", "inf",
+            "zero-weight", "point-length"])
+    def test_same_error_as_per_sample_reference(self, conn, p, weight):
+        # The stacked pass fails as a whole; the message must still name the
+        # first failing (direction, radius) exactly as the per-sample loop does.
+        dirs = axis_directions(conn.dimension)
+        with pytest.raises(Exception) as ref:
+            _reference_scan(conn, p, dirs, self.RADII, weight)
+        with pytest.raises(Exception) as got:
+            fiber_scan(conn, p, dirs, self.RADII, weight)
+        assert type(got.value) is type(ref.value) is RuntimeError
+        assert str(got.value) == str(ref.value)
+
+    def test_failure_that_does_not_recur_is_still_reported(self):
+        # A gamma that fails once: the per-sample rerun finds no failing
+        # sample, so the stacked failure itself is raised.
+        calls = []
+
+        def gamma(p, v):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ZeroDivisionError("first call fails")
+            return np.ones((1, 1))
+
+        with pytest.raises(RuntimeError, match="angle computation failed: first call fails"):
+            fiber_scan(ConnectionField(1, gamma), [0.0], radii=self.RADII)
+
+    def test_non_finite_fiber_point_names_its_radius(self):
+        radii = np.array([1.0, 2.0, np.inf])
+        dirs = axis_directions(1)
+        with pytest.raises(RuntimeError) as ref:
+            _reference_scan(FIG1, [0.0], dirs, radii)
+        with pytest.raises(RuntimeError) as got:
+            fiber_scan(FIG1, [0.0], dirs, radii)
+        assert str(got.value) == str(ref.value)
+        assert "radius inf" in str(got.value)
