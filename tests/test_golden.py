@@ -1,10 +1,12 @@
-"""Golden SHA-256 digests of the criterion-8 CLI suite.
+"""Golden SHA-256 digests of the criterion-8 CLI suite and of fiber scans.
 
 Criterion 8 checks that two reruns agree with each other; this test pins
 what they agree on.  Each command's digest covers its exit code, its
 stdout and the name and bytes of every file it emits, so a refactor that
-claims bit-for-bit identical output has to reproduce all of them.  A change
-that alters emitted numbers on purpose must regenerate the table and say so.
+claims bit-for-bit identical output has to reproduce all of them.  The scan
+digests do the same for ``fiber_scan`` reports on members the CLI suite
+does not scan: the sphere, a 3-d christoffel term set and fig1.  A change
+that alters emitted numbers on purpose must regenerate the tables and say so.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ import hashlib
 import pytest
 
 from pathlift.cli import main
+from pathlift.connections import ConnectionSpec, gallery
+from pathlift.uvb import fiber_scan
 
 GOLDEN = [
     (["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "0", "--v", "1"],
@@ -35,20 +39,21 @@ GOLDEN = [
 ]
 
 
-def _digest(code: int, stdout: str, out) -> str:
+def _sha256(chunks) -> str:
+    # Length-prefixed, so no two chunk sequences hash the same bytes.
     h = hashlib.sha256()
-
-    def chunk(data: bytes) -> None:
+    for data in chunks:
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
+    return h.hexdigest()
 
-    chunk(str(code).encode())
-    chunk(stdout.encode("utf-8"))
+
+def _digest(code: int, stdout: str, out) -> str:
+    chunks = [str(code).encode(), stdout.encode("utf-8")]
     if out.exists():
         for path in sorted(out.iterdir()):
-            chunk(path.name.encode("utf-8"))
-            chunk(path.read_bytes())
-    return h.hexdigest()
+            chunks += [path.name.encode("utf-8"), path.read_bytes()]
+    return _sha256(chunks)
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
@@ -57,3 +62,37 @@ def test_cli_output_matches_golden_digest(argv, expected, tmp_path, capsys):
     code = main(argv + (["--out", str(out)] if argv[0] != "gallery" else []))
     got = _digest(code, capsys.readouterr().out, out)
     assert got == expected, f"output of `pathlift {' '.join(argv)}` changed: digest {got}"
+
+
+_TERMS_3D = [
+    {"k": 0, "i": 0, "j": 1, "coeff": 0.5, "monomial": [1, 0, 0]},
+    {"k": 0, "i": 2, "j": 2, "coeff": -1.25, "monomial": [0, 2, 1]},
+    {"k": 1, "i": 1, "j": 0, "coeff": 2.0, "monomial": [0, 1, 0]},
+    {"k": 1, "i": 2, "j": 1, "coeff": 0.75, "monomial": [1, 1, 0]},
+    {"k": 2, "i": 0, "j": 2, "coeff": -0.3, "monomial": [0, 0, 3]},
+    {"k": 2, "i": 1, "j": 1, "coeff": 1.1, "monomial": [2, 0, 1]},
+]
+
+# Default directions and radii; digest of theta_min, beta and verdict bytes.
+GOLDEN_SCANS = [
+    (ConnectionSpec("sphere-stereographic"), [0.4, -0.3],
+     "57508b99f2936d726fca14c53b0e7505248a7541c418313c431b49954c9818e1"),
+    (ConnectionSpec("sphere-stereographic"), [-1.7, 2.2],
+     "36ada20ad328d57dc692889ee5ac8c3cb361e847512d25eb5036b4d02fbed480"),
+    (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}), [0.3, -0.8, 1.2],
+     "e2cf6b8928637befcf546ea839b37bd6efb0cd36eb9fb79c570731f335626552"),
+    (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}), [-1.5, 0.25, -0.6],
+     "8350db905b18cec5d63cbaee451fbce70e6c644698ae35c97fdd1fe5a31ed74f"),
+    (ConnectionSpec("fig1"), [0.0],
+     "0ba8b18f861b40d8fb195e6dc52c8a93f63a81e86afd9f1a0d6285ab0076f37b"),
+    (ConnectionSpec("fig1"), [-2.5],
+     "0ba8b18f861b40d8fb195e6dc52c8a93f63a81e86afd9f1a0d6285ab0076f37b"),
+]
+
+
+@pytest.mark.parametrize("spec, point, expected", GOLDEN_SCANS,
+                         ids=[f"{s.name} {p}" for s, p, _ in GOLDEN_SCANS])
+def test_fiber_scan_matches_golden_digest(spec, point, expected):
+    report = fiber_scan(gallery(spec), point)
+    got = _sha256([report.theta_min.tobytes(), report.beta.tobytes(), report.verdict.encode()])
+    assert got == expected, f"fiber_scan of {spec.name} at {point} changed: digest {got}"
