@@ -88,7 +88,7 @@ def _resolve_connection(arg: str | None, dim_hint: int | None) -> ConnectionFiel
         elif name == "power-growth":
             params["alpha"] = _parse_floats(param, "alpha")[0]
         elif name == "flat":
-            params["dimension"] = int(_parse_floats(param, "dimension")[0])
+            params["dimension"] = _parse_floats(param, "dimension")[0]
         else:
             raise ConfigError(f"connection {name!r} takes no inline parameter")
     if name == "flat" and "dimension" not in params and dim_hint is not None:

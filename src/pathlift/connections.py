@@ -106,13 +106,22 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     ``christoffel`` maps a base point to an (n, n, n) array indexed [k, i, j];
     the coefficient matrix is (Gamma(p, v) u)^k = sum_ij G^k_ij(p) u^i v^j, so
     the induced lift equation is the classical transport equation.
+
+    ``christoffel`` must be a pure function of the bytes of p: ``gamma``
+    keeps the tensor of the last point it saw and reuses it while p repeats
+    (all samples of a fiber scan, both DOPRI stages at t + h).
     """
     n = int(n)
+    memo = [(None, None)]  # (p.tobytes(), G) of the last point, replaced as one tuple
 
     def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        G = np.asarray(christoffel(p), dtype=float)
-        if G.shape != (n, n, n):
-            raise ValueError(f"christoffel map returned shape {G.shape}, expected ({n}, {n}, {n})")
+        key = p.tobytes()
+        k, G = memo[0]
+        if k != key:
+            G = np.asarray(christoffel(p), dtype=float)
+            if G.shape != (n, n, n):
+                raise ValueError(f"christoffel map returned shape {G.shape}, expected ({n}, {n}, {n})")
+            memo[0] = (key, G)
         return np.einsum("kij,j->ki", G, v)
 
     return ConnectionField(
@@ -200,6 +209,16 @@ def gallery_members() -> list[dict]:
     return rows
 
 
+def _dimension(name: str, value) -> int:
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
+    if not (x.is_integer() and x >= 1):
+        raise ValueError(f"{name} dimension must be a positive integer, got {value!r}")
+    return int(x)
+
+
 def gallery(spec: ConnectionSpec | str) -> ConnectionField:
     """Resolve a connection description to a ConnectionField.
 
@@ -211,7 +230,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
     name, params = spec.name, spec.params
 
     if name == "flat":
-        n = int(params.get("dimension", 1))
+        n = _dimension(name, params.get("dimension", 1))
         zero = np.zeros((n, n))
         return ConnectionField(n, lambda p, v: zero, True, 0.0, "flat", {"dimension": n})
 
@@ -247,7 +266,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
     if name == "christoffel":
         if "dimension" not in params or "terms" not in params:
             raise ValueError("christoffel spec needs 'dimension' and 'terms'")
-        n = int(params["dimension"])
+        n = _dimension(name, params["dimension"])
         chris = _polynomial_christoffels(n, params["terms"])
         return make_linear_connection(n, chris, "christoffel", {"dimension": n})
 

@@ -226,7 +226,8 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     """Sample theta_min at v = r * d over fiber rays and classify the decay.
 
     Defaults: signed coordinate-axis directions and the geometric radius
-    grid from default_radii().  Directions must be unit vectors, and eps
+    grid from default_radii().  Directions must be finite unit vectors, radii
+    a strictly increasing, positive and finite grid of at least two, and eps
     positive and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid=
@@ -243,12 +244,14 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     )
     if dirs.shape[1] != conn.dimension:
         raise ValueError(f"directions have length {dirs.shape[1]}, connection n={conn.dimension}")
+    # Checks in positive form, so that a NaN fails them.
     norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise ValueError("scan directions must be unit vectors (to 1e-12)")
+    if not (np.all(np.isfinite(dirs)) and np.all(np.abs(norms - 1.0) <= 1e-12)):
+        raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
     rads = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if rads.size < 2 or np.any(rads <= 0) or np.any(np.diff(rads) <= 0):
-        raise ValueError("radii must be a strictly increasing positive grid")
+    if not (rads.ndim == 1 and rads.size >= 2 and np.all(np.isfinite(rads))
+            and np.all(rads > 0) and np.all(np.diff(rads) > 0)):
+        raise ValueError("radii must be a strictly increasing, positive and finite grid")
 
     n = conn.dimension
     vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)

@@ -284,6 +284,20 @@ class TestConfigErrors:
         assert code == 1
         assert "eps must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", ["2.5", "0", "-1", "inf"])
+    def test_flat_dimension_must_be_a_positive_integer(self, tmp_path, capsys, dimension):
+        code = main(["uvb-scan", "--connection", f"flat:{dimension}", "--out", str(tmp_path)])
+        assert code == 1
+        assert "flat dimension must be a positive integer" in capsys.readouterr().err
+
+    def test_christoffel_dimension_must_be_a_positive_integer(self, tmp_path, capsys):
+        spec = tmp_path / "conn.json"
+        spec.write_text(json.dumps({"name": "christoffel", "dimension": 2.5, "terms": []}),
+                        encoding="utf-8")
+        code = main(["uvb-scan", "--connection", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "christoffel dimension must be a positive integer" in capsys.readouterr().err
+
 
 class TestSpecFiles:
     def test_connection_and_path_from_json_files(self, tmp_path):

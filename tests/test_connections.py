@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlift.connections import (
     ConnectionField,
@@ -9,6 +13,10 @@ from pathlift.connections import (
     gallery_members,
     make_linear_connection,
 )
+from pathlift.connections import _polynomial_christoffels
+from pathlift.geometry import path_segment
+from pathlift.lifting import horizontal_lift
+from pathlift.uvb import fiber_scan
 
 
 def _member(name, **params):
@@ -161,6 +169,17 @@ class TestGallery:
                 assert ratio[r] <= 4 * ratio[1.0]
                 assert ratio[r] >= ratio[1.0] / 4
 
+    @pytest.mark.parametrize("dimension", [2.5, 0, -1, float("nan"), float("inf"), "two", 10**400])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError, match="flat dimension must be a positive integer"):
+            _member("flat", dimension=dimension)
+        with pytest.raises(ValueError, match="christoffel dimension must be a positive integer"):
+            _member("christoffel", dimension=dimension, terms=[])
+
+    def test_integral_dimension_is_accepted(self):
+        assert _member("flat", dimension=2.0).dimension == 2
+        assert _member("christoffel", dimension=3, terms=[]).dimension == 3
+
     def test_listing_contents(self):
         rows = {r["name"]: r for r in gallery_members()}
         assert rows["fig1"]["growth_hint"] == 2.0
@@ -205,3 +224,125 @@ class TestCustomField:
         conn = ConnectionField(1, lambda p, v: np.array([[np.inf]]))
         with pytest.raises(ValueError):
             conn.coeff([0.0], [0.0])
+
+
+def _counting(christoffel):
+    """``christoffel`` wrapped so that each evaluation is counted."""
+    calls = []
+
+    def counted(p):
+        calls.append(p.copy())
+        return christoffel(p)
+
+    return counted, calls
+
+
+def _sign_sensitive(p):
+    # A pure function of the bytes of p that tells 0.0 from -0.0.
+    return np.copysign(1.0, p)[:, None, None] * np.arange(1.0, 1.0 + p.size**3).reshape(
+        p.size, p.size, p.size)
+
+
+def _fresh_gamma(christoffel, n, p, v):
+    return make_linear_connection(n, christoffel).gamma(np.asarray(p, float), np.asarray(v, float))
+
+
+class TestChristoffelMemo:
+    def test_one_evaluation_per_fiber_scan(self):
+        chris, calls = _counting(_sign_sensitive)
+        conn = make_linear_connection(3, chris)
+        p1, p2 = np.array([0.3, -0.8, 1.2]), np.array([-1.5, 0.25, -0.6])
+        for expected, p in enumerate((p1, p2, p1), start=1):
+            fiber_scan(conn, p)  # 2n x 21 = 126 samples at one base point
+            assert len(calls) == expected
+            assert np.array_equal(calls[-1], p)
+
+    def test_lift_evaluates_once_per_change_of_base_point(self):
+        chris, calls = _counting(_sign_sensitive)
+        conn = make_linear_connection(2, chris)
+        points = []
+
+        def gamma(p, v):
+            points.append(p.tobytes())
+            return conn.gamma(p, v)
+
+        traced = dataclasses.replace(conn, gamma=gamma)
+        traj = horizontal_lift(traced, path_segment([0.1, 0.2], [0.9, -0.4]), [1.0, 0.5])
+        assert traj.status == "complete"
+        changes = 1 + sum(a != b for a, b in zip(points, points[1:]))
+        assert len(calls) == changes < len(points)
+
+    def test_alternating_points_and_signed_zeros(self):
+        chris, calls = _counting(_sign_sensitive)
+        conn = make_linear_connection(2, chris)
+        v = np.array([0.7, -1.3])
+        sequence = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, -2.0], [0.0, 1.0], [0.0, 1.0],
+                    [0.0, -0.0], [0.0, 0.0]]
+        for p in sequence:
+            got = conn.gamma(np.array(p), v)
+            assert got.tobytes() == _fresh_gamma(_sign_sensitive, 2, p, v).tobytes()
+        assert len(calls) == len(sequence) - 1  # only the back-to-back [0, 1] is reused
+
+    @pytest.mark.parametrize("bad, error", [
+        (ZeroDivisionError("map fails"), "map fails"),
+        (np.ones((1, 1)), r"christoffel map returned shape \(1, 1\), expected \(1, 1, 1\)"),
+    ], ids=["raises", "wrong-shape"])
+    def test_failed_evaluation_is_not_memoized(self, bad, error):
+        # The map fails twice at the same point, then succeeds: each failure
+        # is raised as such, and the success is not shadowed by it.
+        p, v = np.array([0.4]), np.array([2.0])
+        good = np.full((1, 1, 1), 3.0)
+        results = [bad, bad, good]
+
+        def christoffel(q):
+            out = results.pop(0)
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        conn = make_linear_connection(1, christoffel)
+        for _ in range(2):
+            with pytest.raises((ZeroDivisionError, ValueError), match=error):
+                conn.gamma(p, v)
+        got = conn.gamma(p, v)
+        assert got.tobytes() == _fresh_gamma(lambda q: good, 1, p, v).tobytes()
+
+    def test_returned_matrix_is_not_the_memo(self):
+        conn = make_linear_connection(2, _sign_sensitive)
+        p, v = np.array([0.2, 0.3]), np.array([1.0, 1.0])
+        first = conn.gamma(p, v)
+        first[:] = np.nan
+        assert conn.gamma(p, v).tobytes() == _fresh_gamma(_sign_sensitive, 2, p, v).tobytes()
+
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _memo_cases(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "k": index, "i": index, "j": index,
+        "coeff": st.floats(-3.0, 3.0, allow_nan=False),
+        "monomial": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    }), max_size=6))
+    vector = st.lists(_coord, min_size=n, max_size=n).map(np.array)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    calls = draw(st.lists(st.tuples(st.sampled_from(pool), vector), min_size=1, max_size=25))
+    return n, terms, calls
+
+
+class TestChristoffelMemoProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(_memo_cases())
+    def test_memoized_gamma_matches_einsum_reference_bitwise(self, case):
+        # Base points repeat in random order; each call must equal G(p)
+        # built anew and contracted with einsum.
+        n, terms, calls = case
+        chris = _polynomial_christoffels(n, terms)
+        conn = make_linear_connection(n, chris)
+        for p, v in calls:
+            ref = np.einsum("kij,j->ki", chris(p), v)
+            assert conn.gamma(p, v).tobytes() == ref.tobytes()

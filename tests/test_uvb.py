@@ -158,6 +158,18 @@ class TestFiberScan:
         with pytest.raises(ValueError):
             fiber_scan(FIG1, [0.0], radii=[1.0, 1.0, 2.0, 4.0])
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"radii": [1.0, np.nan, 4.0, 8.0]}, "radii must be"),
+        ({"radii": [1.0, 2.0, 4.0, np.inf]}, "radii must be"),
+        ({"directions": [[np.nan]]}, "directions must be"),
+        ({"radii": [[1.0, 2.0, 4.0, 8.0]]}, "radii must be"),
+    ], ids=["nan-radius", "inf-radius", "nan-direction", "2-d-radii"])
+    def test_malformed_grid_is_a_grid_error(self, grid, message):
+        # Every comparison with NaN is false, so the grid checks must be
+        # written in positive form to reject it before any sample runs.
+        with pytest.raises(ValueError, match=message):
+            fiber_scan(FIG1, [0.0], **grid)
+
     def test_failure_carries_location(self):
         bad = ConnectionField(1, lambda p, v: np.array([[np.inf if abs(v[0]) > 3 else 1.0]]))
         with pytest.raises(RuntimeError, match="radius 4"):
@@ -395,11 +407,13 @@ class TestStackedScanErrors:
             fiber_scan(ConnectionField(1, gamma), [0.0], radii=self.RADII)
 
     def test_non_finite_fiber_point_names_its_radius(self):
-        radii = np.array([1.0, 2.0, np.inf])
-        dirs = axis_directions(1)
-        with pytest.raises(RuntimeError) as ref:
+        # A finite grid and a unit direction (to 1e-12) still overflow to an
+        # infinite fiber point at the top of the float range.
+        radii = np.array([1.0, 2.0, np.finfo(float).max])
+        dirs = np.array([[1.0 + 5e-13]])
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as ref:
             _reference_scan(FIG1, [0.0], dirs, radii)
         with pytest.raises(RuntimeError) as got:
             fiber_scan(FIG1, [0.0], dirs, radii)
         assert str(got.value) == str(ref.value)
-        assert "radius inf" in str(got.value)
+        assert "radius 1.7976931348623157e+308: fiber vector must have finite" in str(got.value)
