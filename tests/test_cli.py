@@ -5,6 +5,7 @@ import pytest
 
 from pathlift import cli
 from pathlift.cli import main
+from pathlift.connections import ConnectionField
 from pathlift.lifting import TransportEscapedError
 
 TAN1 = np.tan(1.0)
@@ -153,6 +154,53 @@ class TestBlowupIsNotConfigError:
         ])
         assert code == 2
         assert _read_json(tmp_path / "transport.json") == payload
+
+
+def _fig1_below_two(p, v):
+    # fig1's coefficient map while |v| <= 2; a wrong (2, 2) shape beyond.
+    if abs(v[0]) > 2.0:
+        return np.zeros((2, 2))
+    return np.array([[-(1.0 + v[0] ** 2)]])
+
+
+class TestSeedOrder:
+    """A failing seed of a multi-seed lift stops the run after the seeds before it."""
+
+    def _files(self, out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def _alone(self, tmp_path, capsys):
+        code = main(["lift", "--connection", "fig1", "--path", "segment:0:1",
+                     "--v", "0", "--out", str(tmp_path / "alone")])
+        assert code == 0 and capsys.readouterr().out == "lift_000: complete\n"
+        return self._files(tmp_path / "alone")
+
+    def test_dimension_mismatch_after_a_valid_seed(self, tmp_path, capsys):
+        alone = self._alone(tmp_path, capsys)
+        code = main(["lift", "--connection", "fig1", "--path", "segment:0:1",
+                     "--v", "0", "--v", "0,0", "--v", "1", "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "lift_000: complete\n"
+        assert captured.err == (
+            "error: dimension mismatch: connection n=1, path n=1, initial vector length 2\n"
+        )
+        assert self._files(tmp_path / "run") == alone
+
+    @pytest.mark.parametrize("bad_seed", ["1", "3"], ids=["mid-lift", "at-seed"])
+    def test_custom_gamma_wrong_shape_for_one_seed(self, tmp_path, capsys, monkeypatch,
+                                                   bad_seed):
+        alone = self._alone(tmp_path, capsys)
+        conn = ConnectionField(1, _fig1_below_two)
+        monkeypatch.setattr(cli, "_resolve_connection", lambda arg, hint: conn)
+        code = main(["lift", "--connection", "custom", "--path", "segment:0:1",
+                     "--v", "0", "--v", bad_seed, "--v", "0.5",
+                     "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "lift_000: complete\n"
+        assert captured.err == "error: coefficient map returned shape (2, 2), expected (1, 1)\n"
+        assert self._files(tmp_path / "run") == alone
 
 
 class TestUvbScanCommand:

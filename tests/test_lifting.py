@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlift.connections import ConnectionSpec, gallery
+from pathlift.connections import ConnectionField, ConnectionSpec, gallery
 from pathlift.geometry import path_circle, path_polyline, path_reverse, path_segment
 from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
 from pathlift.lifting import (
@@ -201,6 +201,28 @@ class TestTransportJacobian:
         with pytest.raises(TransportEscapedError):
             transport_jacobian(FIG1, UNIT, [0.642], h=0.01)
 
+    def _stop(self, call):
+        with pytest.raises(TransportEscapedError) as info:
+            call()
+        return info.value.status, info.value.t_escape
+
+    @pytest.mark.parametrize("path, v0, h, first", [
+        (UNIT, [1.0], 0.1, [1.1]),                                  # +h and -h both escape
+        (path_segment([1.0], [0.0]), [-0.642], 0.01, [-0.652]),     # only -h escapes
+    ], ids=["plus-first", "minus-only"])
+    def test_first_failing_probe_is_reported_1d(self, path, v0, h, first):
+        got = self._stop(lambda: transport_jacobian(FIG1, path, v0, h=h))
+        assert got == self._stop(lambda: parallel_transport(FIG1, path, first))
+
+    def test_first_failing_probe_is_reported_2d(self):
+        # Two uncoupled fig1 fibers along the diagonal.  Every probe escapes,
+        # each at its own time; the error is that of probe (j=0, +h).
+        conn = ConnectionField(2, lambda p, v: np.diag(-(1.0 + v * v)))
+        path = path_segment([0.0, 0.0], [1.0, 1.0])
+        got = self._stop(lambda: transport_jacobian(conn, path, [0.9, 0.3], h=0.1))
+        assert got == self._stop(lambda: parallel_transport(conn, path, [1.0, 0.3]))
+        assert got[0] == ESCAPED and abs(got[1] - np.pi / 4) < 1e-3
+
     def test_transport_is_local_diffeomorphism(self):
         cases = [
             (FIG1, UNIT, [0.3]),
@@ -288,5 +310,17 @@ class TestCompletionThreshold:
         assert hi - lo == pytest.approx(0.001, rel=1e-9)
 
     def test_requires_straddling_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid does not straddle the completion threshold"):
             completion_threshold(FIG1, UNIT, [0.0, 0.1, 0.2])
+        with pytest.raises(ValueError, match="grid does not straddle the completion threshold"):
+            completion_threshold(FIG1, UNIT, [0.7, 0.8])
+
+    def test_two_sided_blowup_is_not_monotone(self):
+        # c' = c^3 blows up before t = 1 exactly when |c(0)| > 1/sqrt(2).
+        cubic = ConnectionField(1, lambda p, v: np.array([[-v[0] ** 3]]))
+        with pytest.raises(ValueError, match="completion is not monotone over the grid"):
+            completion_threshold(cubic, UNIT, [1.0, 0.0, -1.0])
+
+    def test_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="works on 1-d connections"):
+            completion_threshold(_flat(2), path_segment([0, 0], [1, 1]), [0.0, 1.0])
