@@ -33,6 +33,7 @@ from .integrate import (
     IntegrationResult,
     IntegratorOptions,
     integrate_adaptive,
+    integrate_lanes,
 )
 from .lifting import (
     LiftTrajectory,
@@ -40,6 +41,7 @@ from .lifting import (
     completion_threshold,
     holonomy,
     horizontal_lift,
+    horizontal_lifts,
     horizontality_defect,
     parallel_transport,
     round_trip_defect,
@@ -81,12 +83,14 @@ __all__ = [
     "IntegratorOptions",
     "IntegrationResult",
     "integrate_adaptive",
+    "integrate_lanes",
     "COMPLETE",
     "ESCAPED",
     "STEP_COLLAPSE",
     "LiftTrajectory",
     "TransportEscapedError",
     "horizontal_lift",
+    "horizontal_lifts",
     "parallel_transport",
     "horizontality_defect",
     "round_trip_defect",

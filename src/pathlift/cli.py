@@ -23,6 +23,7 @@ from .lifting import (
     TransportEscapedError,
     completion_threshold,
     horizontal_lift,
+    horizontal_lifts,
     parallel_transport,
     transport_jacobian,
 )
@@ -33,7 +34,8 @@ __all__ = ["main", "run"]
 COT1 = 0.6420926159343306  # 1/tan(1), the fig1 completion threshold
 
 _FIGURE1_V0 = (0.0, 0.2, 0.4, 0.6, 0.7, 1.0, 2.0, 5.0)
-_FIGURE1_SEEDS = tuple((t0, c0) for t0 in (0.25, 0.5, 0.75) for c0 in (-8.0, -3.0, 3.0, 8.0))
+_FIGURE1_T0 = (0.25, 0.5, 0.75)  # interior seeds c0 at each t0
+_FIGURE1_C0 = (-8.0, -3.0, 3.0, 8.0)
 
 
 class ConfigError(Exception):
@@ -143,10 +145,14 @@ def cmd_lift(args) -> int:
 
     n = conn.dimension
     header = ["t"] + [f"base_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
+    try:
+        trajs = horizontal_lifts(conn, path, vectors, opts)
+    except ValueError:
+        trajs = None  # lift one at a time below: the seeds before the bad one are written first
     all_complete = True
     for idx, v in enumerate(vectors):
         try:
-            traj = horizontal_lift(conn, path, v, opts)
+            traj = trajs[idx] if trajs else horizontal_lift(conn, path, v, opts)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         write_csv(out / f"lift_{idx:03d}.csv", header, _trajectory_rows(traj))
@@ -243,26 +249,31 @@ def cmd_uvb_scan(args) -> int:
 def _figure1_families(conn, path, opts):
     """Lift the display sweep and the interior seeds; classify each curve."""
     curves = []  # (rows, family); rows are (t, fiber) pairs in ascending t
-    for v0 in _FIGURE1_V0:
-        traj = horizontal_lift(conn, path, [v0], opts)
+    for traj in horizontal_lifts(conn, path, [[v0] for v0 in _FIGURE1_V0], opts):
         family = "from_p_complete" if traj.complete else "from_p_escaped"
         curves.append((list(zip(traj.t, traj.fiber[:, 0])), family))
-    for t0, c0 in _FIGURE1_SEEDS:
-        fwd = horizontal_lift(conn, path_segment([t0], [1.0]), [c0], opts)
-        bwd = horizontal_lift(conn, path_segment([t0], [0.0]), [c0], opts)
-        if bwd.complete and fwd.complete:
-            family = "from_p_complete"
-        elif bwd.complete:
-            family = "from_p_escaped"
-        elif fwd.complete:
-            family = "from_q_escaped"
-        else:
-            family = "interior"
-        # Base coordinate doubles as global time on the identity path.
-        rows = [(b[0], f[0]) for b, f in zip(bwd.base[::-1], bwd.fiber[::-1])]
-        rows += [(b[0], f[0]) for b, f in zip(fwd.base[1:], fwd.fiber[1:])]
-        curves.append((rows, family))
+    seeds = [[c0] for c0 in _FIGURE1_C0]
+    for t0 in _FIGURE1_T0:
+        fwds = horizontal_lifts(conn, path_segment([t0], [1.0]), seeds, opts)
+        bwds = horizontal_lifts(conn, path_segment([t0], [0.0]), seeds, opts)
+        curves += [_interior_curve(fwd, bwd) for fwd, bwd in zip(fwds, bwds)]
     return curves
+
+
+def _interior_curve(fwd, bwd):
+    """Join the lifts of one interior seed towards q and towards p, classified."""
+    if bwd.complete and fwd.complete:
+        family = "from_p_complete"
+    elif bwd.complete:
+        family = "from_p_escaped"
+    elif fwd.complete:
+        family = "from_q_escaped"
+    else:
+        family = "interior"
+    # Base coordinate doubles as global time on the identity path.
+    rows = [(b[0], f[0]) for b, f in zip(bwd.base[::-1], bwd.fiber[::-1])]
+    rows += [(b[0], f[0]) for b, f in zip(fwd.base[1:], fwd.fiber[1:])]
+    return rows, family
 
 
 def cmd_figure1(args) -> int:

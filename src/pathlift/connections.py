@@ -41,6 +41,12 @@ class ConnectionField:
     ``gamma`` must return an (n, n) float array; non-finite entries (an
     overflow during a blow-up) make the integrator reject the trial step.
 
+    When ``broadcasts`` is true, ``gamma`` also evaluates a stack: for v of
+    shape (k, n) and p of shape (n,) or (k, n) it returns the (k, n, n)
+    matrices of the rows, each bit for bit the matrix of a single call.
+    Lifts of many seeds and fiber scans then call it once per stack;
+    otherwise they call it once per row.  The built-in members broadcast.
+
     Attributes:
         dimension: chart dimension n.
         gamma: map (p, v) -> n x n coefficient matrix, for 1-d float arrays
@@ -49,6 +55,7 @@ class ConnectionField:
             scalars a (true for connections built from Christoffel data).
         growth_hint: exponent alpha with ||Gamma(p, v)|| = O(||v||^alpha)
             on compact sets of base points, when known.
+        broadcasts: whether ``gamma`` evaluates stacks of rows as above.
     """
 
     dimension: int
@@ -57,6 +64,7 @@ class ConnectionField:
     growth_hint: float | None = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    broadcasts: bool = False
 
     def coeff(self, p, v) -> np.ndarray:
         """Coefficient matrix Gamma(p, v); validates dimensions and finiteness."""
@@ -108,21 +116,33 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     the induced lift equation is the classical transport equation.
 
     ``christoffel`` must be a pure function of the bytes of p: ``gamma``
-    keeps the tensor of the last point it saw and reuses it while p repeats
-    (all samples of a fiber scan, both DOPRI stages at t + h).
+    builds the tensor once per distinct point of a call, keeps the tensors
+    of the last call, and reuses them while its points repeat (all samples
+    of a fiber scan, both DOPRI stages at t + h).  ``gamma`` broadcasts.
     """
     n = int(n)
-    memo = [(None, None)]  # (p.tobytes(), G) of the last point, replaced as one tuple
+    memo = [{}]  # p.tobytes() -> G for the points of the last call, replaced as one dict
+
+    def tensors(rows: np.ndarray) -> list[np.ndarray]:
+        last, now = memo[0], {}
+        for row in rows:
+            key = row.tobytes()
+            if key in now:
+                continue
+            G = last.get(key)
+            if G is None:
+                G = np.asarray(christoffel(row), dtype=float)
+                if G.shape != (n, n, n):
+                    raise ValueError(
+                        f"christoffel map returned shape {G.shape}, expected ({n}, {n}, {n})")
+            now[key] = G
+        memo[0] = now
+        return [now[row.tobytes()] for row in rows]
 
     def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        key = p.tobytes()
-        k, G = memo[0]
-        if k != key:
-            G = np.asarray(christoffel(p), dtype=float)
-            if G.shape != (n, n, n):
-                raise ValueError(f"christoffel map returned shape {G.shape}, expected ({n}, {n}, {n})")
-            memo[0] = (key, G)
-        return np.einsum("kij,j->ki", G, v)
+        if p.ndim == 1:
+            return np.einsum("kij,...j->...ki", tensors(p[None])[0], v)
+        return np.einsum("...kij,...j->...ki", np.stack(tensors(p)), v)
 
     return ConnectionField(
         dimension=n,
@@ -131,6 +151,7 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
         growth_hint=1.0,
         name=name,
         params=dict(params or {}),
+        broadcasts=True,
     )
 
 
@@ -229,24 +250,35 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
         spec = ConnectionSpec(spec)
     name, params = spec.name, spec.params
 
+    # The members broadcast (see ConnectionField).  A 1-d v takes the scalar
+    # formula; a stack takes float_power, which rounds like the scalar ``**``
+    # where an array ``**`` does not.
     if name == "flat":
         n = _dimension(name, params.get("dimension", 1))
         zero = np.zeros((n, n))
-        return ConnectionField(n, lambda p, v: zero, True, 0.0, "flat", {"dimension": n})
+
+        def gamma(p, v):
+            return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
+
+        return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True)
 
     if name == "fig1":
         def gamma(p, v):
-            return np.array([[-(1.0 + v[0] ** 2)]])
+            if v.ndim == 1:
+                return np.array([[-(1.0 + v[0] ** 2)]])
+            return -(1.0 + np.float_power(v[:, :, None], 2))
 
-        return ConnectionField(1, gamma, False, 2.0, "fig1")
+        return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True)
 
     if name == "scalar-linear":
         lam = float(params.get("lambda", 1.0))
 
         def gamma(p, v, lam=lam):
-            return np.array([[lam * v[0]]])
+            if v.ndim == 1:
+                return np.array([[lam * v[0]]])
+            return lam * v[:, :, None]
 
-        return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam})
+        return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True)
 
     if name == "power-growth":
         if "alpha" not in params:
@@ -256,9 +288,11 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
             raise ValueError(f"power-growth alpha must be >= 0, got {alpha}")
 
         def gamma(p, v, alpha=alpha):
-            return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
+            if v.ndim == 1:
+                return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
+            return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
 
-        return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha})
+        return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True)
 
     if name == "sphere-stereographic":
         return make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic")

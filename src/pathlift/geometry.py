@@ -80,16 +80,24 @@ class PathCurve:
     ``position`` and ``velocity`` are pure functions of t; they must be
     defined (and smooth) in a neighbourhood of [0, 1] so that centered
     finite differences are valid at the endpoints.
+
+    When ``broadcasts`` is true they also take a column of times, shape
+    (k, 1), and return arrays that broadcast to (k, n), each row bit for bit
+    the value at its time.  Segments, circles and their reversals broadcast.
     """
 
     dimension: int
     position: Callable[[float], np.ndarray] = field(repr=False)
     velocity: Callable[[float], np.ndarray] = field(repr=False)
     kind: str = "custom"
+    broadcasts: bool = False
 
     def sample(self, ts) -> np.ndarray:
         """Positions at the given parameter values, stacked as an (m, n) array."""
-        return np.array([self.position(float(t)) for t in np.atleast_1d(ts)])
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if self.broadcasts and ts.ndim == 1:
+            return np.array(np.broadcast_to(self.position(ts[:, None]), (ts.size, self.dimension)))
+        return np.array([self.position(float(t)) for t in ts])
 
     @property
     def start(self) -> np.ndarray:
@@ -114,7 +122,7 @@ def path_segment(a, b) -> PathCurve:
     def velocity(t: float) -> np.ndarray:
         return d
 
-    return PathCurve(pa.size, position, velocity, kind="segment")
+    return PathCurve(pa.size, position, velocity, kind="segment", broadcasts=True)
 
 
 def path_polyline(points, times) -> PathCurve:
@@ -191,19 +199,22 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
         raise ValueError(f"circle plane {plane!r} invalid for dimension {c.size}")
     tau = 2 * np.pi
 
+    # Coordinates i and j as one-wide slices, so that a (k, 1) column of times
+    # fills a (k, n) block as a float t fills one row.
     def position(t: float) -> np.ndarray:
-        p = c.copy()
-        p[i] += r * np.cos(tau * t)
-        p[j] += r * np.sin(tau * t)
+        p = np.empty(np.shape(t)[:-1] + c.shape)
+        p[...] = c
+        p[..., i:i + 1] += r * np.cos(tau * t)
+        p[..., j:j + 1] += r * np.sin(tau * t)
         return p
 
     def velocity(t: float) -> np.ndarray:
-        v = np.zeros_like(c)
-        v[i] = -r * tau * np.sin(tau * t)
-        v[j] = r * tau * np.cos(tau * t)
+        v = np.zeros(np.shape(t)[:-1] + c.shape)
+        v[..., i:i + 1] = -r * tau * np.sin(tau * t)
+        v[..., j:j + 1] = r * tau * np.cos(tau * t)
         return v
 
-    return PathCurve(c.size, position, velocity, kind="circle-loop")
+    return PathCurve(c.size, position, velocity, kind="circle-loop", broadcasts=True)
 
 
 def path_reverse(path: PathCurve) -> PathCurve:
@@ -214,6 +225,7 @@ def path_reverse(path: PathCurve) -> PathCurve:
         lambda t: pos(1.0 - t),
         lambda t: -vel(1.0 - t),
         kind="custom",
+        broadcasts=path.broadcasts,
     )
 
 

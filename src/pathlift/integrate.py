@@ -1,16 +1,29 @@
 """Adaptive embedded Runge-Kutta integration with finite-time escape detection.
 
 A Dormand-Prince 5(4) pair integrates y' = f(t, y) over [0, 1] under
-proportional-integral step control.  Integration ends in one of three ways:
+proportional-integral step control (Hairer, Norsett & Wanner, Solving ODEs
+I, section II.4).  Integration ends in one of three ways:
 
     complete       reached t = 1
     escaped        ||y|| crossed the escape threshold (finite-time blow-up)
     step-collapse  the controller pushed the step below the minimum, or the
                    step budget ran out, away from the escape regime
 
+``stop_reason`` tells the ways apart in more detail: ``complete``,
+``escape-norm`` or ``non-finite`` (escaped: the norm of an accepted state
+reached the threshold, or is not a finite number), ``min-step`` or
+``max-steps`` (step-collapse).
+
 A trial step whose stages or error estimate are not finite (the rhs
 overflowed during a blow-up, or returned NaN) counts as a rejected step and
 is retried with a tenth of the step, silently: no RuntimeWarning.
+
+``integrate_lanes`` integrates one system from many initial states at once:
+the states are *lanes* of a stack, evaluated by one rhs call per stage, and
+each lane keeps its own t, step size, controller state and status, so its
+result is bit for bit the one it gets integrated alone.  A lane retires when
+it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
+case.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -19,6 +32,7 @@ interpolation of the accepted steps (locally 4th order), plus step counts.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +42,7 @@ __all__ = [
     "IntegratorOptions",
     "IntegrationResult",
     "integrate_adaptive",
+    "integrate_lanes",
     "COMPLETE",
     "ESCAPED",
     "STEP_COLLAPSE",
@@ -37,9 +52,19 @@ COMPLETE = "complete"
 ESCAPED = "escaped"
 STEP_COLLAPSE = "step-collapse"
 
+# stop_reason -> status
+_STATUS = {
+    "complete": COMPLETE,
+    "escape-norm": ESCAPED,
+    "non-finite": ESCAPED,
+    "min-step": STEP_COLLAPSE,
+    "max-steps": STEP_COLLAPSE,
+}
+
 # Dormand-Prince 5(4) tableau. B5 propagates; E = B5 - B4 weights the
 # embedded error estimate. FSAL: the 7th stage is f at the new point.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C_COL = _C[:, None]
 _A = (
     np.array([]),
     np.array([1 / 5]),
@@ -97,6 +122,7 @@ class IntegrationResult:
     steps: int
     rejected: int
     max_rhs_norm: float
+    stop_reason: str
 
     @property
     def complete(self) -> bool:
@@ -111,21 +137,73 @@ class IntegrationResult:
         return self.y[-1]
 
 
-def _initial_step(rhs, f0: np.ndarray, y0: np.ndarray, opts: IntegratorOptions) -> float:
-    # Hairer-style two-phase guess: balance state and derivative scales, then
-    # probe the local curvature with one Euler step.
-    scale = opts.atol + opts.rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(h0, y1), dtype=float)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, 1.0)
+class _Lane:
+    """Step control of one lane, in Python floats, and the rows of its accepted nodes."""
+
+    __slots__ = ("t", "h", "facold", "steps", "rejected", "stop", "t_escape",
+                 "norm_at_escape", "nodes_t", "rows")
+
+    def __init__(self, row: int):
+        self.t = 0.0
+        self.h = 0.0
+        self.facold = 1e-4
+        self.steps = 0
+        self.rejected = 0
+        self.stop = None
+        self.t_escape = None
+        self.norm_at_escape = None
+        self.nodes_t = array("d", [0.0])
+        self.rows = array("q", [row])  # rows of the stacked node states
+
+    def escape(self, ynorm: float) -> None:
+        self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
+        self.t_escape = self.t
+        self.norm_at_escape = ynorm
+
+    def result(self, ys: np.ndarray, fs: np.ndarray, opts: IntegratorOptions) -> IntegrationResult:
+        rows = np.frombuffer(self.rows, dtype=np.int64)
+        nodes_y, nodes_f = ys[rows], fs[rows]
+        # Accepted derivatives are finite, so the max over the nodes is the
+        # running max over the steps (NaN only from the first).  vecdot rounds
+        # like f @ f.
+        max_rhs = float(np.sqrt(np.vecdot(nodes_f, nodes_f)).max())
+        t_end = self.t
+        if rows.size == 1 or t_end <= 0.0:
+            dense_t = np.array([0.0])
+            dense_y = nodes_y[:1]
+        else:
+            dense_t = np.linspace(0.0, t_end, opts.dense_samples)
+            dense_y = _hermite_dense(self.nodes_t, nodes_y, nodes_f, dense_t)
+            dense_y[0] = nodes_y[0]
+            dense_y[-1] = nodes_y[-1]
+        return IntegrationResult(
+            t=dense_t,
+            y=dense_y,
+            status=_STATUS[self.stop],
+            t_escape=self.t_escape,
+            norm_at_escape=self.norm_at_escape,
+            steps=self.steps,
+            rejected=self.rejected,
+            max_rhs_norm=max_rhs,
+            stop_reason=self.stop,
+        )
+
+
+def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions) -> list[float]:
+    # Hairer-style two-phase guess per lane: balance state and derivative
+    # scales, then probe the local curvature with one Euler step.
+    scale = opts.atol + opts.rtol * np.abs(Y0)
+    d0 = np.sqrt(np.mean((Y0 / scale) ** 2, axis=1)).tolist()
+    d1 = np.sqrt(np.mean((F0 / scale) ** 2, axis=1)).tolist()
+    h0 = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
+    H0 = np.array(h0)
+    F1 = np.asarray(rhs(H0, Y0 + H0[:, None] * F0), dtype=float)
+    d2 = (np.sqrt(np.mean(((F1 - F0) / scale) ** 2, axis=1)) / H0).tolist()
+    steps = []
+    for h, b, c in zip(h0, d1, d2):
+        h1 = max(1e-6, h * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
+        steps.append(min(100 * h, h1, 1.0))
+    return steps
 
 
 def _hermite_dense(nodes_t, nodes_y, nodes_f, ts: np.ndarray) -> np.ndarray:
@@ -152,114 +230,155 @@ def _hermite_dense(nodes_t, nodes_y, nodes_f, ts: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def integrate_lanes(
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Y0,
+    opts: IntegratorOptions | None = None,
+    F0=None,
+) -> list[IntegrationResult]:
+    """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
+
+    ``rhs(t, Y)`` evaluates the live lanes at once: ``t`` holds their times,
+    shape (k,), and ``Y`` their states, shape (k, n), in the order of Y0's
+    rows; it returns their derivatives as anything that assigns into a
+    (k, n) array.  ``F0`` is rhs(0, Y0) when the caller has already
+    evaluated it.
+
+    Each lane keeps its own t, step, PI controller state, counters and
+    status, and its stage values run through the same arithmetic as a lane
+    alone (A[i] @ K[:, :i] makes one (i, n) product per lane), so lane j's
+    result is the one Y0[j] gets alone, bit for bit.  A lane retires when it
+    completes, escapes or collapses (see integrate_adaptive).
+    """
+    opts = opts or IntegratorOptions()
+    Y = np.array(Y0, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"initial states must form an (m, n) array, got shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("initial states must be finite")
+    m, n = Y.shape
+    rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
+    min_step, max_steps = opts.min_step, opts.max_steps
+    A, B5, E = _A, _B5, _E
+
+    F = np.empty((m, n))
+    F[:] = rhs(np.zeros(m), Y) if F0 is None else F0
+    # Accepted nodes are rows of these stacks; lane j starts at row j.
+    ys, fs = [Y], [F]
+    lanes = [_Lane(j) for j in range(m)]
+    for lane, y2 in zip(lanes, np.vecdot(Y, Y).tolist()):
+        ynorm = math.sqrt(y2)
+        if ynorm >= escape_norm:
+            lane.escape(ynorm)
+    live = [j for j, lane in enumerate(lanes) if lane.stop is None]
+    lv = [lanes[j] for j in live]
+    if lv:
+        Y, F = Y[live], F[live]
+        for lane, h in zip(lv, _initial_steps(rhs, F, Y, opts)):
+            lane.h = h
+    base = m  # row of the next stored stack
+    K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
+    sq = None  # squared error norms of the step just taken; none before the first
+
+    # One pass over the lanes per step: settle each lane's step, then plan
+    # its next one (or retire it); then take the next step for all of them.
+    while True:
+        accepted, keep, ts, hs_next, last_next = [], [], [], [], []
+        for j, lane in enumerate(lv):
+            if sq is not None:
+                err, h_use = math.sqrt(sq[j] / n), hs[j]
+                if not math.isfinite(err):
+                    lane.rejected += 1
+                    lane.h = 0.1 * h_use
+                elif err <= 1.0:
+                    accepted.append(j)
+                    lane.steps += 1
+                    lane.t = 1.0 if last[j] else lane.t + h_use
+                    lane.nodes_t.append(lane.t)
+                    lane.rows.append(base + j)
+                    ynorm = math.sqrt(yy[j])
+                    if not math.isfinite(ynorm) or ynorm >= escape_norm:
+                        lane.escape(ynorm)
+                        continue
+                    fac11 = err**_EXPO if err > 0 else 0.0
+                    if fac11 == 0.0:
+                        fac = _FAC_MAX
+                    else:
+                        fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * lane.facold**_BETA / fac11))
+                    lane.h = h_use * fac
+                    lane.facold = max(err, 1e-4)
+                    if not lane.t < 1.0:
+                        lane.stop = "complete"
+                        continue
+                else:
+                    lane.rejected += 1
+                    lane.h = h_use * max(_FAC_MIN, _SAFETY / err**_EXPO)
+            if lane.steps + lane.rejected >= max_steps:
+                lane.stop = "max-steps"
+            elif lane.h < min_step:
+                lane.stop = "min-step"
+            else:
+                keep.append(j)
+                t = lane.t
+                ts.append(t)
+                last_next.append(lane.h >= 1.0 - t)
+                hs_next.append((1.0 - t) if last_next[-1] else lane.h)
+        if accepted:
+            F_new = stage[6].copy()  # FSAL
+            ys.append(Y_new)
+            fs.append(F_new)
+            base += k
+            if len(accepted) == k:
+                Y, F = Y_new, F_new
+            else:
+                took = np.zeros((k, 1), dtype=bool)
+                took[accepted] = True
+                Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
+        if not keep:
+            break
+        if len(keep) < len(lv):
+            lv = [lv[j] for j in keep]
+            Y, F = Y[keep], F[keep]
+        hs, last = hs_next, last_next
+
+        k = len(lv)
+        h_row = np.array(hs)
+        H = h_row[:, None]
+        stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
+        if K.shape[0] != k:
+            K = np.empty((k, 7, n))
+            stage = [K[:, i] for i in range(7)]  # views, made once per lane count
+            head = [K[:, :i] for i in range(7)]
+        stage[0][...] = F
+        for i in range(1, 7):
+            stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
+        Y_new = Y + H * (B5 @ K)
+        Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        sq = np.add.reduce(Q * Q, axis=1).tolist()
+        yy = np.vecdot(Y_new, Y_new).tolist()
+
+    ys, fs = np.concatenate(ys), np.concatenate(fs)
+    return [lane.result(ys, fs, opts) for lane in lanes]
+
+
 def integrate_adaptive(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0,
     opts: IntegratorOptions | None = None,
     f0=None,
 ) -> IntegrationResult:
-    """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1].
+    """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
 
     Local error per accepted step is held to atol + rtol * ||y||.  The run
     stops early with status ``escaped`` once ||y|| reaches opts.escape_norm
     (the escape time is the last accepted t), or with ``step-collapse`` when
     the controller would drop below opts.min_step or the step budget is
-    exhausted.  ``f0`` is rhs(0, y0) when the caller has already evaluated
-    it; it must equal that value, and saves one evaluation.
+    exhausted; ``stop_reason`` says which.  ``f0`` is rhs(0, y0) when the
+    caller has already evaluated it; it must equal that value, and saves one
+    evaluation.
     """
-    opts = opts or IntegratorOptions()
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError(f"initial state must be finite, got {y0}")
-    rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
-    min_step, max_steps = opts.min_step, opts.max_steps
-    A, C, B5, E = _A, list(_C), _B5, _E
-    n = y.size
-
-    t = 0.0
-    f = np.array(rhs(t, y) if f0 is None else f0, dtype=float, ndmin=1)
-    max_rhs = math.sqrt(float(f @ f))
-    nodes_t, nodes_y, nodes_f = [t], [y.copy()], [f]
-
-    status = COMPLETE
-    t_escape = None
-    norm_at_escape = None
-    steps = 0
-    rejected = 0
-
-    ynorm = math.sqrt(float(y @ y))
-    if ynorm >= escape_norm:
-        status, t_escape, norm_at_escape = ESCAPED, 0.0, ynorm
-
-    h = _initial_step(rhs, f, y, opts) if status == COMPLETE else 0.0
-    facold = 1e-4
-    k = np.empty((7, n))
-
-    while status == COMPLETE and t < 1.0:
-        if steps + rejected >= max_steps or h < min_step:
-            status = STEP_COLLAPSE
-            break
-        last = h >= 1.0 - t
-        h_use = (1.0 - t) if last else h
-
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + h_use * (A[i] @ k[:i])
-            k[i] = rhs(t + C[i] * h_use, yi)
-        y_new = y + h_use * (B5 @ k)
-        q = h_use * (E @ k) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = math.sqrt(np.add.reduce(q * q) / n)
-
-        if not math.isfinite(err):
-            rejected += 1
-            h = 0.1 * h_use
-            continue
-
-        if err <= 1.0:
-            steps += 1
-            t = 1.0 if last else t + h_use
-            y = y_new
-            f = k[6].copy()  # FSAL
-            nodes_t.append(t)
-            nodes_y.append(y)
-            nodes_f.append(f)
-            max_rhs = max(max_rhs, math.sqrt(float(f @ f)))
-
-            ynorm = math.sqrt(float(y @ y))
-            if not math.isfinite(ynorm) or ynorm >= escape_norm:
-                status = ESCAPED
-                t_escape = t
-                norm_at_escape = ynorm
-                break
-
-            fac11 = err**_EXPO if err > 0 else 0.0
-            if fac11 == 0.0:
-                fac = _FAC_MAX
-            else:
-                fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * facold**_BETA / fac11))
-            h = h_use * fac
-            facold = max(err, 1e-4)
-        else:
-            rejected += 1
-            h = h_use * max(_FAC_MIN, _SAFETY / err**_EXPO)
-
-    t_end = t
-    if len(nodes_t) == 1 or t_end <= 0.0:
-        dense_t = np.array([0.0])
-        dense_y = np.array([nodes_y[0]])
-    else:
-        dense_t = np.linspace(0.0, t_end, opts.dense_samples)
-        dense_y = _hermite_dense(nodes_t, nodes_y, nodes_f, dense_t)
-        dense_y[0] = nodes_y[0]
-        dense_y[-1] = nodes_y[-1]
-
-    return IntegrationResult(
-        t=dense_t,
-        y=dense_y,
-        status=status,
-        t_escape=t_escape,
-        norm_at_escape=norm_at_escape,
-        steps=steps,
-        rejected=rejected,
-        max_rhs_norm=max_rhs,
-    )
+    F0 = None if f0 is None else [f0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0)[0]

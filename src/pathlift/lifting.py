@@ -9,6 +9,12 @@ integrated over the pullback of the tangent bundle along gamma: only the
 fiber c is a state variable, base coordinates are read from the path.  A
 lift that blows up before t = 1 is reported as escaped; parallel transport
 exists exactly when the lift completes.
+
+``horizontal_lifts`` lifts many seeds along one path as lanes of a single
+integration (see integrate.integrate_lanes): one rhs evaluation covers all
+live seeds, and each seed's trajectory is bit for bit the one it gets
+alone.  The seed sweeps (completion_threshold, the probes of
+transport_jacobian) run through it.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ import numpy as np
 
 from .connections import ConnectionField
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
-from .integrate import COMPLETE, ESCAPED, STEP_COLLAPSE, IntegratorOptions, integrate_adaptive
+from .integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive, integrate_lanes
 
 __all__ = [
     "LiftTrajectory",
     "TransportEscapedError",
     "horizontal_lift",
+    "horizontal_lifts",
     "parallel_transport",
     "horizontality_defect",
     "round_trip_defect",
@@ -51,7 +58,11 @@ class TransportEscapedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiftTrajectory:
-    """Sampled horizontal lift: fiber values over base samples of the path."""
+    """Sampled horizontal lift: fiber values over base samples of the path.
+
+    ``stop_reason`` refines ``status`` (see integrate): complete,
+    escape-norm, non-finite, min-step or max-steps.
+    """
 
     t: np.ndarray
     base: np.ndarray
@@ -62,6 +73,7 @@ class LiftTrajectory:
     steps: int
     rejected: int
     max_vertical_speed: float
+    stop_reason: str
 
     @property
     def complete(self) -> bool:
@@ -82,15 +94,44 @@ def _check_dims(conn: ConnectionField, path: PathCurve, v0: np.ndarray) -> None:
 
 def horizontal_lift(conn: ConnectionField, path: PathCurve, v0,
                     opts: IntegratorOptions | None = None) -> LiftTrajectory:
-    """Integrate the lift of ``path`` through the fiber value v0."""
-    v = as_coords(v0, "initial fiber vector")
-    _check_dims(conn, path, v)
-    # Validate Gamma once at the seed; inside the lift it is called raw, so a
+    """Integrate the lift of ``path`` through the fiber value v0 (horizontal_lifts of one seed)."""
+    return horizontal_lifts(conn, path, [v0], opts)[0]
+
+
+def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
+                     opts: IntegratorOptions | None = None) -> list[LiftTrajectory]:
+    """Lifts of ``path`` through each fiber value in ``seeds``, in order.
+
+    The seeds run as lanes of one integration.  The rhs evaluates all live
+    lanes with one ``gamma`` call when the connection broadcasts (and the
+    path too, or its points are stacked per lane), else lane by lane.  Each
+    trajectory equals the seed's lift alone bit for bit.  If the batch
+    raises, the seeds are rerun one at a time in order, so the error is the
+    one the first failing seed raises alone.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    try:
+        return _lift_lanes(conn, path, seeds, opts)
+    except Exception:
+        if len(seeds) < 2:
+            raise
+    return [horizontal_lift(conn, path, v, opts) for v in seeds]
+
+
+def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
+                opts: IntegratorOptions | None) -> list[LiftTrajectory]:
+    vs = [as_coords(v, "initial fiber vector") for v in seeds]
+    for v in vs:
+        _check_dims(conn, path, v)
+    # Validate Gamma once at each seed; inside the lift it is called raw, so a
     # trial stage that overflows during a blow-up reaches the integrator as a
     # non-finite value (a rejected step) instead of a configuration error.
-    # An overflow at the seed is reported by coeff's finiteness check alone.
+    # An overflow at a seed is reported by coeff's finiteness check alone.
+    p0, u0 = path.position(0.0), path.velocity(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = -conn.coeff(path.position(0.0), v) @ path.velocity(0.0)
+        f0 = [-conn.coeff(p0, v) @ u0 for v in vs]
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
@@ -99,19 +140,53 @@ def horizontal_lift(conn: ConnectionField, path: PathCurve, v0,
             raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
         return -m @ vel(t)
 
-    res = integrate_adaptive(rhs, v, opts, f0)
-    base = path.sample(res.t)
-    return LiftTrajectory(
-        t=res.t,
-        base=base,
-        fiber=res.y,
-        status=res.status,
-        t_escape=res.t_escape,
-        norm_at_escape=res.norm_at_escape,
-        steps=res.steps,
-        rejected=res.rejected,
-        max_vertical_speed=res.max_rhs_norm,
-    )
+    if len(vs) == 1:
+        results = [integrate_adaptive(rhs, vs[0], opts, f0[0])]
+    elif conn.broadcasts:
+        results = integrate_lanes(_stack_rhs(conn, path), vs, opts, f0)
+    else:
+        results = integrate_lanes(lambda T, C: [rhs(t, c) for t, c in zip(T, C)], vs, opts, f0)
+    return [
+        LiftTrajectory(
+            t=res.t,
+            base=path.sample(res.t),
+            fiber=res.y,
+            status=res.status,
+            t_escape=res.t_escape,
+            norm_at_escape=res.norm_at_escape,
+            steps=res.steps,
+            rejected=res.rejected,
+            max_vertical_speed=res.max_rhs_norm,
+            stop_reason=res.stop_reason,
+        )
+        for res in results
+    ]
+
+
+def _stack_rhs(conn: ConnectionField, path: PathCurve):
+    """Lane rhs with one call of a broadcasting gamma for the whole stack."""
+    g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
+    path_broadcasts = path.broadcasts
+
+    def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
+        if path_broadcasts:
+            P, V = pos(T[:, None]), vel(T[:, None])
+        else:
+            P, V = np.array([pos(t) for t in T]), np.array([vel(t) for t in T])
+        M = np.asarray(g(P, C), dtype=float)
+        if M.shape != C.shape + (n,):
+            raise ValueError(f"coefficient map returned shape {M.shape}, expected {C.shape + (n,)}")
+        # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
+        return ((-M) @ V[..., None])[..., 0]
+
+    return rhs
+
+
+def _endpoint(traj: LiftTrajectory) -> TangentVector:
+    if not traj.complete:
+        t_fail = traj.t_escape if traj.t_escape is not None else float(traj.t[-1])
+        raise TransportEscapedError(t_fail, traj.status)
+    return TangentVector(ChartPoint(traj.base[-1]), traj.fiber[-1])
 
 
 def parallel_transport(conn: ConnectionField, path: PathCurve, v0,
@@ -121,11 +196,7 @@ def parallel_transport(conn: ConnectionField, path: PathCurve, v0,
     Raises TransportEscapedError when the lift blows up (or stalls) before
     reaching the far fiber.
     """
-    traj = horizontal_lift(conn, path, v0, opts)
-    if not traj.complete:
-        t_fail = traj.t_escape if traj.t_escape is not None else float(traj.t[-1])
-        raise TransportEscapedError(t_fail, traj.status)
-    return TangentVector(ChartPoint(traj.base[-1]), traj.fiber[-1])
+    return _endpoint(horizontal_lift(conn, path, v0, opts))
 
 
 def horizontality_defect(conn: ConnectionField, traj: LiftTrajectory, path: PathCurve) -> float:
@@ -168,20 +239,23 @@ def transport_jacobian(conn: ConnectionField, path: PathCurve, v0,
                        opts: IntegratorOptions | None = None) -> np.ndarray:
     """Centered finite-difference Jacobian of v -> transport(v) at v0.
 
-    Probes 2n transports with step h (default 1e-5 * (1 + ||v0||)).  Raises
-    TransportEscapedError if any probe fails to complete.
+    Probes 2n transports with step h (default 1e-5 * (1 + ||v0||)), lifted
+    together.  Raises the TransportEscapedError of the first probe, in the
+    order (j, +h), (j, -h), that fails to complete.
     """
     v = as_coords(v0, "initial fiber vector")
     n = v.size
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(v)))
-    jac = np.empty((n, n))
+    probes = []  # (j, +h), (j, -h) for j = 0 .. n-1
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        plus = parallel_transport(conn, path, v + e, opts).vec
-        minus = parallel_transport(conn, path, v - e, opts).vec
-        jac[:, j] = (plus - minus) / (2.0 * h)
+        probes += [v + e, v - e]
+    ends = [_endpoint(traj).vec for traj in horizontal_lifts(conn, path, probes, opts)]
+    jac = np.empty((n, n))
+    for j in range(n):
+        jac[:, j] = (ends[2 * j] - ends[2 * j + 1]) / (2.0 * h)
     return jac
 
 
@@ -201,14 +275,14 @@ def completion_threshold(conn: ConnectionField, path: PathCurve, grid,
     Works on 1-d connections.  Returns (v_star, lo, hi) where lo is the
     largest grid value whose lift completes, hi the smallest that escapes,
     and v_star their midpoint.  The bracket width is the grid spacing, so
-    the estimate is first-order in the grid.
+    the estimate is first-order in the grid.  The whole grid is lifted as
+    one batch.
     """
     if conn.dimension != 1:
         raise ValueError("completion threshold scan works on 1-d connections")
     values = np.sort(np.asarray(grid, dtype=float))
-    completed = np.array(
-        [horizontal_lift(conn, path, [v], opts).complete for v in values]
-    )
+    lifts = horizontal_lifts(conn, path, [[v] for v in values], opts)
+    completed = np.array([traj.complete for traj in lifts])
     if completed.all() or not completed.any():
         raise ValueError("grid does not straddle the completion threshold")
     lo = float(values[completed].max())

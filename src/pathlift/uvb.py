@@ -231,9 +231,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     positive and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid=
-    "ignore"): the weights first, then ``conn.gamma`` raw once per sample (it
-    must not modify an array it returned earlier), then coeff's checks once
-    over the stack and one batched SVD.  On failure the samples are rerun in
+    "ignore"): the weights first, then ``conn.gamma`` raw, once for the whole
+    stack when it broadcasts and else once per sample (it must not modify an
+    array it returned earlier), then coeff's checks once over the stack and
+    one batched SVD.  On failure the samples are rerun in
     (direction, radius) order through principal_angles, and the first to
     fail raises a RuntimeError naming its direction and radius.
     """
@@ -259,7 +260,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
         if pc.size != n or not np.all(np.isfinite(vs)):
             raise ValueError("base point or fiber points invalid")
         w = weight.stack(vs)
-        G = np.asarray([conn.gamma(pc, v) for v in vs], dtype=float)
+        if conn.broadcasts:
+            G = np.asarray(conn.gamma(pc, vs), dtype=float)
+        else:
+            G = np.asarray([conn.gamma(pc, v) for v in vs], dtype=float)
         if G.shape != (vs.shape[0], n, n) or not np.all(np.isfinite(G)):
             raise ValueError("coefficient stack invalid")
         theta = _angle_stack(w, G)[:, 0].reshape(dirs.shape[0], rads.size)

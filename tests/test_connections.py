@@ -346,3 +346,65 @@ class TestChristoffelMemoProperty:
         for p, v in calls:
             ref = np.einsum("kij,j->ki", chris(p), v)
             assert conn.gamma(p, v).tobytes() == ref.tobytes()
+
+
+_wide = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200]),
+                  st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _stack_cases(draw):
+    name = draw(st.sampled_from(["flat", "fig1", "scalar-linear", "power-growth",
+                                 "sphere-stereographic", "christoffel"]))
+    if name == "flat":
+        conn = _member(name, dimension=draw(st.integers(1, 3)))
+    elif name == "scalar-linear":
+        conn = _member(name, **{"lambda": draw(st.floats(-3.0, 3.0))})
+    elif name == "power-growth":
+        conn = _member(name, alpha=draw(st.floats(0.0, 3.0)))
+    elif name == "christoffel":
+        n = draw(st.integers(1, 3))
+        index = st.integers(0, n - 1)
+        terms = draw(st.lists(st.fixed_dictionaries({
+            "k": index, "i": index, "j": index, "coeff": st.floats(-3.0, 3.0),
+            "monomial": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        }), max_size=6))
+        conn = _member(name, dimension=n, terms=terms)
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    k = draw(st.integers(1, 6))
+    rows = st.lists(st.lists(_wide, min_size=n, max_size=n), min_size=k, max_size=k)
+    points = np.array(draw(rows)).reshape(k, n)
+    if draw(st.booleans()):
+        points[1:] = points[0]  # repeated base points, as in a scan or at t + h
+    return conn, points, np.array(draw(rows)).reshape(k, n)
+
+
+class TestBroadcasting:
+    @settings(max_examples=80, deadline=None)
+    @given(_stack_cases())
+    def test_stack_equals_row_calls_bitwise(self, case):
+        conn, points, fibers = case
+        assert conn.broadcasts
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.array([conn.gamma(p, v) for p, v in zip(points, fibers)])
+            stacked = conn.gamma(points, fibers)
+            one_point = conn.gamma(points[0], fibers)
+            at_first = np.array([conn.gamma(points[0], v) for v in fibers])
+        assert stacked.shape == one_point.shape == rows.shape
+        assert stacked.tobytes() == rows.tobytes()
+        assert one_point.tobytes() == at_first.tobytes()
+
+    def test_linear_stack_builds_each_distinct_point_once(self):
+        chris, calls = _counting(_sign_sensitive)
+        conn = make_linear_connection(2, chris)
+        p = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [-0.0, 0.0], [0.0, 0.0]])
+        v = np.ones((5, 2))
+        first = conn.gamma(p, v)
+        assert len(calls) == 4  # the signed zero is a point of its own
+        assert conn.gamma(p[::-1], v).tobytes() == first[::-1].tobytes()
+        assert len(calls) == 4  # the points of the last call are kept
+
+    def test_custom_fields_do_not_broadcast_by_default(self):
+        assert not ConnectionField(1, lambda p, v: np.eye(1)).broadcasts

@@ -192,3 +192,29 @@ class TestJsonIngestion:
             path_from_json({"kind": "spiral"})
         with pytest.raises(ValueError):
             path_from_json({"kind": "segment", "from": [0.0]})
+
+
+class TestBroadcasting:
+    PATHS = {
+        "segment": path_segment([0.5, -1.0, -0.0], [2.0, 0.25, 3.0]),
+        "circle": path_circle([0.2, -0.0, 1.0], 0.7, plane=(2, 0)),
+        "reversed circle": path_reverse(path_circle([0.3, 0.1], 1.3)),
+        "reversed segment": path_reverse(path_segment([1.0], [-2.0])),
+    }
+    TIMES = np.concatenate([GRID, [-1e-6, 0.1 + 1e-17, 1.0 + 1e-6, 1 / 3]])
+
+    @pytest.mark.parametrize("name", PATHS)
+    def test_column_of_times_equals_one_call_per_time(self, name):
+        path = self.PATHS[name]
+        assert path.broadcasts
+        col = self.TIMES[:, None]
+        for f in (path.position, path.velocity):
+            rows = np.array([f(float(t)) for t in self.TIMES])
+            got = np.broadcast_to(f(col), rows.shape)
+            assert got.tobytes() == rows.tobytes()
+        rows = np.array([path.position(float(t)) for t in self.TIMES])
+        assert path.sample(self.TIMES).tobytes() == rows.tobytes()
+
+    def test_polyline_and_custom_paths_do_not_broadcast(self):
+        assert not path_polyline([[0.0], [1.0], [0.5]], [0.0, 0.5, 1.0]).broadcasts
+        assert not path_reverse(path_polyline([[0.0], [1.0]], [0.0, 1.0])).broadcasts

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from pathlift.integrate import (
     IntegratorOptions,
     _hermite_dense,
     integrate_adaptive,
+    integrate_lanes,
 )
 
 
@@ -176,3 +179,91 @@ class TestDeterminism:
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.y, b.y)
         assert (a.steps, a.rejected) == (b.steps, b.rejected)
+
+
+class TestStopReason:
+    def test_complete(self):
+        res = integrate_adaptive(lambda t, y: y, [1.0])
+        assert (res.status, res.stop_reason) == (COMPLETE, "complete")
+
+    def test_escape_norm(self):
+        res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0])
+        assert (res.status, res.stop_reason) == (ESCAPED, "escape-norm")
+
+    def test_escape_norm_at_start(self):
+        res = integrate_adaptive(lambda t, y: y, [2e8])
+        assert (res.stop_reason, res.t_escape, res.steps) == ("escape-norm", 0.0, 0)
+
+    def test_non_finite(self):
+        # ||y||^2 overflows on an accepted step, far below the escape norm.
+        res = integrate_adaptive(lambda t, y: y, [1e154], IntegratorOptions(escape_norm=1e300))
+        assert (res.status, res.stop_reason) == (ESCAPED, "non-finite")
+        assert res.norm_at_escape == np.inf and 0.0 < res.t_escape < 1.0
+
+    def test_min_step(self):
+        res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0], IntegratorOptions(escape_norm=1e300))
+        assert (res.status, res.stop_reason) == (STEP_COLLAPSE, "min-step")
+        assert res.t_escape is None and abs(res.t_final - np.pi / 4) < 1e-6
+
+    def test_max_steps(self):
+        res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0], IntegratorOptions(max_steps=5))
+        assert (res.status, res.stop_reason) == (STEP_COLLAPSE, "max-steps")
+        assert res.steps + res.rejected == 5
+
+
+def _assert_same_result(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert (type(x), repr(x)) == (type(y), repr(y)), f.name
+
+
+class TestLanes:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=8),
+        st.sampled_from([1e-9, 1e-6, 1e-3]),
+        st.sampled_from([1e8, 1e300]),
+        st.sampled_from([10**6, 60]),
+    )
+    def test_each_lane_equals_its_lone_integration(self, seeds, rtol, escape_norm, max_steps):
+        # Tangent blow-up, growth, decay: lanes complete, escape, hit the
+        # min_step floor or the step budget, with rejected steps, side by side.
+        opts = IntegratorOptions(rtol=rtol, escape_norm=escape_norm, max_steps=max_steps)
+
+        def lone(t, y):
+            return np.array([1.0 + y[0] * y[0], np.sin(3.0 * t) - y[1]])
+
+        def stack(t, Y):
+            return np.stack([1.0 + Y[:, 0] * Y[:, 0], np.sin(3.0 * t) - Y[:, 1]], axis=1)
+
+        y0 = np.array([[s, 2.0 * s] for s in seeds])
+        got = integrate_lanes(stack, y0, opts)
+        assert len(got) == len(seeds)
+        for row, res in zip(y0, got):
+            _assert_same_result(res, integrate_adaptive(lone, row, opts))
+
+    def test_rhs_sees_only_live_lanes(self):
+        sizes = []
+
+        def rhs(t, Y):
+            sizes.append(len(t))
+            assert Y.shape == (len(t), 1)
+            return 1.0 + Y * Y
+
+        res = integrate_lanes(rhs, [[0.0], [1.0], [2e8]])
+        assert [r.stop_reason for r in res] == ["complete", "escape-norm", "escape-norm"]
+        assert sizes[0] == 3 and max(sizes[1:]) == 2 and min(sizes) == 1  # start, then live only
+
+    @pytest.mark.parametrize("y0, error", [
+        ([1.0, 2.0], "must form an"),
+        ([[0.0], [np.inf]], "must be finite"),
+    ])
+    def test_rejects_bad_initial_states(self, y0, error):
+        with pytest.raises(ValueError, match=error):
+            integrate_lanes(lambda t, Y: Y, y0)
+
+    def test_no_lanes(self):
+        assert integrate_lanes(lambda t, Y: Y, np.empty((0, 2))) == []

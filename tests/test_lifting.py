@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from pathlift.lifting import (
     TransportEscapedError,
     completion_threshold,
     holonomy,
+    LiftTrajectory,
     horizontal_lift,
+    horizontal_lifts,
     horizontality_defect,
     parallel_transport,
     round_trip_defect,
@@ -133,6 +137,128 @@ class TestRawRhsEquivalence:
         assert traj.t_escape == ref.t_escape
         assert traj.norm_at_escape == ref.norm_at_escape
         assert traj.max_vertical_speed == ref.max_rhs_norm
+
+
+def _assert_same_lift(a, b):
+    for f in dataclasses.fields(LiftTrajectory):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert (type(x), repr(x)) == (type(y), repr(y)), f.name
+
+
+def _custom_gamma(p, v):
+    # A 2-d map that only takes one point and one fiber vector at a time.
+    assert p.shape == v.shape == (2,)
+    return np.array([[0.3 * v[0] * v[1], np.sin(p[0])], [-0.2 * v[1], 0.1 * v[0] ** 2]])
+
+
+_CUSTOM = ConnectionField(2, _custom_gamma, name="custom-2d")
+
+_term = st.fixed_dictionaries({
+    "coeff": _floats(-2.0, 2.0),
+    "monomial": st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    "k": st.integers(0, 2), "i": st.integers(0, 2), "j": st.integers(0, 2),
+})
+
+
+@st.composite
+def _batch_cases(draw):
+    name = draw(st.sampled_from(["fig1", "power-growth", "scalar-linear", "flat",
+                                 "sphere-stereographic", "christoffel", "custom"]))
+    if name == "power-growth":
+        conn = gallery(ConnectionSpec(name, {"alpha": draw(_floats(0.0, 3.0))}))
+    elif name == "scalar-linear":
+        conn = _scalar(draw(_floats(-3.0, 3.0)))
+    elif name == "flat":
+        conn = _flat(draw(st.integers(1, 3)))
+    elif name == "christoffel":
+        n = draw(st.integers(1, 3))
+        terms = [{**t, "k": t["k"] % n, "i": t["i"] % n, "j": t["j"] % n,
+                  "monomial": t["monomial"][:n]} for t in draw(st.lists(_term, max_size=5))]
+        conn = gallery(ConnectionSpec(name, {"dimension": n, "terms": terms}))
+    elif name == "custom":
+        conn = _CUSTOM
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["segment", "reversed", "polyline"] + ["circle"] * (n == 2)))
+    if kind == "circle":
+        path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
+    elif kind == "polyline":
+        path = path_polyline([draw(point) for _ in range(3)], [0.0, draw(_floats(0.2, 0.8)), 1.0])
+    else:
+        path = path_segment(draw(point), draw(point))
+        if kind == "reversed":
+            path = path_reverse(path)
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))  # signed zeros too
+    seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=8))
+    opts = IntegratorOptions(rtol=draw(st.sampled_from([1e-9, 1e-6, 1e-3])),
+                             escape_norm=draw(st.sampled_from([1e8, 1e300])),
+                             max_steps=draw(st.sampled_from([10**6, 60])))
+    order = draw(st.permutations(range(len(seeds))))
+    return conn, path, seeds, opts, order
+
+
+class TestHorizontalLifts:
+    @settings(max_examples=60, deadline=None)
+    @given(_batch_cases())
+    def test_batch_equals_separate_lifts_in_any_order(self, case):
+        conn, path, seeds, opts, order = case
+        alone = [horizontal_lift(conn, path, v, opts) for v in seeds]
+        batch = horizontal_lifts(conn, path, seeds, opts)
+        shuffled = horizontal_lifts(conn, path, [seeds[i] for i in order], opts)
+        assert len(batch) == len(shuffled) == len(seeds)
+        for j, i in enumerate(order):
+            _assert_same_lift(batch[i], alone[i])
+            _assert_same_lift(shuffled[j], alone[i])
+
+    @pytest.mark.parametrize("opts, reasons", [
+        (IntegratorOptions(rtol=1e-6, escape_norm=1e10, max_steps=300),
+         ["complete", "complete", "max-steps", "escape-norm"]),
+        (IntegratorOptions(escape_norm=1e300), ["complete", "complete", "min-step", "min-step"]),
+    ])
+    def test_batch_mixes_stop_reasons(self, opts, reasons):
+        seeds = [[0.0], [0.5], [1.0], [5.0]]
+        batch = horizontal_lifts(FIG1, UNIT, seeds, opts)
+        assert [traj.stop_reason for traj in batch] == reasons
+        for v, traj in zip(seeds, batch):
+            _assert_same_lift(traj, horizontal_lift(FIG1, UNIT, v, opts))
+
+    def test_stop_reason_tells_min_step_from_max_steps(self):
+        # Both end in step-collapse: the min_step floor below the escape norm,
+        # and the step budget.
+        floor = horizontal_lift(FIG1, UNIT, [1.0], IntegratorOptions(escape_norm=1e300))
+        budget = horizontal_lift(FIG1, UNIT, [1.0], IntegratorOptions(max_steps=5))
+        assert floor.status == budget.status == "step-collapse"
+        assert (floor.stop_reason, budget.stop_reason) == ("min-step", "max-steps")
+        assert abs(floor.t[-1] - np.pi / 4) < 1e-6
+
+    def test_failing_batch_reruns_seeds_in_order(self):
+        calls = []
+
+        def gamma(p, v):
+            calls.append(float(v[0]))
+            if v[0] > 2.0:
+                raise ZeroDivisionError(f"bad fiber {v[0]:.3f}")
+            return np.array([[-(1.0 + v[0] ** 2)]])
+
+        conn = ConnectionField(1, gamma)
+        with pytest.raises(ZeroDivisionError) as alone:
+            horizontal_lift(conn, UNIT, [1.0])
+        with pytest.raises(ZeroDivisionError) as batch:
+            horizontal_lifts(conn, UNIT, [[0.0], [1.0], [3.0]])
+        # The batch fails first at seed 3 (checked before any lift starts);
+        # the rerun raises seed 1's mid-lift error and never reaches seed 3.
+        assert str(batch.value) == str(alone.value)
+        assert 3.0 not in calls[calls.index(3.0) + 1:]
+
+    def test_empty_and_bad_seeds(self):
+        assert horizontal_lifts(FIG1, UNIT, []) == []
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            horizontal_lifts(FIG1, UNIT, [[0.0], [0.0, 0.0]])
 
 
 class TestParallelTransport:

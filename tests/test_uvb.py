@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -417,3 +418,28 @@ class TestStackedScanErrors:
             fiber_scan(FIG1, [0.0], dirs, radii)
         assert str(got.value) == str(ref.value)
         assert "radius 1.7976931348623157e+308: fiber vector must have finite" in str(got.value)
+
+
+class TestStackedGamma:
+    def test_broadcasting_member_is_called_once_per_scan(self):
+        calls = []
+        sphere = gallery("sphere-stereographic")
+
+        def gamma(p, v):
+            calls.append(v.shape)
+            return sphere.gamma(p, v)
+
+        traced = dataclasses.replace(sphere, gamma=gamma)
+        report = fiber_scan(traced, [0.3, -0.2])
+        assert calls == [(4 * 21, 2)]
+        assert report.to_dict() == fiber_scan(sphere, [0.3, -0.2]).to_dict()
+
+    def test_custom_member_is_called_once_per_sample(self):
+        calls = []
+
+        def gamma(p, v):
+            calls.append(v.shape)
+            return np.array([[1.0 + v[0] ** 2]])
+
+        fiber_scan(ConnectionField(1, gamma), [0.0])
+        assert calls == [(1,)] * (2 * 21)
