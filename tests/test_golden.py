@@ -5,16 +5,23 @@ what they agree on.  Each command's digest covers its exit code, its
 stdout and the name and bytes of every file it emits, so a refactor that
 claims bit-for-bit identical output has to reproduce all of them.  The scan
 digests do the same for ``fiber_scan`` reports on members the CLI suite
-does not scan: the sphere, a 3-d christoffel term set and fig1.  A change
-that alters emitted numbers on purpose must regenerate the tables and say so.
+does not scan: the sphere, a 3-d christoffel term set and fig1.  The lift
+digests pin every field of single-seed ``LiftTrajectory`` values, the
+in-memory ``stop_reason`` included, for lifts that complete, escape and stop
+at the ``min_step`` floor.  A change that alters emitted numbers on purpose
+must regenerate the tables and say so.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from pathlift.cli import main
 from pathlift.connections import ConnectionSpec, gallery
+from pathlift.geometry import path_circle, path_segment
+from pathlift.lifting import horizontal_lift
 from pathlift.uvb import fiber_scan
 
 GOLDEN = [
@@ -96,3 +103,59 @@ def test_fiber_scan_matches_golden_digest(spec, point, expected):
     report = fiber_scan(gallery(spec), point)
     got = _sha256([report.theta_min.tobytes(), report.beta.tobytes(), report.verdict.encode()])
     assert got == expected, f"fiber_scan of {spec.name} at {point} changed: digest {got}"
+
+
+def _pg(alpha):
+    return ConnectionSpec("power-growth", {"alpha": alpha})
+
+
+_UNIT = ("segment", [0.0], [1.0])
+_OFF = ("segment", [-1.0], [0.25])  # off the origin, speed 1.25
+
+# (connection, path, seed, stop_reason, rejected steps, digest of every field).
+GOLDEN_LIFTS = [
+    (ConnectionSpec("fig1"), _UNIT, [0.0], "complete", 2,
+     "b311d1c94cda0e04fcaf5e6d4bc4f52288b4ef3bc16d2d48fc9ee37ee9e289c3"),
+    (ConnectionSpec("fig1"), _UNIT, [1.0], "escape-norm", 0,
+     "fdbd57b45b5de521d5f5e4ea17c43534238e2964a90cd831169ea73340a7e153"),
+    (ConnectionSpec("fig1"), _UNIT, [0.64], "complete", 0,
+     "e213ecf575f8da1fed7ffabd92404a6f0b7c07befeb39672448869168fe3e401"),
+    (_pg(1.5), _OFF, [0.1], "complete", 1,
+     "1c21df7b57ef0fcadab982e74216a5e9418c2b9c1c6dda841353e3475b2a3ae1"),
+    (_pg(1.5), _OFF, [3.0], "escape-norm", 0,
+     "2ed78fa3d5168a57bd44d6e2c28f30c04f14a998adcba2fe44ec3085a3ca816c"),
+    (_pg(2.0), _OFF, [0.5], "escape-norm", 0,
+     "365d2f8b66181309fd34970938f0922f829801a51da7377821d912cf6b2f77b5"),
+    (_pg(3.0), _OFF, [10.0], "min-step", 2,
+     "52d20c5d0cfb7465df264af1336c1e3b1c5a3ca333ccda82db43346b17aba87c"),
+    (ConnectionSpec("scalar-linear", {"lambda": -0.75}), _OFF, [2.5], "complete", 0,
+     "04260e3c88a33bd3326e3d9dd4caa40be91889d1e55d9b820961ba7f245bcbce"),
+    (ConnectionSpec("sphere-stereographic"), ("circle", [0.2, -0.1], 0.7), [1.0, 0.5],
+     "complete", 1,
+     "8108679481abc55cd6d16d785fd85c01cbfd76ae071c6d605889f0d7c3793a59"),
+]
+
+
+def _path(spec):
+    kind, a, b = spec
+    return path_segment(a, b) if kind == "segment" else path_circle(a, b)
+
+
+def _lift_digest(traj) -> str:
+    chunks = []
+    for f in dataclasses.fields(traj):
+        value = getattr(traj, f.name)
+        if isinstance(value, np.ndarray):
+            chunks += [f.name.encode(), str(value.shape).encode(), value.tobytes()]
+        else:
+            chunks += [f.name.encode(), repr(value).encode()]
+    return _sha256(chunks)
+
+
+@pytest.mark.parametrize("spec, path, seed, reason, rejected, expected", GOLDEN_LIFTS,
+                         ids=[f"{s.name} {s.params} {p[0]} {v}" for s, p, v, *_ in GOLDEN_LIFTS])
+def test_lone_lift_matches_golden_digest(spec, path, seed, reason, rejected, expected):
+    traj = horizontal_lift(gallery(spec), _path(path), seed)
+    assert (traj.stop_reason, traj.rejected) == (reason, rejected)
+    got = _lift_digest(traj)
+    assert got == expected, f"lift of {spec.name} {spec.params} from {seed} changed: digest {got}"
