@@ -47,6 +47,9 @@ class ConnectionField:
     Lifts of many seeds and fiber scans then call it once per stack;
     otherwise they call it once per row.  The built-in members broadcast.
 
+    When ``uses_base`` is false, ``gamma`` must not read p: lifts then pass
+    the path's starting point instead of its position at each stage.
+
     Attributes:
         dimension: chart dimension n.
         gamma: map (p, v) -> n x n coefficient matrix, for 1-d float arrays
@@ -56,6 +59,8 @@ class ConnectionField:
         growth_hint: exponent alpha with ||Gamma(p, v)|| = O(||v||^alpha)
             on compact sets of base points, when known.
         broadcasts: whether ``gamma`` evaluates stacks of rows as above.
+        uses_base: whether ``gamma`` reads p; false for flat, fig1,
+            scalar-linear and power-growth.
     """
 
     dimension: int
@@ -65,6 +70,7 @@ class ConnectionField:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     broadcasts: bool = False
+    uses_base: bool = True
 
     def coeff(self, p, v) -> np.ndarray:
         """Coefficient matrix Gamma(p, v); validates dimensions and finiteness."""
@@ -250,7 +256,8 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
         spec = ConnectionSpec(spec)
     name, params = spec.name, spec.params
 
-    # The members broadcast (see ConnectionField).  A 1-d v takes the scalar
+    # The members broadcast (see ConnectionField), and all but the linear
+    # connections ignore the base point.  A 1-d v takes the scalar
     # formula; a stack takes float_power, which rounds like the scalar ``**``
     # where an array ``**`` does not.
     if name == "flat":
@@ -260,7 +267,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
         def gamma(p, v):
             return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
 
-        return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True)
+        return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
 
     if name == "fig1":
         def gamma(p, v):
@@ -268,7 +275,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
                 return np.array([[-(1.0 + v[0] ** 2)]])
             return -(1.0 + np.float_power(v[:, :, None], 2))
 
-        return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True)
+        return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
 
     if name == "scalar-linear":
         lam = float(params.get("lambda", 1.0))
@@ -278,7 +285,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
                 return np.array([[lam * v[0]]])
             return lam * v[:, :, None]
 
-        return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True)
+        return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
 
     if name == "power-growth":
         if "alpha" not in params:
@@ -292,7 +299,7 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
                 return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
             return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
 
-        return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True)
+        return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
 
     if name == "sphere-stereographic":
         return make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic")

@@ -23,7 +23,10 @@ the states are *lanes* of a stack, evaluated by one rhs call per stage, and
 each lane keeps its own t, step size, controller state and status, so its
 result is bit for bit the one it gets integrated alone.  A lane retires when
 it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
-case.
+case.  While one lane is live, the loop calls the per-lane rhs, when it is
+given, at Python-float stage times, and in one dimension keeps the error
+and escape norms in Python floats; the stage sums stay numpy products, so
+the bits are those of the stacked path.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -65,6 +68,7 @@ _STATUS = {
 # embedded error estimate. FSAL: the 7th stage is f at the new point.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _C_COL = _C[:, None]
+_C_LIST = _C.tolist()
 _A = (
     np.array([]),
     np.array([1 / 5]),
@@ -94,7 +98,7 @@ class IntegratorOptions:
     atol: float = 1e-12
     escape_norm: float = 1e8
     min_step: float = 1e-12
-    max_steps: int = 10**6
+    max_steps: int = 10**5
     dense_samples: int = 201
 
     def __post_init__(self):
@@ -235,6 +239,7 @@ def integrate_lanes(
     Y0,
     opts: IntegratorOptions | None = None,
     F0=None,
+    lone_rhs: Callable[[float, np.ndarray], np.ndarray] | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
 
@@ -242,7 +247,9 @@ def integrate_lanes(
     shape (k,), and ``Y`` their states, shape (k, n), in the order of Y0's
     rows; it returns their derivatives as anything that assigns into a
     (k, n) array.  ``F0`` is rhs(0, Y0) when the caller has already
-    evaluated it.
+    evaluated it.  ``lone_rhs(t, y)``, for a float t and a state of shape
+    (n,), is the same system lane by lane; when given, it is called while
+    exactly one lane is live, and must return rhs's row bit for bit.
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -259,7 +266,7 @@ def integrate_lanes(
     m, n = Y.shape
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
-    A, B5, E = _A, _B5, _E
+    A, B5, E, C = _A, _B5, _E, _C_LIST
 
     F = np.empty((m, n))
     F[:] = rhs(np.zeros(m), Y) if F0 is None else F0
@@ -342,20 +349,34 @@ def integrate_lanes(
         hs, last = hs_next, last_next
 
         k = len(lv)
-        h_row = np.array(hs)
-        H = h_row[:, None]
-        stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
         if K.shape[0] != k:
             K = np.empty((k, 7, n))
             stage = [K[:, i] for i in range(7)]  # views, made once per lane count
             head = [K[:, :i] for i in range(7)]
         stage[0][...] = F
-        for i in range(1, 7):
-            stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
+        if k == 1 and lone_rhs is not None:
+            # Python-float stage times: t + c_i h rounds as in the array below.
+            t, H = ts[0], hs[0]
+            for i in range(1, 7):
+                stage[i][...] = lone_rhs(t + C[i] * H, (Y + H * (A[i] @ head[i]))[0])
+        else:
+            h_row = np.array(hs)
+            H = h_row[:, None]
+            stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
+            for i in range(1, 7):
+                stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
-        Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-        sq = np.add.reduce(Q * Q, axis=1).tolist()
-        yy = np.vecdot(Y_new, Y_new).tolist()
+        if k == 1 and n == 1:
+            # The tail below in Python floats, which round as the ufuncs do;
+            # the scale's max keeps a NaN operand, as np.maximum does.
+            a, y_new = abs(Y.item()), Y_new.item()
+            b = abs(y_new)
+            q = hs[0] * (E @ K).item() / (atol + rtol * (b if b > a or b != b else a))
+            sq, yy = [q * q], [y_new * y_new]
+        else:
+            Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+            sq = np.add.reduce(Q * Q, axis=1).tolist()
+            yy = np.vecdot(Y_new, Y_new).tolist()
 
     ys, fs = np.concatenate(ys), np.concatenate(fs)
     return [lane.result(ys, fs, opts) for lane in lanes]
@@ -378,7 +399,5 @@ def integrate_adaptive(
     evaluation.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"initial state must be finite, got {y0}")
     F0 = None if f0 is None else [f0]
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0)[0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, rhs)[0]

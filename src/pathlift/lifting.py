@@ -104,10 +104,13 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
 
     The seeds run as lanes of one integration.  The rhs evaluates all live
     lanes with one ``gamma`` call when the connection broadcasts (and the
-    path too, or its points are stacked per lane), else lane by lane.  Each
-    trajectory equals the seed's lift alone bit for bit.  If the batch
-    raises, the seeds are rerun one at a time in order, so the error is the
-    one the first failing seed raises alone.
+    path too, or its points are stacked per lane), else lane by lane; a
+    lane left alone runs through the one-seed rhs.  When ``gamma`` ignores
+    the base point (``conn.uses_base`` false), path.position is not called
+    and every call gets the path's starting point.  Each trajectory equals
+    the seed's lift alone bit for bit.  If the batch raises, the seeds are
+    rerun one at a time in order, so the error is the one the first failing
+    seed raises alone.
     """
     seeds = list(seeds)
     if not seeds:
@@ -133,9 +136,10 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     with np.errstate(over="ignore", invalid="ignore"):
         f0 = [-conn.coeff(p0, v) @ u0 for v in vs]
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
+    uses_base = conn.uses_base
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        m = np.asarray(g(pos(t), c), dtype=float)
+        m = np.asarray(g(pos(t) if uses_base else p0, c), dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
         return -m @ vel(t)
@@ -143,9 +147,9 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     if len(vs) == 1:
         results = [integrate_adaptive(rhs, vs[0], opts, f0[0])]
     elif conn.broadcasts:
-        results = integrate_lanes(_stack_rhs(conn, path), vs, opts, f0)
+        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs)
     else:
-        results = integrate_lanes(lambda T, C: [rhs(t, c) for t, c in zip(T, C)], vs, opts, f0)
+        results = integrate_lanes(lambda T, C: [rhs(t, c) for t, c in zip(T, C)], vs, opts, f0, rhs)
     return [
         LiftTrajectory(
             t=res.t,
@@ -163,16 +167,21 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     ]
 
 
-def _stack_rhs(conn: ConnectionField, path: PathCurve):
-    """Lane rhs with one call of a broadcasting gamma for the whole stack."""
+def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
+    """Lane rhs with one call of a broadcasting gamma for the whole stack.
+
+    p0 is the path's starting point, passed for every lane when gamma
+    ignores the base point.
+    """
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
-    path_broadcasts = path.broadcasts
+    path_broadcasts, uses_base = path.broadcasts, conn.uses_base
 
     def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
         if path_broadcasts:
-            P, V = pos(T[:, None]), vel(T[:, None])
+            P, V = (pos(T[:, None]) if uses_base else p0), vel(T[:, None])
         else:
-            P, V = np.array([pos(t) for t in T]), np.array([vel(t) for t in T])
+            P = np.array([pos(t) for t in T]) if uses_base else p0
+            V = np.array([vel(t) for t in T])
         M = np.asarray(g(P, C), dtype=float)
         if M.shape != C.shape + (n,):
             raise ValueError(f"coefficient map returned shape {M.shape}, expected {C.shape + (n,)}")

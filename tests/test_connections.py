@@ -408,3 +408,25 @@ class TestBroadcasting:
 
     def test_custom_fields_do_not_broadcast_by_default(self):
         assert not ConnectionField(1, lambda p, v: np.eye(1)).broadcasts
+
+    @pytest.mark.parametrize("name, params, uses_base", [
+        ("flat", {"dimension": 3}, False),
+        ("fig1", {}, False),
+        ("scalar-linear", {"lambda": -0.5}, False),
+        ("power-growth", {"alpha": 1.5}, False),
+        ("sphere-stereographic", {}, True),
+        ("christoffel", {"dimension": 2, "terms": [
+            {"k": 0, "i": 1, "j": 0, "coeff": 1.0, "monomial": [1, 0]}]}, True),
+    ])
+    def test_uses_base_flag(self, name, params, uses_base):
+        conn = _member(name, **params)
+        assert conn.uses_base == uses_base
+        n = conn.dimension
+        v, vs = np.linspace(-2.0, 1.5, n), np.linspace(-2.0, 1.5, 3 * n).reshape(3, n)
+        here, there = np.zeros(n), np.full(n, 0.7)
+        same = [conn.gamma(here, v).tobytes() == conn.gamma(there, v).tobytes(),
+                conn.gamma(here, vs).tobytes() == conn.gamma(there, vs).tobytes()]
+        assert all(same) if not uses_base else not any(same)
+
+    def test_custom_fields_use_the_base_point_by_default(self):
+        assert ConnectionField(1, lambda p, v: np.eye(1)).uses_base

@@ -21,7 +21,7 @@ class TestOptions:
         opts = IntegratorOptions()
         assert opts.rtol == 1e-9 and opts.atol == 1e-12
         assert opts.escape_norm == 1e8 and opts.min_step == 1e-12
-        assert opts.max_steps == 10**6 and opts.dense_samples == 201
+        assert opts.max_steps == 10**5 and opts.dense_samples == 201
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -256,6 +256,27 @@ class TestLanes:
         res = integrate_lanes(rhs, [[0.0], [1.0], [2e8]])
         assert [r.stop_reason for r in res] == ["complete", "escape-norm", "escape-norm"]
         assert sizes[0] == 3 and max(sizes[1:]) == 2 and min(sizes) == 1  # start, then live only
+
+    @pytest.mark.parametrize("nan_above", [None, 20.0])
+    @pytest.mark.parametrize("partners", [[0.0], [0.0, -0.5], [15.0, 12.0], [1e9, 15.0]])
+    def test_nonfinite_trial_stages_match_lone_integration(self, nan_above, partners):
+        # y' = 1 + y^8 from 10 blows up within 1.5e-8: trial stages overflow
+        # (or, with nan_above, return NaN) and are rejected.  Partners 0 and
+        # -0.5 outlive the lane, so its steps run stacked; 15, 12 and 1e9
+        # retire first, so its last steps run in the one-lane branch.
+        nonfinite = []
+
+        def rhs(t, y):
+            f = 1.0 + y**8
+            if nan_above is not None:
+                f = np.where(y < nan_above, f, np.nan)
+            nonfinite.append(not np.all(np.isfinite(f)))
+            return f
+
+        lone = integrate_adaptive(rhs, [10.0])
+        assert lone.rejected > 0 and any(nonfinite)
+        lanes = integrate_lanes(rhs, [[10.0]] + [[p] for p in partners], lone_rhs=rhs)
+        _assert_same_result(lanes[0], lone)
 
     @pytest.mark.parametrize("y0, error", [
         ([1.0, 2.0], "must form an"),

@@ -236,6 +236,27 @@ class TestHorizontalLifts:
         assert (floor.stop_reason, budget.stop_reason) == ("min-step", "max-steps")
         assert abs(floor.t[-1] - np.pi / 4) < 1e-6
 
+    @pytest.mark.parametrize("uses_base", [False, True])
+    @pytest.mark.parametrize("seeds", [[[0.5]], [[0.5], [0.2], [-0.3]]])
+    def test_gamma_that_ignores_the_base_gets_the_start_point(self, uses_base, seeds):
+        # fig1 ignores p: with the flag false every call gets the path's
+        # start, else the path's position.  dataclasses.replace keeps the
+        # flag, and the lifts are the same either way.
+        path = path_segment([0.25], [1.5])
+        points = []
+
+        def gamma(p, v):
+            points.append(np.array(p))
+            return FIG1.gamma(p, v)
+
+        conn = dataclasses.replace(FIG1, gamma=gamma)
+        if uses_base:
+            conn = dataclasses.replace(conn, uses_base=True)
+        for v, traj in zip(seeds, horizontal_lifts(conn, path, seeds)):
+            _assert_same_lift(traj, horizontal_lift(FIG1, path, v))
+        at_start = [bool(np.all(p == 0.25)) for p in points]
+        assert all(at_start) if not uses_base else not all(at_start)
+
     def test_failing_batch_reruns_seeds_in_order(self):
         calls = []
 
