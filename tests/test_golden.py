@@ -7,8 +7,9 @@ claims bit-for-bit identical output has to reproduce all of them.  The scan
 digests do the same for ``fiber_scan`` reports on members the CLI suite
 does not scan: the sphere, a 3-d christoffel term set and fig1.  The lift
 digests pin every field of single-seed ``LiftTrajectory`` values, the
-in-memory ``stop_reason`` included, for lifts that complete, escape and stop
-at the ``min_step`` floor.  A change that alters emitted numbers on purpose
+in-memory ``stop_reason`` included, for lifts on segments, a circle and
+cubic-Hermite polylines that complete, escape and stop at the ``min_step``
+floor.  A change that alters emitted numbers on purpose
 must regenerate the tables and say so.
 """
 
@@ -20,7 +21,7 @@ import pytest
 
 from pathlift.cli import main
 from pathlift.connections import ConnectionSpec, gallery
-from pathlift.geometry import path_circle, path_segment
+from pathlift.geometry import path_circle, path_polyline, path_segment
 from pathlift.lifting import horizontal_lift
 from pathlift.uvb import fiber_scan
 
@@ -133,12 +134,22 @@ GOLDEN_LIFTS = [
     (ConnectionSpec("sphere-stereographic"), ("circle", [0.2, -0.1], 0.7), [1.0, 0.5],
      "complete", 1,
      "8108679481abc55cd6d16d785fd85c01cbfd76ae071c6d605889f0d7c3793a59"),
+    (ConnectionSpec("sphere-stereographic"),
+     ("polyline", [[0.1, -0.2], [0.6, 0.3], [-0.2, 0.5]], [0.0, 0.4, 1.0]), [1.0, -0.5],
+     "complete", 10,
+     "2614a8bd14a2d2f922b5a6d67bd4bdfd3139ee8d7b7c3a1e5b240b66f200f6a4"),
+    (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}),
+     ("polyline", [[0.3, -0.8, 1.2], [0.5, 0.0, 0.4], [-0.1, 0.3, 0.2]], [0.0, 0.3, 1.0]),
+     [0.5, 1.0, -0.25], "complete", 17,
+     "afc1e90e5231c3395be1cccb3588b2fef4b39bcd54eb6cf654c85ce341103e48"),
+    (_pg(2.0), ("polyline", [[0.0], [0.8], [0.5]], [0.0, 0.5, 1.0]), [1.5], "escape-norm", 0,
+     "a63ed1405103e7ce9256cf0410af71858d6dcd8b79a15296702030484fd1795e"),
 ]
 
 
 def _path(spec):
     kind, a, b = spec
-    return path_segment(a, b) if kind == "segment" else path_circle(a, b)
+    return {"segment": path_segment, "circle": path_circle, "polyline": path_polyline}[kind](a, b)
 
 
 def _lift_digest(traj) -> str:
