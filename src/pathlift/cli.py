@@ -14,15 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .connections import ConnectionField, connection_from_json, gallery, gallery_members
-from .connections import ConnectionSpec
+from .connections import ConnectionField, _inline_spec, connection_from_json, gallery
+from .connections import gallery_members
 from .emit import fmt_float, write_csv, write_json
 from .geometry import PathCurve, path_from_json, path_segment
 from .integrate import COMPLETE, ESCAPED, IntegratorOptions
 from .lifting import (
     TransportEscapedError,
+    _lifts_in_seed_order,
     completion_threshold,
-    horizontal_lift,
     horizontal_lifts,
     parallel_transport,
     transport_jacobian,
@@ -82,30 +82,11 @@ def _resolve_connection(arg: str | None, dim_hint: int | None) -> ConnectionFiel
         raise ConfigError("--connection is required")
     if Path(arg).is_file():
         return connection_from_json(_load_json_file(arg))
-    name, _, param = arg.partition(":")
-    params: dict = {}
-    if param:
-        if name == "scalar-linear":
-            params["lambda"] = _parse_floats(param, "lambda")[0]
-        elif name == "power-growth":
-            params["alpha"] = _parse_floats(param, "alpha")[0]
-        elif name == "flat":
-            params["dimension"] = _parse_floats(param, "dimension")[0]
-        else:
-            raise ConfigError(f"connection {name!r} takes no inline parameter")
-    if name == "flat" and "dimension" not in params and dim_hint is not None:
-        params["dimension"] = dim_hint
-    try:
-        return gallery(ConnectionSpec(name, params))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return gallery(_inline_spec(arg, dim_hint))
 
 
 def _integrator_opts(args) -> IntegratorOptions:
-    try:
-        return IntegratorOptions(rtol=args.rtol, atol=args.atol, escape_norm=args.escape_norm)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return IntegratorOptions(rtol=args.rtol, atol=args.atol, escape_norm=args.escape_norm)
 
 
 def _out_dir(args) -> Path:
@@ -145,16 +126,9 @@ def cmd_lift(args) -> int:
 
     n = conn.dimension
     header = ["t"] + [f"base_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
-    try:
-        trajs = horizontal_lifts(conn, path, vectors, opts)
-    except ValueError:
-        trajs = None  # lift one at a time below: the seeds before the bad one are written first
     all_complete = True
-    for idx, v in enumerate(vectors):
-        try:
-            traj = trajs[idx] if trajs else horizontal_lift(conn, path, v, opts)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    # A seed that fails ends the run after the files of the seeds before it.
+    for idx, traj in enumerate(_lifts_in_seed_order(conn, path, vectors, opts)):
         write_csv(out / f"lift_{idx:03d}.csv", header, _trajectory_rows(traj))
         write_json(out / f"lift_{idx:03d}.json", _status_dict(traj))
         print(f"lift_{idx:03d}: {traj.status}")
@@ -182,8 +156,6 @@ def cmd_transport(args) -> int:
 
     try:
         result = parallel_transport(conn, path, v0, opts)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     except TransportEscapedError as e:
         write_json(out / "transport.json", _stopped_payload(e))
         print(f"transport: {e.status} at t={fmt_float(e.t_escape)}")
@@ -215,12 +187,7 @@ def cmd_uvb_scan(args) -> int:
         points = [path.position(0.0), path.position(0.5), path.position(1.0)]
     else:
         points = None  # origin of the connection's dimension, resolved below
-    dim_hint = None
-    if points is not None:
-        dim_hint = len(points[0])
-    elif path is not None:
-        dim_hint = path.dimension
-    conn = _resolve_connection(args.connection, dim_hint)
+    conn = _resolve_connection(args.connection, len(points[0]) if points else None)
     if points is None:
         points = [np.zeros(conn.dimension)]
     weight = fiber_weight(args.weight)
@@ -316,29 +283,16 @@ def cmd_figure1(args) -> int:
 def cmd_gallery(args) -> int:
     if args.action != "list":
         raise ConfigError(f"unknown gallery action {args.action!r}")
-    rows = gallery_members()
-    widths = {
-        "name": max(len("name"), *(len(str(r["name"])) for r in rows)),
-        "dimension": max(len("dimension"), *(len(str(r["dimension"])) for r in rows)),
-        "linear": len("linear"),
-        "growth": max(len("growth"), *(len(_growth_str(r["growth_hint"])) for r in rows)),
-    }
-    print(
-        f"{'name':<{widths['name']}}  {'dimension':<{widths['dimension']}}  "
-        f"{'linear':<{widths['linear']}}  {'growth':<{widths['growth']}}  description"
-    )
-    for r in rows:
-        linear = "yes" if r["is_linear_in_fiber"] else "no"
-        print(
-            f"{r['name']:<{widths['name']}}  {str(r['dimension']):<{widths['dimension']}}  "
-            f"{linear:<{widths['linear']}}  {_growth_str(r['growth_hint']):<{widths['growth']}}  "
-            f"{r['description']}"
-        )
+    table = [["name", "dimension", "linear", "growth", "description"]]
+    for r in gallery_members():
+        growth = r["growth_hint"]
+        table.append([r["name"], str(r["dimension"]), "yes" if r["is_linear_in_fiber"] else "no",
+                      format(growth, "g") if isinstance(growth, float) else growth,
+                      r["description"]])
+    widths = [max(len(row[col]) for row in table) for col in range(4)]
+    for row in table:
+        print("  ".join(f"{cell:<{w}}" for cell, w in zip(row, widths)) + "  " + row[4])
     return 0
-
-
-def _growth_str(g) -> str:
-    return format(g, "g") if isinstance(g, float) else str(g)
 
 
 def _build_parser() -> _Parser:
@@ -378,10 +332,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:  # a ValueError is a configuration error
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -195,55 +195,127 @@ def _polynomial_christoffels(n: int, terms):
     return chris
 
 
-# name -> (fixed dimension or None if flexible, brief description)
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
+def _dimension(name: str, value) -> int:
+    x = _number(value)
+    if not (x.is_integer() and x >= 1):
+        raise ValueError(f"{name} dimension must be a positive integer, got {value!r}")
+    return int(x)
+
+
+# The members broadcast (see ConnectionField), and all but the linear
+# connections ignore the base point.  A 1-d v takes the scalar formula; a
+# stack takes float_power, which rounds like the scalar ``**`` where an
+# array ``**`` does not.
+def _flat(params: dict) -> ConnectionField:
+    n = _dimension("flat", params.get("dimension", 1))
+    zero = np.zeros((n, n))
+
+    def gamma(p, v):
+        return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
+
+    return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
+
+
+def _fig1(params: dict) -> ConnectionField:
+    def gamma(p, v):
+        if v.ndim == 1:
+            return np.array([[-(1.0 + v[0] ** 2)]])
+        return -(1.0 + np.float_power(v[:, :, None], 2))
+
+    return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
+
+
+def _scalar_linear(params: dict) -> ConnectionField:
+    value = params.get("lambda", 1.0)
+    lam = _number(value)
+    if not np.isfinite(lam):
+        raise ValueError(f"scalar-linear lambda must be finite, got {value!r}")
+
+    def gamma(p, v, lam=lam):
+        if v.ndim == 1:
+            return np.array([[lam * v[0]]])
+        return lam * v[:, :, None]
+
+    return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
+
+
+def _power_growth(params: dict) -> ConnectionField:
+    if "alpha" not in params:
+        raise ValueError("power-growth needs parameter 'alpha'")
+    alpha = _number(params["alpha"])
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise ValueError(f"power-growth alpha must be >= 0, got {params['alpha']!r}")
+
+    def gamma(p, v, alpha=alpha):
+        if v.ndim == 1:
+            return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
+        return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
+
+    return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
+
+
+def _christoffel(params: dict) -> ConnectionField:
+    if "dimension" not in params or "terms" not in params:
+        raise ValueError("christoffel spec needs 'dimension' and 'terms'")
+    n = _dimension("christoffel", params["dimension"])
+    chris = _polynomial_christoffels(n, params["terms"])
+    return make_linear_connection(n, chris, "christoffel", {"dimension": n})
+
+
+@dataclass(frozen=True)
+class _Member:
+    """A gallery member: its builder, and the facts the listing and the CLI show."""
+
+    build: Callable[[dict], ConnectionField]
+    dimension: int | None  # None: any chart dimension, set by the "dimension" parameter
+    param: str | None  # the parameter of the command-line form name:value
+    linear: bool
+    growth: float | str  # a parameter's name when the growth order is that parameter
+    description: str
+
+
 _GALLERY = {
-    "flat": (None, "zero coefficients; horizontal = basal everywhere"),
-    "fig1": (1, "blow-up witness Gamma(p,v) = -(1+v^2); lifts are shifted tangents"),
-    "scalar-linear": (1, "Gamma(p,v) = lambda v; transport scales by exp(-lambda displacement)"),
-    "power-growth": (1, "Gamma(p,v) = -(1+v^2)^(alpha/2); fiber growth of order alpha"),
-    "sphere-stereographic": (2, "round-sphere transport in the stereographic plane chart"),
-    "christoffel": (None, "linear connection from polynomial Christoffel terms"),
+    "christoffel": _Member(_christoffel, None, None, True, 1.0,
+                           "linear connection from polynomial Christoffel terms"),
+    "fig1": _Member(_fig1, 1, None, False, 2.0,
+                    "blow-up witness Gamma(p,v) = -(1+v^2); lifts are shifted tangents"),
+    "flat": _Member(_flat, None, "dimension", True, 0.0,
+                    "zero coefficients; horizontal = basal everywhere"),
+    "power-growth": _Member(_power_growth, 1, "alpha", False, "alpha",
+                            "Gamma(p,v) = -(1+v^2)^(alpha/2); fiber growth of order alpha"),
+    "scalar-linear": _Member(_scalar_linear, 1, "lambda", True, 1.0,
+                             "Gamma(p,v) = lambda v; transport scales by exp(-lambda displacement)"),
+    "sphere-stereographic": _Member(
+        lambda params: make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic"),
+        2, None, True, 1.0, "round-sphere transport in the stereographic plane chart"),
 }
+
+
+def _member(name: str) -> _Member:
+    if name not in _GALLERY:
+        raise ValueError(f"unknown gallery connection {name!r}")
+    return _GALLERY[name]
 
 
 def gallery_members() -> list[dict]:
     """Deterministic metadata listing of the built-in connection gallery."""
-    rows = []
-    for name in sorted(_GALLERY):
-        dim, desc = _GALLERY[name]
-        probe = {
-            "flat": ConnectionSpec("flat"),
-            "fig1": ConnectionSpec("fig1"),
-            "scalar-linear": ConnectionSpec("scalar-linear", {"lambda": 1.0}),
-            "power-growth": ConnectionSpec("power-growth", {"alpha": 1.0}),
-            "sphere-stereographic": ConnectionSpec("sphere-stereographic"),
-            "christoffel": None,
-        }[name]
-        if probe is None:
-            linear, growth = True, 1.0
-        else:
-            conn = gallery(probe)
-            linear, growth = conn.is_linear_in_fiber, conn.growth_hint
-        rows.append(
-            {
-                "name": name,
-                "dimension": dim if dim is not None else "any",
-                "is_linear_in_fiber": linear,
-                "growth_hint": "alpha" if name == "power-growth" else growth,
-                "description": desc,
-            }
-        )
-    return rows
-
-
-def _dimension(name: str, value) -> int:
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = float("nan")
-    if not (x.is_integer() and x >= 1):
-        raise ValueError(f"{name} dimension must be a positive integer, got {value!r}")
-    return int(x)
+    return [
+        {
+            "name": name,
+            "dimension": m.dimension if m.dimension is not None else "any",
+            "is_linear_in_fiber": m.linear,
+            "growth_hint": m.growth,
+            "description": m.description,
+        }
+        for name, m in sorted(_GALLERY.items())
+    ]
 
 
 def gallery(spec: ConnectionSpec | str) -> ConnectionField:
@@ -254,64 +326,28 @@ def gallery(spec: ConnectionSpec | str) -> ConnectionField:
     """
     if isinstance(spec, str):
         spec = ConnectionSpec(spec)
-    name, params = spec.name, spec.params
+    return _member(spec.name).build(spec.params)
 
-    # The members broadcast (see ConnectionField), and all but the linear
-    # connections ignore the base point.  A 1-d v takes the scalar
-    # formula; a stack takes float_power, which rounds like the scalar ``**``
-    # where an array ``**`` does not.
-    if name == "flat":
-        n = _dimension(name, params.get("dimension", 1))
-        zero = np.zeros((n, n))
 
-        def gamma(p, v):
-            return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
+def _inline_spec(text: str, dimension: int | None = None) -> ConnectionSpec:
+    """Spec of the command-line form ``name`` or ``name:value`` of a gallery member.
 
-        return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
-
-    if name == "fig1":
-        def gamma(p, v):
-            if v.ndim == 1:
-                return np.array([[-(1.0 + v[0] ** 2)]])
-            return -(1.0 + np.float_power(v[:, :, None], 2))
-
-        return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
-
-    if name == "scalar-linear":
-        lam = float(params.get("lambda", 1.0))
-
-        def gamma(p, v, lam=lam):
-            if v.ndim == 1:
-                return np.array([[lam * v[0]]])
-            return lam * v[:, :, None]
-
-        return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
-
-    if name == "power-growth":
-        if "alpha" not in params:
-            raise ValueError("power-growth needs parameter 'alpha'")
-        alpha = float(params["alpha"])
-        if alpha < 0 or not np.isfinite(alpha):
-            raise ValueError(f"power-growth alpha must be >= 0, got {alpha}")
-
-        def gamma(p, v, alpha=alpha):
-            if v.ndim == 1:
-                return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
-            return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
-
-        return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
-
-    if name == "sphere-stereographic":
-        return make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic")
-
-    if name == "christoffel":
-        if "dimension" not in params or "terms" not in params:
-            raise ValueError("christoffel spec needs 'dimension' and 'terms'")
-        n = _dimension(name, params["dimension"])
-        chris = _polynomial_christoffels(n, params["terms"])
-        return make_linear_connection(n, chris, "christoffel", {"dimension": n})
-
-    raise ValueError(f"unknown gallery connection {name!r}")
+    ``value`` is one number, the member's inline parameter.  A member of no
+    fixed dimension is given ``dimension`` when the text does not set it.
+    """
+    name, _, value = text.partition(":")
+    member = _member(name)
+    params: dict = {}
+    if value:
+        if member.param is None:
+            raise ValueError(f"connection {name!r} takes no inline parameter")
+        try:
+            params[member.param] = float(value)
+        except ValueError:
+            raise ValueError(f"{name} {member.param} must be one number, got {value!r}") from None
+    if member.dimension is None and dimension is not None:
+        params.setdefault("dimension", dimension)
+    return ConnectionSpec(name, params)
 
 
 def connection_from_json(spec) -> ConnectionField:

@@ -83,7 +83,7 @@ class PathCurve:
 
     When ``broadcasts`` is true they also take a column of times, shape
     (k, 1), and return arrays that broadcast to (k, n), each row bit for bit
-    the value at its time.  Segments, circles and their reversals broadcast.
+    the value at its time.  The built-in paths and their reversals broadcast.
     """
 
     dimension: int
@@ -157,31 +157,49 @@ def path_polyline(points, times) -> PathCurve:
     if m > 2:
         tang[1:-1] = (pts[2:] - pts[:-2]) / (tau[2:] - tau[:-2])[:, None]
 
-    def _segment_index(t: float) -> int:
-        k = int(np.searchsorted(tau, t, side="right") - 1)
-        return min(max(k, 0), m - 2)
-
+    # A float t is evaluated in numpy scalars, a (k, 1) column of times row by row.
     def position(t: float) -> np.ndarray:
-        k = _segment_index(t)
-        h = tau[k + 1] - tau[k]
-        s = (t - tau[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * pts[k] + h10 * h * tang[k] + h01 * pts[k + 1] + h11 * h * tang[k + 1]
+        return _hermite_dense(tau, pts, tang, t[:, 0] if np.ndim(t) else t)
 
     def velocity(t: float) -> np.ndarray:
-        k = _segment_index(t)
-        h = tau[k + 1] - tau[k]
-        s = (t - tau[k]) / h
+        k, h, s = _hermite_cells(tau, t[:, 0] if np.ndim(t) else t)
         d00 = 6 * s * (s - 1)
         d10 = (1 - s) * (1 - 3 * s)
         d01 = -d00
         d11 = s * (3 * s - 2)
-        return (d00 * pts[k] + d01 * pts[k + 1]) / h + d10 * tang[k] + d11 * tang[k + 1]
+        return ((d00[..., None] * pts[k] + d01[..., None] * pts[k + 1]) / h[..., None]
+                + d10[..., None] * tang[k] + d11[..., None] * tang[k + 1])
 
-    return PathCurve(n, position, velocity, kind="polyline-hermite")
+    return PathCurve(n, position, velocity, kind="polyline-hermite", broadcasts=True)
+
+
+def _hermite_cells(knots: np.ndarray, ts):
+    """Interval k (the count of interior knots <= t), its width h and s = (t - knot k) / h."""
+    k = np.searchsorted(knots[1:-1], ts, side="right")
+    h = knots[k + 1] - knots[k]
+    return k, h, (ts - knots[k]) / h
+
+
+def _hermite_dense(nodes_t, nodes_y, nodes_f, ts) -> np.ndarray:
+    """Cubic Hermite interpolant of values y, slopes f at knots nodes_t, at a float or 1-d ts.
+
+    Polylines and the integrator's dense output both call it.
+    """
+    k, h, s = _hermite_cells(np.asarray(nodes_t), ts)
+    # float_power calls libm pow() per element, as a scalar ``x ** 2`` does;
+    # an array ``x ** 2`` squares by multiplication and can round differently.
+    sq1 = np.float_power(1 - s, 2)
+    h00 = (1 + 2 * s) * sq1
+    h10 = s * sq1
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    y, f = np.asarray(nodes_y), np.asarray(nodes_f)
+    return (
+        h00[..., None] * y[k]
+        + (h10 * h)[..., None] * f[k]
+        + h01[..., None] * y[k + 1]
+        + (h11 * h)[..., None] * f[k + 1]
+    )
 
 
 def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:

@@ -41,6 +41,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import _hermite_dense
+
 __all__ = [
     "IntegratorOptions",
     "IntegrationResult",
@@ -208,29 +210,6 @@ def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions)
         h1 = max(1e-6, h * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         steps.append(min(100 * h, h1, 1.0))
     return steps
-
-
-def _hermite_dense(nodes_t, nodes_y, nodes_f, ts: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of the accepted nodes at the sample times ts."""
-    t_arr = np.asarray(nodes_t)
-    k = np.clip(np.searchsorted(t_arr, ts, side="right") - 1, 0, t_arr.size - 2)
-    t0 = t_arr[k]
-    h = t_arr[k + 1] - t0
-    s = (ts - t0) / h
-    # float_power calls libm pow() per element, as a scalar ``x ** 2`` does;
-    # an array ``x ** 2`` squares by multiplication and can round differently.
-    sq1 = np.float_power(1 - s, 2)
-    h00 = (1 + 2 * s) * sq1
-    h10 = s * sq1
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    y, f = np.asarray(nodes_y), np.asarray(nodes_f)
-    return (
-        h00[:, None] * y[k]
-        + (h10 * h)[:, None] * f[k]
-        + h01[:, None] * y[k + 1]
-        + (h11 * h)[:, None] * f[k + 1]
-    )
 
 
 @np.errstate(over="ignore", invalid="ignore")

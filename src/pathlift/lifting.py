@@ -103,24 +103,33 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     """Lifts of ``path`` through each fiber value in ``seeds``, in order.
 
     The seeds run as lanes of one integration.  The rhs evaluates all live
-    lanes with one ``gamma`` call when the connection broadcasts (and the
-    path too, or its points are stacked per lane), else lane by lane; a
+    lanes with one ``gamma`` call when the connection broadcasts (and one
+    ``position``/``velocity`` call when the path does), else row by row; a
     lane left alone runs through the one-seed rhs.  When ``gamma`` ignores
     the base point (``conn.uses_base`` false), path.position is not called
     and every call gets the path's starting point.  Each trajectory equals
-    the seed's lift alone bit for bit.  If the batch raises, the seeds are
-    rerun one at a time in order, so the error is the one the first failing
-    seed raises alone.
+    the seed's lift alone bit for bit.  If the batch raises, the error is
+    the one the first failing seed raises alone.
     """
-    seeds = list(seeds)
+    return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
+
+
+def _lifts_in_seed_order(conn: ConnectionField, path: PathCurve, seeds: list,
+                         opts: IntegratorOptions | None):
+    """Yield the lifts of ``seeds`` in order, as horizontal_lifts returns them.
+
+    If the batch raises, the seeds are rerun one at a time: the lifts before
+    the first failing seed are yielded, then that seed's own error is raised.
+    """
     if not seeds:
-        return []
+        return
     try:
-        return _lift_lanes(conn, path, seeds, opts)
+        lifts = _lift_lanes(conn, path, seeds, opts)
     except Exception:
         if len(seeds) < 2:
             raise
-    return [horizontal_lift(conn, path, v, opts) for v in seeds]
+        lifts = (horizontal_lift(conn, path, v, opts) for v in seeds)
+    yield from lifts
 
 
 def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
@@ -146,10 +155,8 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
 
     if len(vs) == 1:
         results = [integrate_adaptive(rhs, vs[0], opts, f0[0])]
-    elif conn.broadcasts:
-        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs)
     else:
-        results = integrate_lanes(lambda T, C: [rhs(t, c) for t, c in zip(T, C)], vs, opts, f0, rhs)
+        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs)
     return [
         LiftTrajectory(
             t=res.t,
@@ -168,13 +175,13 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
 
 
 def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
-    """Lane rhs with one call of a broadcasting gamma for the whole stack.
+    """Lane rhs: one call of a broadcasting gamma for the whole stack, else one per row.
 
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
     """
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
-    path_broadcasts, uses_base = path.broadcasts, conn.uses_base
+    path_broadcasts, uses_base, broadcasts = path.broadcasts, conn.uses_base, conn.broadcasts
 
     def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
         if path_broadcasts:
@@ -182,7 +189,11 @@ def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
         else:
             P = np.array([pos(t) for t in T]) if uses_base else p0
             V = np.array([vel(t) for t in T])
-        M = np.asarray(g(P, C), dtype=float)
+        if broadcasts:
+            M = g(P, C)
+        else:
+            M = [g(p, c) for p, c in zip(np.broadcast_to(P, C.shape), C)]
+        M = np.asarray(M, dtype=float)
         if M.shape != C.shape + (n,):
             raise ValueError(f"coefficient map returned shape {M.shape}, expected {C.shape + (n,)}")
         # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.

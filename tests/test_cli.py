@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlift import cli
 from pathlift.cli import main
-from pathlift.connections import ConnectionField
+from pathlift.connections import ConnectionField, gallery_members
 from pathlift.lifting import TransportEscapedError
 
 TAN1 = np.tan(1.0)
@@ -338,6 +340,20 @@ class TestConfigErrors:
         assert code == 1
         assert "flat dimension must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("connection, message", [
+        ("flat:,", "flat dimension must be one number, got ','"),
+        ("scalar-linear:,", "scalar-linear lambda must be one number, got ','"),
+        ("power-growth:1,2", "power-growth alpha must be one number, got '1,2'"),
+        ("scalar-linear:nan", "scalar-linear lambda must be finite, got nan"),
+        ("power-growth:-inf", "power-growth alpha must be >= 0, got -inf"),
+        ("fig1:2", "connection 'fig1' takes no inline parameter"),
+        ("wormhole:3", "unknown gallery connection 'wormhole'"),
+    ])
+    def test_inline_parameter_is_one_valid_number(self, tmp_path, capsys, connection, message):
+        code = main(["uvb-scan", "--connection", connection, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_christoffel_dimension_must_be_a_positive_integer(self, tmp_path, capsys):
         spec = tmp_path / "conn.json"
         spec.write_text(json.dumps({"name": "christoffel", "dimension": 2.5, "terms": []}),
@@ -393,3 +409,23 @@ class TestDeterminism:
             assert files_a == files_b
             for name in files_a:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# Inline text of --connection: numbers (at most 4.5, so that a flat member
+# stays small), lists of them, and words that are not numbers.
+_INLINE_TEXT = st.one_of(
+    st.lists(st.one_of(st.floats(-4.5, 4.5).map(repr), st.integers(-2, 4).map(str)),
+             max_size=3).map(",".join),
+    st.sampled_from(["", ",", "nan", "inf", "-inf", "1e400", "abc", "1:2", " 2 ", "0x2"]),
+)
+_CONNECTION_NAMES = st.sampled_from(
+    [r["name"] for r in gallery_members()] + ["", "wormhole", "Fig1", " flat"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=_CONNECTION_NAMES, text=st.none() | _INLINE_TEXT)
+def test_connection_spec_fuzz_exits_cleanly(tmp_path_factory, name, text):
+    connection = name if text is None else f"{name}:{text}"
+    out = tmp_path_factory.mktemp("fuzz")
+    code = main(["uvb-scan", "--connection", connection, "--out", str(out)])
+    assert isinstance(code, int) and code in (0, 1, 3, 4)

@@ -145,6 +145,21 @@ class TestGallery:
         with pytest.raises(ValueError):
             _member("power-growth")
 
+    @pytest.mark.parametrize("params, match", [
+        ({"lambda": float("nan")}, "scalar-linear lambda must be finite"),
+        ({"lambda": float("-inf")}, "scalar-linear lambda must be finite"),
+        ({"lambda": [1.0]}, "scalar-linear lambda must be finite"),
+        ({"lambda": "one"}, "scalar-linear lambda must be finite"),
+    ])
+    def test_bad_lambda(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            _member("scalar-linear", **params)
+
+    def test_alpha_that_is_not_a_number(self):
+        for alpha in ([1.0], "two", None):
+            with pytest.raises(ValueError, match="power-growth alpha must be >= 0"):
+                _member("power-growth", alpha=alpha)
+
     def test_growth_conformance(self):
         # ||Gamma(p, v)|| / r^alpha stays within a factor 4 of its r=1 value.
         cases = [
@@ -185,6 +200,24 @@ class TestGallery:
         assert rows["fig1"]["growth_hint"] == 2.0
         assert rows["flat"]["is_linear_in_fiber"] is True
         assert rows["sphere-stereographic"]["dimension"] == 2
+
+    def test_listing_agrees_with_the_built_members(self):
+        built = {
+            "flat": _member("flat", dimension=3),
+            "fig1": gallery("fig1"),
+            "scalar-linear": _member("scalar-linear", **{"lambda": -0.5}),
+            "power-growth": _member("power-growth", alpha=1.5),
+            "sphere-stereographic": gallery("sphere-stereographic"),
+            "christoffel": _member("christoffel", dimension=2, terms=[]),
+        }
+        rows = gallery_members()
+        assert [r["name"] for r in rows] == sorted(built)
+        for row in rows:
+            conn, growth = built[row["name"]], row["growth_hint"]
+            assert conn.name == row["name"]
+            assert conn.is_linear_in_fiber is row["is_linear_in_fiber"]
+            assert conn.growth_hint == (conn.params[growth] if isinstance(growth, str) else growth)
+            assert row["dimension"] in ("any", conn.dimension)
 
 
 class TestJsonSpecs:

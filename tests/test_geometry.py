@@ -3,6 +3,7 @@ import pytest
 
 from pathlift.geometry import (
     ChartPoint,
+    PathCurve,
     TangentVector,
     path_circle,
     path_from_json,
@@ -91,6 +92,31 @@ class TestPolyline:
         assert path.position(0.0) == pytest.approx([0.0])
         assert path.position(0.25) == pytest.approx([2.0])
         assert path.position(1.0) == pytest.approx([1.0])
+
+    def test_matches_scalar_hermite_formula_bitwise(self):
+        # The basis written out one float t at a time, as polylines evaluated
+        # it before they shared the integrator's dense-output routine.
+        rng = np.random.default_rng(3)
+        for m, n in [(2, 1), (3, 2), (4, 3), (5, 1)]:
+            pts = rng.normal(size=(m, n))
+            tau = np.cumsum(rng.uniform(0.1, 1.0, m))
+            path = path_polyline(pts, tau)
+            tau = (tau - tau[0]) / (tau[-1] - tau[0])
+            tang = np.empty_like(pts)
+            tang[0] = (pts[1] - pts[0]) / (tau[1] - tau[0])
+            tang[-1] = (pts[-1] - pts[-2]) / (tau[-1] - tau[-2])
+            tang[1:-1] = (pts[2:] - pts[:-2]) / (tau[2:] - tau[:-2])[:, None]
+            for t in np.concatenate([rng.uniform(-0.01, 1.01, 250), tau]).tolist():
+                k = min(max(int(np.searchsorted(tau, t, side="right") - 1), 0), m - 2)
+                h = tau[k + 1] - tau[k]
+                s = (t - tau[k]) / h
+                pos = ((1 + 2 * s) * (1 - s) ** 2 * pts[k] + s * (1 - s) ** 2 * h * tang[k]
+                       + s * s * (3 - 2 * s) * pts[k + 1] + s * s * (s - 1) * h * tang[k + 1])
+                d00 = 6 * s * (s - 1)
+                vel = ((d00 * pts[k] + -d00 * pts[k + 1]) / h
+                       + (1 - s) * (1 - 3 * s) * tang[k] + s * (3 * s - 2) * tang[k + 1])
+                assert path.position(t).tobytes() == pos.tobytes()
+                assert path.velocity(t).tobytes() == vel.tobytes()
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -200,6 +226,9 @@ class TestBroadcasting:
         "circle": path_circle([0.2, -0.0, 1.0], 0.7, plane=(2, 0)),
         "reversed circle": path_reverse(path_circle([0.3, 0.1], 1.3)),
         "reversed segment": path_reverse(path_segment([1.0], [-2.0])),
+        "polyline": path_polyline([[0.5, -1.0], [2.0, 0.25], [-0.3, 1.1], [0.0, 0.7]],
+                                  [0.0, 0.3, 0.45, 1.0]),
+        "reversed polyline": path_reverse(path_polyline([[1.0], [-2.0], [0.5]], [2.0, 3.0, 6.0])),
     }
     TIMES = np.concatenate([GRID, [-1e-6, 0.1 + 1e-17, 1.0 + 1e-6, 1 / 3]])
 
@@ -215,6 +244,7 @@ class TestBroadcasting:
         rows = np.array([path.position(float(t)) for t in self.TIMES])
         assert path.sample(self.TIMES).tobytes() == rows.tobytes()
 
-    def test_polyline_and_custom_paths_do_not_broadcast(self):
-        assert not path_polyline([[0.0], [1.0], [0.5]], [0.0, 0.5, 1.0]).broadcasts
-        assert not path_reverse(path_polyline([[0.0], [1.0]], [0.0, 1.0])).broadcasts
+    def test_custom_paths_do_not_broadcast(self):
+        custom = PathCurve(1, lambda t: np.array([t]), lambda t: np.ones(1))
+        assert not custom.broadcasts
+        assert not path_reverse(custom).broadcasts

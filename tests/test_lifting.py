@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlift.connections import ConnectionField, ConnectionSpec, gallery
-from pathlift.geometry import path_circle, path_polyline, path_reverse, path_segment
+from pathlift.geometry import PathCurve, path_circle, path_polyline, path_reverse, path_segment
 from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
 from pathlift.lifting import (
     TransportEscapedError,
@@ -226,6 +226,19 @@ class TestHorizontalLifts:
         assert [traj.stop_reason for traj in batch] == reasons
         for v, traj in zip(seeds, batch):
             _assert_same_lift(traj, horizontal_lift(FIG1, UNIT, v, opts))
+
+    @pytest.mark.parametrize("conn", [_CUSTOM, gallery("sphere-stereographic")],
+                             ids=["row by row", "broadcast"])
+    def test_path_that_does_not_broadcast(self, conn):
+        # A path of one's own callables is evaluated one time per lane; its
+        # lanes equal its lone lifts and the lifts along the polyline it wraps.
+        poly = path_polyline([[0.0, 0.2], [0.5, 1.0], [1.0, -0.3]], [0.0, 0.4, 1.0])
+        custom = PathCurve(2, lambda t: poly.position(t), lambda t: poly.velocity(t))
+        seeds = [[0.5, -0.25], [1.0, 0.0], [-0.75, 0.5]]
+        lanes = horizontal_lifts(conn, custom, seeds)
+        for v, traj, ref in zip(seeds, lanes, horizontal_lifts(conn, poly, seeds)):
+            _assert_same_lift(traj, horizontal_lift(conn, custom, v))
+            _assert_same_lift(traj, ref)
 
     def test_stop_reason_tells_min_step_from_max_steps(self):
         # Both end in step-collapse: the min_step floor below the escape norm,
