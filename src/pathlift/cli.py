@@ -1,6 +1,8 @@
 """Command-line front end: lift | transport | uvb-scan | figure1 | gallery.
 
-Exit codes: 0 success (or verdict UVB), 1 configuration error, 2 a lift
+Each subcommand accepts only the flags it reads, matched by their full
+names: a flag it does not read, or an abbreviation, is a configuration
+error.  Exit codes: 0 success (or verdict UVB), 1 configuration error, 2 a lift
 escaped, 3 verdict NotUVB, 4 verdict Inconclusive.  All emitted files are
 UTF-8 with floats at 17 significant digits; reruns are byte-identical.
 """
@@ -59,13 +61,11 @@ def _load_json_file(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(f"{path} is not valid JSON: {e}") from None
 
 
-def _resolve_path(arg: str | None) -> PathCurve | None:
-    if arg is None:
-        return None
+def _resolve_path(arg: str) -> PathCurve:
     if Path(arg).is_file():
         return path_from_json(_load_json_file(arg))
     if arg.startswith("segment:"):
@@ -77,9 +77,7 @@ def _resolve_path(arg: str | None) -> PathCurve | None:
     raise ConfigError(f"path {arg!r} is neither a readable file nor inline segment syntax")
 
 
-def _resolve_connection(arg: str | None, dim_hint: int | None) -> ConnectionField:
-    if arg is None:
-        raise ConfigError("--connection is required")
+def _resolve_connection(arg: str, dim_hint: int | None) -> ConnectionField:
     if Path(arg).is_file():
         return connection_from_json(_load_json_file(arg))
     return gallery(_inline_spec(arg, dim_hint))
@@ -113,16 +111,16 @@ def _status_dict(traj) -> dict:
     }
 
 
-def cmd_lift(args) -> int:
+def _lift_inputs(args):
+    """Path, seed vectors, connection, integrator options and output directory."""
     path = _resolve_path(args.path)
-    if path is None:
-        raise ConfigError("lift needs --path")
-    if not args.v:
-        raise ConfigError("lift needs at least one --v")
     vectors = [_parse_floats(v, "--v") for v in args.v]
     conn = _resolve_connection(args.connection, path.dimension)
-    opts = _integrator_opts(args)
-    out = _out_dir(args)
+    return path, vectors, conn, _integrator_opts(args), _out_dir(args)
+
+
+def cmd_lift(args) -> int:
+    path, vectors, conn, opts, out = _lift_inputs(args)
 
     n = conn.dimension
     header = ["t"] + [f"base_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
@@ -144,15 +142,9 @@ def _stopped_payload(e: TransportEscapedError) -> dict:
 
 
 def cmd_transport(args) -> int:
-    path = _resolve_path(args.path)
-    if path is None:
-        raise ConfigError("transport needs --path")
-    if not args.v or len(args.v) != 1:
+    if len(args.v) != 1:
         raise ConfigError("transport needs exactly one --v")
-    v0 = _parse_floats(args.v[0], "--v")
-    conn = _resolve_connection(args.connection, path.dimension)
-    opts = _integrator_opts(args)
-    out = _out_dir(args)
+    path, (v0,), conn, opts, out = _lift_inputs(args)
 
     try:
         result = parallel_transport(conn, path, v0, opts)
@@ -180,7 +172,7 @@ def cmd_transport(args) -> int:
 
 
 def cmd_uvb_scan(args) -> int:
-    path = _resolve_path(args.path)
+    path = _resolve_path(args.path) if args.path is not None else None
     if args.point:
         points = [_parse_floats(p, "--point") for p in args.point]
     elif path is not None:
@@ -281,8 +273,6 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    if args.action != "list":
-        raise ConfigError(f"unknown gallery action {args.action!r}")
     table = [["name", "dimension", "linear", "growth", "description"]]
     for r in gallery_members():
         growth = r["growth_hint"]
@@ -296,33 +286,42 @@ def cmd_gallery(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pathlift", description=__doc__)
-    shared = _Parser(add_help=False)
-    shared.add_argument("--connection", help="gallery name (with optional :param) or JSON file")
-    shared.add_argument("--path", help="inline segment:a:b or path JSON file")
-    shared.add_argument("--v", action="append", help="initial fiber vector, comma-separated")
-    shared.add_argument("--rtol", type=float, default=1e-9)
-    shared.add_argument("--atol", type=float, default=1e-12)
-    shared.add_argument("--escape-norm", type=float, default=1e8, dest="escape_norm")
-    shared.add_argument("--out", default=".", help="output directory")
-    shared.add_argument("--format", choices=("csv", "json"), default="json")
-    shared.add_argument("--weight", choices=("euclidean", "normalized"), default="normalized")
-    shared.add_argument("--eps", type=float, default=1e-3, help="angle margin in radians")
+    # Flag groups that several subcommands read, copied in as parent parsers.
+    # Without allow_abbrev=False, figure1 would read --v as --vstar-spacing.
+    conn, seeds, integ, out = (_Parser(add_help=False) for _ in range(4))
+    conn.add_argument("--connection", required=True,
+                      help="gallery name (with optional :param) or JSON file")
+    seeds.add_argument("--path", required=True, help="inline segment:a:b or path JSON file")
+    seeds.add_argument("--v", action="append", required=True,
+                       help="initial fiber vector, comma-separated")
+    integ.add_argument("--rtol", type=float, default=1e-9)
+    integ.add_argument("--atol", type=float, default=1e-12)
+    integ.add_argument("--escape-norm", type=float, default=1e8, dest="escape_norm")
+    out.add_argument("--out", default=".", help="output directory")
 
+    parser = _Parser(prog="pathlift", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_lift = sub.add_parser("lift", parents=[shared], help="integrate horizontal lifts")
+    p_lift = sub.add_parser("lift", parents=[conn, seeds, integ, out], allow_abbrev=False,
+                            help="integrate horizontal lifts")
     p_lift.set_defaults(func=cmd_lift)
-    p_tr = sub.add_parser("transport", parents=[shared], help="parallel transport a vector")
+    p_tr = sub.add_parser("transport", parents=[conn, seeds, integ, out], allow_abbrev=False,
+                          help="parallel transport a vector")
     p_tr.add_argument("--jacobian", action="store_true", help="emit the transport Jacobian")
     p_tr.set_defaults(func=cmd_transport)
-    p_scan = sub.add_parser("uvb-scan", parents=[shared], help="scan fiber rays for boundedness")
+    p_scan = sub.add_parser("uvb-scan", parents=[conn, out], allow_abbrev=False,
+                            help="scan fiber rays for boundedness")
+    p_scan.add_argument("--path", help="scan the path's start, midpoint and end")
     p_scan.add_argument("--point", action="append", help="scan base point, comma-separated")
+    p_scan.add_argument("--format", choices=("csv", "json"), default="json")
+    p_scan.add_argument("--weight", choices=("euclidean", "normalized"), default="normalized")
+    p_scan.add_argument("--eps", type=float, default=1e-3, help="angle margin in radians")
     p_scan.set_defaults(func=cmd_uvb_scan)
-    p_fig = sub.add_parser("figure1", parents=[shared], help="emit blow-up figure data")
+    p_fig = sub.add_parser("figure1", parents=[integ, out], allow_abbrev=False,
+                           help="emit blow-up figure data")
     p_fig.add_argument("--vstar-spacing", type=float, default=1e-3, dest="vstar_spacing")
     p_fig.set_defaults(func=cmd_figure1)
-    p_gal = sub.add_parser("gallery", help="list built-in connections")
-    p_gal.add_argument("action", nargs="?", default="list")
+    p_gal = sub.add_parser("gallery", allow_abbrev=False, help="list built-in connections")
+    p_gal.add_argument("action", nargs="?", default="list", choices=("list",))
     p_gal.set_defaults(func=cmd_gallery)
     return parser
 

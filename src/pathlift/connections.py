@@ -176,15 +176,27 @@ def _stereographic_christoffels(p: np.ndarray) -> np.ndarray:
 
 
 def _polynomial_christoffels(n: int, terms):
+    if not isinstance(terms, list):
+        raise ValueError(f"christoffel terms must be a list of objects, got {terms!r}")
     parsed = []
     for t in terms:
-        k, i, j = int(t["k"]), int(t["i"]), int(t["j"])
-        if not (0 <= k < n and 0 <= i < n and 0 <= j < n):
-            raise ValueError(f"christoffel term indices {k},{i},{j} out of range for n={n}")
-        mono = np.asarray(t.get("monomial", [0] * n), dtype=float)
+        if not isinstance(t, dict):
+            raise ValueError(f"christoffel term must be an object, got {t!r}")
+        for key in ("k", "i", "j", "coeff"):
+            if key not in t:
+                raise ValueError(f"christoffel term {t!r} is missing field {key!r}")
+        index = [_number(t[key]) for key in "kij"]
+        for key, x in zip("kij", index):
+            if not (x.is_integer() and 0 <= x < n):
+                raise ValueError(f"christoffel term {key} must be an integer in [0, {n}), "
+                                 f"got {t[key]!r}")
+        coeff = _number(t["coeff"])
+        if not np.isfinite(coeff):
+            raise ValueError(f"christoffel term coeff must be a finite number, got {t['coeff']!r}")
+        mono = as_coords(t.get("monomial", [0] * n), "christoffel term monomial")
         if mono.shape != (n,):
             raise ValueError(f"monomial {t.get('monomial')!r} must list one exponent per coordinate")
-        parsed.append((k, i, j, float(t["coeff"]), mono))
+        parsed.append((*map(int, index), coeff, mono))
 
     def chris(p: np.ndarray) -> np.ndarray:
         G = np.zeros((n, n, n))
@@ -275,31 +287,31 @@ class _Member:
 
     build: Callable[[dict], ConnectionField]
     dimension: int | None  # None: any chart dimension, set by the "dimension" parameter
-    param: str | None  # the parameter of the command-line form name:value
+    params: tuple[str, ...]  # the parameters it reads; the only one is the value of name:value
     linear: bool
     growth: float | str  # a parameter's name when the growth order is that parameter
     description: str
 
 
 _GALLERY = {
-    "christoffel": _Member(_christoffel, None, None, True, 1.0,
+    "christoffel": _Member(_christoffel, None, ("dimension", "terms"), True, 1.0,
                            "linear connection from polynomial Christoffel terms"),
-    "fig1": _Member(_fig1, 1, None, False, 2.0,
+    "fig1": _Member(_fig1, 1, (), False, 2.0,
                     "blow-up witness Gamma(p,v) = -(1+v^2); lifts are shifted tangents"),
-    "flat": _Member(_flat, None, "dimension", True, 0.0,
+    "flat": _Member(_flat, None, ("dimension",), True, 0.0,
                     "zero coefficients; horizontal = basal everywhere"),
-    "power-growth": _Member(_power_growth, 1, "alpha", False, "alpha",
+    "power-growth": _Member(_power_growth, 1, ("alpha",), False, "alpha",
                             "Gamma(p,v) = -(1+v^2)^(alpha/2); fiber growth of order alpha"),
-    "scalar-linear": _Member(_scalar_linear, 1, "lambda", True, 1.0,
+    "scalar-linear": _Member(_scalar_linear, 1, ("lambda",), True, 1.0,
                              "Gamma(p,v) = lambda v; transport scales by exp(-lambda displacement)"),
     "sphere-stereographic": _Member(
         lambda params: make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic"),
-        2, None, True, 1.0, "round-sphere transport in the stereographic plane chart"),
+        2, (), True, 1.0, "round-sphere transport in the stereographic plane chart"),
 }
 
 
 def _member(name: str) -> _Member:
-    if name not in _GALLERY:
+    if not isinstance(name, str) or name not in _GALLERY:
         raise ValueError(f"unknown gallery connection {name!r}")
     return _GALLERY[name]
 
@@ -321,30 +333,35 @@ def gallery_members() -> list[dict]:
 def gallery(spec: ConnectionSpec | str) -> ConnectionField:
     """Resolve a connection description to a ConnectionField.
 
-    Members: flat | fig1 | scalar-linear(lambda) | power-growth(alpha) |
-    sphere-stereographic | christoffel(dimension, terms).
+    Members: flat(dimension) | fig1 | scalar-linear(lambda) | power-growth(alpha) |
+    sphere-stereographic | christoffel(dimension, terms).  A parameter the
+    member does not read is an error.
     """
     if isinstance(spec, str):
         spec = ConnectionSpec(spec)
-    return _member(spec.name).build(spec.params)
+    member = _member(spec.name)
+    for key in spec.params:
+        if key not in member.params:
+            raise ValueError(f"connection {spec.name!r} takes no parameter {key!r}")
+    return member.build(spec.params)
 
 
 def _inline_spec(text: str, dimension: int | None = None) -> ConnectionSpec:
     """Spec of the command-line form ``name`` or ``name:value`` of a gallery member.
 
-    ``value`` is one number, the member's inline parameter.  A member of no
+    ``value`` is one number, the member's only parameter.  A member of no
     fixed dimension is given ``dimension`` when the text does not set it.
     """
     name, _, value = text.partition(":")
     member = _member(name)
     params: dict = {}
     if value:
-        if member.param is None:
+        if len(member.params) != 1:
             raise ValueError(f"connection {name!r} takes no inline parameter")
         try:
-            params[member.param] = float(value)
+            params[member.params[0]] = float(value)
         except ValueError:
-            raise ValueError(f"{name} {member.param} must be one number, got {value!r}") from None
+            raise ValueError(f"{name} {member.params[0]} must be one number, got {value!r}") from None
     if member.dimension is None and dimension is not None:
         params.setdefault("dimension", dimension)
     return ConnectionSpec(name, params)

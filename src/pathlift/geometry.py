@@ -29,7 +29,10 @@ def as_coords(x, what: str = "coords") -> np.ndarray:
     """Coerce a point-like value (ChartPoint, sequence, scalar) to a 1-d float array."""
     if isinstance(x, ChartPoint):
         return x.coords
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a nonempty 1-d real vector, got {x!r}") from None
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{what} must be a nonempty 1-d real vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -130,7 +133,7 @@ def path_polyline(points, times) -> PathCurve:
 
     Knot tangents come from centered finite differences at interior knots
     and one-sided differences at the ends.  ``times`` must be strictly
-    increasing; any interval is affinely rescaled to [0, 1].
+    increasing and finite; any interval is affinely rescaled to [0, 1].
 
     Args:
         points: sequence of at least two points, all of one dimension.
@@ -139,14 +142,22 @@ def path_polyline(points, times) -> PathCurve:
     Returns:
         A PathCurve of kind ``polyline-hermite`` interpolating the knots.
     """
-    pts = np.array([as_coords(p, "polyline point") for p in points], dtype=float)
+    try:
+        rows = [as_coords(p, "polyline point") for p in points]
+    except TypeError:
+        raise ValueError(f"polyline points must be a list of points, got {points!r}") from None
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("polyline points must all have one dimension")
+    pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("polyline needs at least 2 points")
-    tau = np.asarray(times, dtype=float)
+    tau = as_coords(times, "polyline times")
     if tau.shape != (pts.shape[0],):
         raise ValueError(f"got {pts.shape[0]} points but {tau.size} times")
-    if not np.all(np.diff(tau) > 0):
-        raise ValueError("polyline times must be strictly increasing")
+    with np.errstate(over="ignore"):  # a span beyond the float range is rejected, not warned about
+        increasing = np.all(np.diff(tau) > 0) and np.isfinite(tau[-1] - tau[0])
+    if not increasing:
+        raise ValueError("polyline times must be strictly increasing, over a finite span")
     # Normalize the parameter interval to [0, 1].
     tau = (tau - tau[0]) / (tau[-1] - tau[0])
 
@@ -209,12 +220,20 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
     at center + radius * e_i, and runs counterclockwise in (i, j).
     """
     c = as_coords(center, "circle center")
-    r = float(radius)
+    try:
+        r = float(radius)
+    except (TypeError, ValueError):
+        r = np.nan
     if r <= 0 or not np.isfinite(r):
-        raise ValueError(f"circle radius must be positive and finite, got {radius}")
-    i, j = int(plane[0]), int(plane[1])
-    if i == j or not (0 <= i < c.size and 0 <= j < c.size):
+        raise ValueError(f"circle radius must be positive and finite, got {radius!r}")
+    try:
+        i, j = plane
+        axes = i == int(i) and j == int(j)  # two whole numbers
+    except (TypeError, ValueError, OverflowError):
+        axes = False
+    if not axes or i == j or not (0 <= i < c.size and 0 <= j < c.size):
         raise ValueError(f"circle plane {plane!r} invalid for dimension {c.size}")
+    i, j = int(i), int(j)
     tau = 2 * np.pi
 
     # Coordinates i and j as one-wide slices, so that a (k, 1) column of times

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,12 @@ class TestConfigErrors:
         assert main(["lift", "--connection", str(bad), "--path", "segment:0:1",
                      "--v", "0", "--out", str(tmp_path)]) == 1
 
+    def test_spec_file_nested_too_deep(self, tmp_path, capsys):
+        deep = tmp_path / "conn.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["uvb-scan", "--connection", str(deep), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {deep} is not valid JSON: maximum recursion")
+
     def test_bad_flag_maps_to_config_error(self, tmp_path):
         assert main(["lift", "--no-such-flag"]) == 1
 
@@ -347,6 +354,7 @@ class TestConfigErrors:
         ("scalar-linear:nan", "scalar-linear lambda must be finite, got nan"),
         ("power-growth:-inf", "power-growth alpha must be >= 0, got -inf"),
         ("fig1:2", "connection 'fig1' takes no inline parameter"),
+        ("christoffel:2", "connection 'christoffel' takes no inline parameter"),
         ("wormhole:3", "unknown gallery connection 'wormhole'"),
     ])
     def test_inline_parameter_is_one_valid_number(self, tmp_path, capsys, connection, message):
@@ -361,6 +369,49 @@ class TestConfigErrors:
         code = main(["uvb-scan", "--connection", str(spec), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "christoffel dimension must be a positive integer" in capsys.readouterr().err
+
+
+# Each subcommand with the flags it needs, and the flags it does not read.
+_VALID_ARGV = {
+    "lift": ["--connection", "fig1", "--path", "segment:0:1", "--v", "0"],
+    "transport": ["--connection", "fig1", "--path", "segment:0:1", "--v", "0"],
+    "uvb-scan": ["--connection", "fig1"],
+    "figure1": ["--vstar-spacing", "0.05"],
+}
+_UNREAD_FLAGS = {
+    "lift": [("--format", "csv"), ("--weight", "euclidean"), ("--eps", "0.01")],
+    "transport": [("--format", "csv"), ("--weight", "euclidean"), ("--eps", "0.01")],
+    "uvb-scan": [("--v", "0"), ("--rtol", "1e-6"), ("--atol", "1e-9"), ("--escape-norm", "100")],
+    "figure1": [("--connection", "fig1"), ("--path", "segment:0:1"), ("--v", "0"),
+                ("--format", "csv"), ("--weight", "euclidean"), ("--eps", "0.01"),
+                ("--v", "0.02")],  # once a prefix of --vstar-spacing
+}
+
+
+class TestFlagsAreExact:
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, pairs in _UNREAD_FLAGS.items() for flag, value in pairs
+    ])
+    def test_unread_flag_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, *_VALID_ARGV[command], flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--conn", "fig1", "--path", "segment:0:1", "--v", "0"],
+        ["transport", "--connection", "fig1", "--pa", "segment:0:1", "--v", "0"],
+        ["lift", *_VALID_ARGV["lift"], "--escape", "10"],
+        ["transport", *_VALID_ARGV["transport"], "--jac"],
+        ["uvb-scan", "--connection", "fig1", "--form", "csv"],
+        ["figure1", "--vstar", "0.05"],
+        ["gallery", "show"],
+    ], ids=["conn", "pa", "escape", "jac", "form", "vstar", "gallery-show"])
+    def test_abbreviation_or_unknown_action_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ([] if argv[0] == "gallery" else ["--out", str(out)])) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestSpecFiles:
@@ -385,6 +436,66 @@ class TestSpecFiles:
         code = main(["uvb-scan", "--connection", str(conn), "--point", "1.0,0.0",
                      "--out", str(tmp_path)])
         assert code in (0, 4)  # verdict depends on the member; must not be a config error
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"terms": 5}, "christoffel terms must be a list of objects, got 5"),
+        ({"terms": [5]}, "christoffel term must be an object, got 5"),
+        ({"terms": [{"k": 0}]}, "christoffel term {'k': 0} is missing field 'i'"),
+        ({"terms": [{"k": 1.7, "i": 0.2, "j": 0, "coeff": 1}]},
+         "christoffel term k must be an integer in [0, 2), got 1.7"),
+        ({"terms": [{"k": 1, "i": 0.2, "j": 0, "coeff": 1}]},
+         "christoffel term i must be an integer in [0, 2), got 0.2"),
+        ({"terms": [{"k": 0, "i": 0, "j": 0, "coeff": None}]},
+         "christoffel term coeff must be a finite number, got None"),
+        ({"terms": [{"k": 0, "i": 0, "j": 0, "coeff": 1, "monomial": [{}, 0]}]},
+         "christoffel term monomial must be a nonempty 1-d real vector, got [{}, 0]"),
+        ({"name": "scalar-linear", "lamda": 2}, "connection 'scalar-linear' takes no parameter 'lamda'"),
+        ({"name": "fig1", "alpha": 7}, "connection 'fig1' takes no parameter 'alpha'"),
+        ({"name": "sphere-stereographic", "dimension": 2},
+         "connection 'sphere-stereographic' takes no parameter 'dimension'"),
+        ({"name": ["fig1"]}, "unknown gallery connection ['fig1']"),
+    ])
+    def test_bad_connection_file_is_one_error_line(self, tmp_path, capsys, spec, message):
+        conn = tmp_path / "conn.json"
+        if "name" not in spec:  # terms of a 2-d christoffel member
+            spec = {"name": "christoffel", "dimension": 2, **spec}
+        conn.write_text(json.dumps(spec), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["uvb-scan", "--connection", str(conn), "--point", "0,0",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "polyline", "points": 5, "times": [0, 1]},
+         "polyline points must be a list of points, got 5"),
+        ({"kind": "polyline", "points": [[0], [1, 2]], "times": [0, 1]},
+         "polyline points must all have one dimension"),
+        ({"kind": "polyline", "points": [[0], [1]], "times": [0, float("inf")]},
+         "polyline times must have finite entries, got [ 0. inf]"),
+        ({"kind": "polyline", "points": [[0], [1]], "times": [-1.7e308, 1.7e308]},
+         "polyline times must be strictly increasing, over a finite span"),
+        ({"kind": "polyline", "points": [[0], [1]], "times": [0, "one"]},
+         "polyline times must be a nonempty 1-d real vector, got [0, 'one']"),
+        ({"kind": "circle", "center": [0], "radius": None},
+         "circle radius must be positive and finite, got None"),
+        ({"kind": "circle", "center": [0, 0], "radius": 1, "plane": 5},
+         "circle plane 5 invalid for dimension 2"),
+        ({"kind": "circle", "center": [0, 0], "radius": 1, "plane": [0.5, 1]},
+         "circle plane [0.5, 1] invalid for dimension 2"),
+        ({"kind": "segment", "from": {"a": 1}, "to": [1]},
+         "segment start must be a nonempty 1-d real vector, got {'a': 1}"),
+    ])
+    def test_bad_path_file_is_one_error_line(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lift", "--connection", "fig1", "--path", str(path), "--v", "0",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDeterminism:
@@ -429,3 +540,65 @@ def test_connection_spec_fuzz_exits_cleanly(tmp_path_factory, name, text):
     out = tmp_path_factory.mktemp("fuzz")
     code = main(["uvb-scan", "--connection", connection, "--out", str(out)])
     assert isinstance(code, int) and code in (0, 1, 3, 4)
+
+
+# Values for every flag of every subcommand, and abbreviations of some, kept
+# cheap: 1-d or 2-d members, segments of length at most 1, |v| <= 2.
+_FLAG_VALUES = {
+    "--connection": ["fig1", "flat", "flat:2", "scalar-linear", "scalar-linear:-2", "fig1:2",
+                     "wormhole"],
+    "--path": ["segment:0:1", "segment:0.5:0", "segment:0,0:0.6,0.8", "segment:0", "nowhere"],
+    "--v": ["0", "1", "-2", "0,1", "2,-1", "x", ""],
+    "--point": ["0", "0.5,-1", "x"],
+    "--rtol": ["1e-6", "1e-9", "-1", "nan", "x"],
+    "--atol": ["1e-12", "1e-9", "0", "x"],
+    "--escape-norm": ["1e8", "10", "-1", "x"],
+    "--format": ["json", "csv", "xml"],
+    "--weight": ["euclidean", "normalized", "l1"],
+    "--eps": ["1e-3", "0.1", "-1", "nan"],
+    "--vstar-spacing": ["0.02", "0.05", "0", "0.1"],
+    "--jacobian": [None],
+    "list": [None],  # gallery's action, a stray word elsewhere
+    "show": [None],
+}
+_ABBREVIATED = {"--conn": "--connection", "--pa": "--path", "--escape": "--escape-norm",
+                "--vstar": "--vstar-spacing", "--jac": "--jacobian", "--form": "--format",
+                "--poi": "--point", "--rt": "--rtol"}
+
+
+_READ_FLAGS = {
+    "lift": ["--connection", "--path", "--v", "--rtol", "--atol", "--escape-norm"],
+    "transport": ["--connection", "--path", "--v", "--rtol", "--atol", "--escape-norm",
+                  "--jacobian"],
+    "uvb-scan": ["--connection", "--path", "--point", "--format", "--weight", "--eps"],
+    "figure1": ["--rtol", "--atol", "--escape-norm", "--vstar-spacing"],
+    "gallery": ["list"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_READ_FLAGS)))
+    argv = [command]
+    if command in _VALID_ARGV and draw(st.booleans()):
+        argv += _VALID_ARGV[command]
+    # Half the extra flags are ones the subcommand reads, so that runs get past parsing.
+    flags = st.one_of(st.sampled_from(_READ_FLAGS[command]),
+                      st.sampled_from(sorted(_FLAG_VALUES) + sorted(_ABBREVIATED)))
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(flags)
+        value = draw(st.sampled_from(_FLAG_VALUES[_ABBREVIATED.get(flag, flag)]))
+        argv += [flag] if value is None else [flag, value]
+    if command == "figure1":  # the last --vstar-spacing counts: keep the grid short
+        argv += ["--vstar-spacing", draw(st.sampled_from(["0.02", "0.05"]))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly(tmp_path_factory, argv):
+    # Every subcommand but gallery writes into --out, so the fuzz never writes into ".".
+    if argv[0] != "gallery":
+        argv = argv + ["--out", str(tmp_path_factory.mktemp("argv"))]
+    code = main(argv)
+    assert isinstance(code, int) and code in (0, 1, 2, 3, 4)
