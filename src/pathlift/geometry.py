@@ -266,6 +266,14 @@ def path_reverse(path: PathCurve) -> PathCurve:
     )
 
 
+# The fields each path kind reads.
+_PATH_FIELDS = {
+    "segment": ("from", "to"),
+    "polyline": ("points", "times"),
+    "circle": ("center", "radius", "plane"),
+}
+
+
 def path_from_json(spec) -> PathCurve:
     """Build a path from its JSON description (dict or JSON string).
 
@@ -273,19 +281,24 @@ def path_from_json(spec) -> PathCurve:
         {"kind": "segment", "from": [...], "to": [...]}
         {"kind": "polyline", "points": [[...], ...], "times": [...]}
         {"kind": "circle", "center": [...], "radius": r, "plane": [i, j]}
+
+    "plane" is optional; a field the kind does not read is an error.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("path spec must be an object with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _PATH_FIELDS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in _PATH_FIELDS[kind]:
+            raise ValueError(f"path of kind {kind!r} takes no field {key!r}")
     try:
         if kind == "segment":
             return path_segment(spec["from"], spec["to"])
         if kind == "polyline":
             return path_polyline(spec["points"], spec["times"])
-        if kind == "circle":
-            return path_circle(spec["center"], spec["radius"], spec.get("plane", (0, 1)))
+        return path_circle(spec["center"], spec["radius"], spec.get("plane", (0, 1)))
     except KeyError as e:
         raise ValueError(f"path spec of kind {kind!r} is missing field {e}") from None
-    raise ValueError(f"unknown path kind {kind!r}")

@@ -24,9 +24,13 @@ each lane keeps its own t, step size, controller state and status, so its
 result is bit for bit the one it gets integrated alone.  A lane retires when
 it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
 case.  While one lane is live, the loop calls the per-lane rhs, when it is
-given, at Python-float stage times, and in one dimension keeps the error
-and escape norms in Python floats; the stage sums stay numpy products, so
-the bits are those of the stacked path.
+given, at Python-float stage times.  In one dimension that lane steps in
+Python floats: its state, stage states, new state and error and escape
+norms are floats, and each stage sum is one dot on the column of stage
+derivatives, which rounds as the stacked product does.  The exception is
+stage 1's single term, which the stacked product adds to +0.0, so the lone
+lane computes ``0.0 + (1/5) k0`` (a dot keeps the -0.0 of ``(1/5) * -0.0``).
+The bits are those of the stacked path, signed zeros included.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -332,10 +336,26 @@ def integrate_lanes(
             K = np.empty((k, 7, n))
             stage = [K[:, i] for i in range(7)]  # views, made once per lane count
             head = [K[:, :i] for i in range(7)]
+            kv = K[0, :, 0]  # the first lane's stages, read while it is alone in 1-d
+            kv_head = [kv[:i] for i in range(7)]
         stage[0][...] = F
         if k == 1 and lone_rhs is not None:
             # Python-float stage times: t + c_i h rounds as in the array below.
             t, H = ts[0], hs[0]
+            if n == 1:
+                # The step in Python floats, one dot per stage sum (see the
+                # module docstring); stage 1 adds its term to +0.0, as the
+                # stacked product does.  The scale's max keeps a NaN operand,
+                # as np.maximum does.
+                y = Y.item()
+                for i in range(1, 7):
+                    s = 0.0 + 0.2 * kv[0] if i == 1 else A[i].dot(kv_head[i])
+                    K[0, i] = lone_rhs(t + C[i] * H, np.array([y + H * s]))
+                y_new = y + H * B5.dot(kv)
+                a, b = abs(y), abs(y_new)
+                q = H * E.dot(kv) / (atol + rtol * (b if b > a or b != b else a))
+                Y_new, sq, yy = np.array([[y_new]]), [q * q], [y_new * y_new]
+                continue
             for i in range(1, 7):
                 stage[i][...] = lone_rhs(t + C[i] * H, (Y + H * (A[i] @ head[i]))[0])
         else:
@@ -345,17 +365,9 @@ def integrate_lanes(
             for i in range(1, 7):
                 stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
-        if k == 1 and n == 1:
-            # The tail below in Python floats, which round as the ufuncs do;
-            # the scale's max keeps a NaN operand, as np.maximum does.
-            a, y_new = abs(Y.item()), Y_new.item()
-            b = abs(y_new)
-            q = hs[0] * (E @ K).item() / (atol + rtol * (b if b > a or b != b else a))
-            sq, yy = [q * q], [y_new * y_new]
-        else:
-            Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-            sq = np.add.reduce(Q * Q, axis=1).tolist()
-            yy = np.vecdot(Y_new, Y_new).tolist()
+        Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        sq = np.add.reduce(Q * Q, axis=1).tolist()
+        yy = np.vecdot(Y_new, Y_new).tolist()
 
     ys, fs = np.concatenate(ys), np.concatenate(fs)
     return [lane.result(ys, fs, opts) for lane in lanes]

@@ -147,10 +147,14 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
     uses_base = conn.uses_base
 
-    def rhs(t: float, c: np.ndarray) -> np.ndarray:
+    def rhs(t: float, c: np.ndarray) -> np.ndarray | float:
         m = np.asarray(g(pos(t) if uses_base else p0, c), dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
+        if n == 1:
+            # -m @ vel(t) bit for bit, signed zeros included: the product
+            # adds its one term to +0.0.
+            return 0.0 + (-m.item()) * vel(t).item()
         return -m @ vel(t)
 
     if len(vs) == 1:

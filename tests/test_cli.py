@@ -486,6 +486,18 @@ class TestSpecFiles:
          "circle plane [0.5, 1] invalid for dimension 2"),
         ({"kind": "segment", "from": {"a": 1}, "to": [1]},
          "segment start must be a nonempty 1-d real vector, got {'a': 1}"),
+        # Misspelt or unread fields, which would otherwise take a default.
+        ({"kind": "circle", "center": [0, 0], "radius": 1, "plan": [0, 1]},
+         "path of kind 'circle' takes no field 'plan'"),
+        ({"kind": "segment", "from": [0], "to": [1], "plane": [0, 1]},
+         "path of kind 'segment' takes no field 'plane'"),
+        ({"kind": "segment", "from": [0], "to": [1], "radius": 3},
+         "path of kind 'segment' takes no field 'radius'"),
+        ({"kind": "polyline", "points": [[0], [1]], "times": [0, 1], "time": [0, 1]},
+         "path of kind 'polyline' takes no field 'time'"),
+        ({"kind": "segment", "form": [0], "to": [1]},
+         "path of kind 'segment' takes no field 'form'"),
+        ({"kind": ["segment"], "from": [0], "to": [1]}, "unknown path kind ['segment']"),
     ])
     def test_bad_path_file_is_one_error_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "path.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlift.integrate import (
+    _A,
+    _B5,
+    _E,
     COMPLETE,
     ESCAPED,
     STEP_COLLAPSE,
@@ -288,3 +292,66 @@ class TestLanes:
 
     def test_no_lanes(self):
         assert integrate_lanes(lambda t, Y: Y, np.empty((0, 2))) == []
+
+
+# Signed zeros, subnormals, infinities, NaN and values across the range.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1.0, -1.0, 3.7,
+            1e300, -1e300, np.inf, -np.inf, np.nan]
+
+
+def _same_float(a, b) -> bool:
+    """Equal, or both NaN; the sign bit compared for every non-NaN value."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+class TestLoneOneDimensionalLane:
+    """A lone 1-d lane steps in Python floats, with one dot per stage sum."""
+
+    @np.errstate(all="ignore")
+    def test_stage_sums_round_as_the_stacked_products(self):
+        # The forms integrate_lanes uses on the stage column kv = K[0, :, 0]
+        # against the stacked products of the k-lane path.  Stage 1 is
+        # 0.0 + (1/5) k0, not a dot: the one-term product adds to +0.0.
+        rng = np.random.default_rng(20261018)
+        for _ in range(4000):
+            K = rng.choice(_SPECIAL, size=(1, 7, 1))
+            K *= rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=K.shape)
+            kv = K[0, :, 0]
+            assert _same_float(0.0 + 0.2 * kv[0], (_A[1] @ K[:, :1]).item()), kv
+            for i in range(2, 7):
+                assert _same_float(_A[i].dot(kv[:i]), (_A[i] @ K[:, :i]).item()), (i, kv)
+            assert _same_float(_B5.dot(kv), (_B5 @ K).item()), kv
+            assert _same_float(_E.dot(kv), (_E @ K).item()), kv
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 3.0, -3.0]),
+                 min_size=1, max_size=3),
+        st.sampled_from(["riccati", "nan-above", "zero-sign"]),
+        st.sampled_from([1e-9, 1e-3]),
+    )
+    def test_lone_rhs_lane_equals_the_stacked_lane(self, seeds, form, rtol):
+        # The Python-float branch (lone_rhs given) against the stacked k = 1
+        # path (lone_rhs None), each lane alone and among partners.
+        def lone(t, y):
+            if form == "riccati":
+                return 1.0 + y * y
+            if form == "nan-above":
+                return np.where(y < 20.0, 1.0 + y**8, np.nan)
+            # -0.0 at t = 0 from y = -0.0, then a sign that follows the
+            # stage state's zero: a flipped zero flips the derivative.
+            return np.copysign(t, y) + y
+
+        def stack(t, Y):
+            return lone(t[:, None], Y)
+
+        opts = IntegratorOptions(rtol=rtol)
+        y0 = [[s] for s in seeds]
+        floats = integrate_lanes(stack, y0, opts, lone_rhs=lone)
+        stacked = integrate_lanes(stack, y0, opts)
+        for a, b in zip(floats, stacked):
+            _assert_same_result(a, b)
+        _assert_same_result(integrate_adaptive(lone, seeds[0], opts), stacked[0])

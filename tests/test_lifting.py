@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlift import lifting
 from pathlift.connections import ConnectionField, ConnectionSpec, gallery
 from pathlift.geometry import PathCurve, path_circle, path_polyline, path_reverse, path_segment
 from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
@@ -106,7 +107,8 @@ def _lift_cases(draw):
         path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
     else:
         path = path_segment(draw(point), draw(point))
-    v0 = draw(st.lists(_floats(-3.0, 3.0), min_size=n, max_size=n))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))  # signed zeros too
+    v0 = draw(st.lists(coord, min_size=n, max_size=n))
     return conn, path, v0
 
 
@@ -137,6 +139,36 @@ class TestRawRhsEquivalence:
         assert traj.t_escape == ref.t_escape
         assert traj.norm_at_escape == ref.norm_at_escape
         assert traj.max_vertical_speed == ref.max_rhs_norm
+
+
+@np.errstate(all="ignore")
+def test_one_dimensional_rhs_rounds_as_the_product(monkeypatch):
+    # A 1-d lift's rhs returns 0.0 + (-m) * v for -m @ vel(t): bit for bit
+    # the one-term product, which adds to +0.0, where the bare -(m * v)
+    # differs in the sign of zero.  The lift is run once to capture its rhs,
+    # which is then fed every pair of special values.
+    captured = []
+
+    def spy(rhs, *args):
+        captured.append(rhs)
+        return integrate_adaptive(rhs, *args)
+
+    monkeypatch.setattr(lifting, "integrate_adaptive", spy)
+    box = {"m": 1.0, "v": 1.0}
+    conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
+    path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
+    horizontal_lift(conn, path, [0.0])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.7, -1e300, 1e300,
+               np.inf, -np.inf, np.nan]
+    for m in special:
+        for v in special:
+            box.update(m=m, v=v)
+            got = captured[0](0.5, np.array([0.0]))
+            want = (-np.array([[m]]) @ np.array([v])).item()
+            if np.isnan(want):
+                assert np.isnan(got), (m, v)
+            else:
+                assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
 
 
 def _assert_same_lift(a, b):
@@ -484,3 +516,34 @@ class TestCompletionThreshold:
     def test_needs_one_dimension(self):
         with pytest.raises(ValueError, match="works on 1-d connections"):
             completion_threshold(_flat(2), path_segment([0, 0], [1, 1]), [0.0, 1.0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([("fig1", {}), ("power-growth", {"alpha": 1.5}),
+                         ("power-growth", {"alpha": 2.0}), ("power-growth", {"alpha": 3.0}),
+                         ("scalar-linear", {"lambda": 1.0}), ("scalar-linear", {"lambda": -2.0})]),
+        _floats(-1.0, 1.0),
+        st.one_of(_floats(-1.5, -0.3), _floats(0.3, 1.5)),
+        st.lists(st.integers(-100, 100), min_size=4, max_size=8, unique=True),
+    )
+    def test_completion_set_is_an_interval(self, member, start, length, ticks):
+        # In 1-d, lifts are ordered in their seed, so the seeds whose lone
+        # lifts complete form an interval.  completion_threshold brackets its
+        # upper end when it holds the lowest seed and not all; an interval
+        # above the escapes (a path run backwards) reads as not monotone.
+        conn = gallery(ConnectionSpec(*member))
+        path = path_segment([start], [start + length])
+        seeds = sorted(t / 20.0 for t in ticks)  # 0.05 apart at least
+        done = [horizontal_lift(conn, path, [v]).complete for v in seeds]
+        inside = [j for j, ok in enumerate(done) if ok]
+        if inside:
+            assert inside == list(range(inside[0], inside[-1] + 1)), done
+        if not 0 < len(inside) < len(seeds):
+            with pytest.raises(ValueError, match="does not straddle"):
+                completion_threshold(conn, path, seeds)
+        elif inside[0] > 0:
+            with pytest.raises(ValueError, match="is not monotone"):
+                completion_threshold(conn, path, seeds)
+        else:
+            lo, hi = seeds[inside[-1]], seeds[inside[-1] + 1]
+            assert completion_threshold(conn, path, seeds) == (0.5 * (lo + hi), lo, hi)
