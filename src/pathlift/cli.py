@@ -239,10 +239,10 @@ def cmd_figure1(args) -> int:
     conn = gallery("fig1")
     path = path_segment([0.0], [1.0])
     opts = _integrator_opts(args)
-    out = _out_dir(args)
     spacing = args.vstar_spacing
     if not (0 < spacing <= 0.05):
         raise ConfigError(f"--vstar-spacing must be in (0, 0.05], got {spacing}")
+    out = _out_dir(args)
 
     curves = _figure1_families(conn, path, opts)
     rows = []

@@ -44,8 +44,9 @@ class ConnectionField:
     When ``broadcasts`` is true, ``gamma`` also evaluates a stack: for v of
     shape (k, n) and p of shape (n,) or (k, n) it returns the (k, n, n)
     matrices of the rows, each bit for bit the matrix of a single call.
-    Lifts of many seeds and fiber scans then call it once per stack;
-    otherwise they call it once per row.  The built-in members broadcast.
+    ``stack`` is the one reader of the flag: lifts of many seeds and fiber
+    scans get their (k, n, n) stacks from it, one ``gamma`` call per stack
+    when the flag is set, else one per row.  The built-in members broadcast.
 
     When ``uses_base`` is false, ``gamma`` must not read p: lifts then pass
     the path's starting point instead of its position at each stage.
@@ -89,6 +90,17 @@ class ConnectionField:
             raise ValueError(f"coefficient matrix is not finite at p={pc}, v={vc}")
         return mat
 
+    def stack(self, p: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Float (k, n, n) Gamma at p (n,) or (k, n) and the rows of V (k, n); entries unchecked."""
+        if self.broadcasts:
+            G = self.gamma(p, V)
+        else:
+            G = [self.gamma(q, v) for q, v in zip(np.broadcast_to(p, V.shape), V)]
+        G, shape = np.asarray(G, dtype=float), V.shape + (self.dimension,)
+        if G.shape != shape:
+            raise ValueError(f"coefficient map returned shape {G.shape}, expected {shape}")
+        return G
+
     def horizontal_basis(self, p, v) -> np.ndarray:
         """Columns spanning H_(p,v): column j is (e_j, -Gamma(p,v) e_j) in R^2n.
 
@@ -122,33 +134,23 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     the induced lift equation is the classical transport equation.
 
     ``christoffel`` must be a pure function of the bytes of p: ``gamma``
-    builds the tensor once per distinct point of a call, keeps the tensors
-    of the last call, and reuses them while its points repeat (all samples
-    of a fiber scan, both DOPRI stages at t + h).  ``gamma`` broadcasts.
+    keeps the tensors of its last call and reuses them when the next call
+    passes the same p, bytes and rank alike (all samples of a fiber scan,
+    both DOPRI stages at t + h).  ``gamma`` broadcasts.
     """
     n = int(n)
-    memo = [{}]  # p.tobytes() -> G for the points of the last call, replaced as one dict
-
-    def tensors(rows: np.ndarray) -> list[np.ndarray]:
-        last, now = memo[0], {}
-        for row in rows:
-            key = row.tobytes()
-            if key in now:
-                continue
-            G = last.get(key)
-            if G is None:
-                G = np.asarray(christoffel(row), dtype=float)
-                if G.shape != (n, n, n):
-                    raise ValueError(
-                        f"christoffel map returned shape {G.shape}, expected ({n}, {n}, {n})")
-            now[key] = G
-        memo[0] = now
-        return [now[row.tobytes()] for row in rows]
+    last = [b"", None]  # key and tensors of the last call; a failed build is not kept
 
     def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if p.ndim == 1:
-            return np.einsum("kij,...j->...ki", tensors(p[None])[0], v)
-        return np.einsum("...kij,...j->...ki", np.stack(tensors(p)), v)
+        key = p.tobytes() + bytes(p.ndim)
+        if key != last[0]:
+            G = np.asarray(christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
+                           dtype=float)
+            shape = p.shape[:-1] + (n, n, n)
+            if G.shape != shape:
+                raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
+            last[:] = key, G
+        return np.einsum("...kij,...j->...ki", last[1], v)
 
     return ConnectionField(
         dimension=n,

@@ -179,13 +179,13 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
 
 
 def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
-    """Lane rhs: one call of a broadcasting gamma for the whole stack, else one per row.
+    """Lane rhs: the coefficient stack through ``conn.stack``.
 
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
     """
-    g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
-    path_broadcasts, uses_base, broadcasts = path.broadcasts, conn.uses_base, conn.broadcasts
+    stack, pos, vel = conn.stack, path.position, path.velocity
+    path_broadcasts, uses_base = path.broadcasts, conn.uses_base
 
     def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
         if path_broadcasts:
@@ -193,15 +193,8 @@ def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
         else:
             P = np.array([pos(t) for t in T]) if uses_base else p0
             V = np.array([vel(t) for t in T])
-        if broadcasts:
-            M = g(P, C)
-        else:
-            M = [g(p, c) for p, c in zip(np.broadcast_to(P, C.shape), C)]
-        M = np.asarray(M, dtype=float)
-        if M.shape != C.shape + (n,):
-            raise ValueError(f"coefficient map returned shape {M.shape}, expected {C.shape + (n,)}")
         # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
-        return ((-M) @ V[..., None])[..., 0]
+        return ((-stack(P, C)) @ V[..., None])[..., 0]
 
     return rhs
 
@@ -296,21 +289,23 @@ def completion_threshold(conn: ConnectionField, path: PathCurve, grid,
                          opts: IntegratorOptions | None = None):
     """Scan scalar initial values for the completion/escape boundary.
 
-    Works on 1-d connections.  Returns (v_star, lo, hi) where lo is the
-    largest grid value whose lift completes, hi the smallest that escapes,
-    and v_star their midpoint.  The bracket width is the grid spacing, so
-    the estimate is first-order in the grid.  The whole grid is lifted as
-    one batch.
+    Works on 1-d connections.  Returns (v_star, lo, hi): lo < hi are the
+    adjacent sorted grid values between which completion flips, and v_star
+    is their midpoint.  The completing seeds may lie below the escaping
+    ones or, on a path run backwards, above them; completion that flips more
+    than once is an error.  The bracket width is the grid spacing, so the
+    estimate is first-order in the grid.  The whole grid is lifted as one
+    batch.
     """
     if conn.dimension != 1:
         raise ValueError("completion threshold scan works on 1-d connections")
     values = np.sort(np.asarray(grid, dtype=float))
     lifts = horizontal_lifts(conn, path, [[v] for v in values], opts)
     completed = np.array([traj.complete for traj in lifts])
-    if completed.all() or not completed.any():
+    flips = np.flatnonzero(completed[1:] != completed[:-1])
+    if flips.size == 0:
         raise ValueError("grid does not straddle the completion threshold")
-    lo = float(values[completed].max())
-    hi = float(values[~completed].min())
-    if hi < lo:
+    if flips.size > 1:
         raise ValueError("completion is not monotone over the grid")
+    lo, hi = float(values[flips[0]]), float(values[flips[0] + 1])
     return 0.5 * (lo + hi), lo, hi

@@ -76,24 +76,21 @@ class FiberWeight:
             raise ValueError("custom fiber weight needs a function")
 
     def __call__(self, v) -> float:
-        vc = as_coords(v, "fiber point")
-        if self.mode == "euclidean":
-            return 1.0
-        if self.mode == "normalized":
-            return float(1.0 / np.sqrt(1.0 + vc @ vc))
-        w = float(self.func(vc))
-        if not (np.isfinite(w) and w > 0):
-            raise ValueError(f"fiber weight must be positive and finite, got {w} at v={vc}")
-        return w
+        return float(self.stack(as_coords(v, "fiber point")[None])[0])
 
     def stack(self, vs: np.ndarray) -> np.ndarray:
-        """Weights at the rows of a finite (m, n) array, bit for bit as row-by-row calls."""
+        """Weights at the rows of a finite (m, n) array; a call is the stack of one row."""
         if self.mode == "euclidean":
             return np.ones(vs.shape[0])
         if self.mode == "normalized":
             # A stacked matmul rounds like v @ v; einsum and (vs * vs).sum(1) do not.
             return 1.0 / np.sqrt(1.0 + (vs[:, None, :] @ vs[:, :, None]).ravel())
-        return np.array([self(v) for v in vs])
+        w = np.array([float(self.func(v)) for v in vs])
+        ok = np.isfinite(w) & (w > 0)
+        if not ok.all():
+            i = int(ok.argmin())  # the first row that fails
+            raise ValueError(f"fiber weight must be positive and finite, got {w[i]} at v={vs[i]}")
+        return w
 
 
 EUCLIDEAN = FiberWeight("euclidean")
@@ -231,10 +228,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     positive and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid=
-    "ignore"): the weights first, then ``conn.gamma`` raw, once for the whole
-    stack when it broadcasts and else once per sample (it must not modify an
-    array it returned earlier), then coeff's checks once over the stack and
-    one batched SVD.  On failure the samples are rerun in
+    "ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
+    modify an array it returned earlier), then coeff's checks once over the
+    stack and one batched SVD.  On failure the samples are rerun in
     (direction, radius) order through principal_angles, and the first to
     fail raises a RuntimeError naming its direction and radius.
     """
@@ -260,12 +256,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
         if pc.size != n or not np.all(np.isfinite(vs)):
             raise ValueError("base point or fiber points invalid")
         w = weight.stack(vs)
-        if conn.broadcasts:
-            G = np.asarray(conn.gamma(pc, vs), dtype=float)
-        else:
-            G = np.asarray([conn.gamma(pc, v) for v in vs], dtype=float)
-        if G.shape != (vs.shape[0], n, n) or not np.all(np.isfinite(G)):
-            raise ValueError("coefficient stack invalid")
+        G = conn.stack(pc, vs)
+        if not np.all(np.isfinite(G)):
+            raise ValueError("coefficient stack is not finite")
         theta = _angle_stack(w, G)[:, 0].reshape(dirs.shape[0], rads.size)
     except Exception as e:
         for i, d in enumerate(dirs):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathlift
 from pathlift import cli
 from pathlift.cli import main
 from pathlift.connections import ConnectionField, gallery_members
@@ -241,6 +246,12 @@ class TestUvbScanCommand:
         assert code == 0
         assert (tmp_path / "scan_002.json").exists()
 
+    def test_growth_between_one_and_two_is_inconclusive(self, tmp_path, capsys):
+        code = main(["uvb-scan", "--connection", "power-growth:1.2", "--out", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().out == "scan_000: Inconclusive\n"
+        assert _read_json(tmp_path / "scan_000.json")["verdict"] == "Inconclusive"
+
     def test_explicit_point(self, tmp_path):
         code = main([
             "uvb-scan", "--connection", "sphere-stereographic",
@@ -283,6 +294,14 @@ class TestFigure1Command:
             assert abs(summary["v_star"] - summary["v_star_target"]) <= spacing / 2 + 1e-9
         assert widths[2e-3] == pytest.approx(widths[4e-3] / 2, rel=1e-6)
 
+    @pytest.mark.parametrize("spacing", ["0", "0.06"])
+    def test_spacing_outside_the_range_exits_1(self, tmp_path, capsys, spacing):
+        out = tmp_path / "run"
+        assert main(["figure1", "--out", str(out), "--vstar-spacing", spacing]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --vstar-spacing must be in (0, 0.05], got {float(spacing)}\n")
+        assert not out.exists()
+
 
 class TestGalleryCommand:
     def test_listing(self, capsys):
@@ -295,6 +314,15 @@ class TestGalleryCommand:
     def test_default_action_is_list(self, capsys):
         assert main(["gallery"]) == 0
         assert "fig1" in capsys.readouterr().out
+
+    def test_module_entry_point(self, capsys):
+        assert main(["gallery", "list"]) == 0
+        src = str(Path(pathlift.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "pathlift", "gallery", "list"],
+                             capture_output=True, text=True, env=env, check=True)
+        assert run.stdout == capsys.readouterr().out
 
 
 class TestConfigErrors:
@@ -309,6 +337,16 @@ class TestConfigErrors:
     def test_missing_path(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--v", "0",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("path, message", [
+        ("segment:0", "inline segment must look like segment:a,b:c,d, got 'segment:0'"),
+        ("nowhere", "path 'nowhere' is neither a readable file nor inline segment syntax"),
+    ], ids=["one-point-segment", "neither-file-nor-segment"])
+    def test_bad_path_text(self, tmp_path, capsys, monkeypatch, path, message):
+        monkeypatch.chdir(tmp_path)  # so that no file named like the path exists
+        assert main(["lift", "--connection", "fig1", "--path", path, "--v", "0",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unreadable_spec_file(self, tmp_path):
         bad = tmp_path / "conn.json"

@@ -250,6 +250,11 @@ class TestJsonSpecs:
                 {"name": "christoffel", "dimension": 1,
                  "terms": [{"k": 0, "i": 2, "j": 0, "coeff": 1.0, "monomial": [0]}]}
             )
+        with pytest.raises(ValueError, match=r"monomial \[1\] must list one exponent per"):
+            connection_from_json(
+                {"name": "christoffel", "dimension": 2,
+                 "terms": [{"k": 0, "i": 1, "j": 0, "coeff": 1.0, "monomial": [1]}]}
+            )
 
 
 class TestCustomField:
@@ -429,15 +434,39 @@ class TestBroadcasting:
         assert stacked.tobytes() == rows.tobytes()
         assert one_point.tobytes() == at_first.tobytes()
 
-    def test_linear_stack_builds_each_distinct_point_once(self):
-        chris, calls = _counting(_sign_sensitive)
+    def test_linear_memo_keeps_the_last_call_only(self):
+        results = []  # what the christoffel map returns next, when set
+
+        def christoffel(p):
+            return results.pop(0) if results else _sign_sensitive(p)
+
+        chris, calls = _counting(christoffel)
         conn = make_linear_connection(2, chris)
         p = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [-0.0, 0.0], [0.0, 0.0]])
         v = np.ones((5, 2))
         first = conn.gamma(p, v)
-        assert len(calls) == 4  # the signed zero is a point of its own
+        assert len(calls) == 5  # every row of the stack, repeated points included
+        assert conn.gamma(p, v[::-1]).tobytes() == first.tobytes()  # v is all ones
+        assert len(calls) == 5  # the same stack again builds nothing
         assert conn.gamma(p[::-1], v).tobytes() == first[::-1].tobytes()
-        assert len(calls) == 4  # the points of the last call are kept
+        assert len(calls) == 10  # a changed stack is rebuilt in full
+
+        row = np.array([[0.3, 0.4]])
+        conn.gamma(row, v[:1])
+        assert len(calls) == 11
+        single = conn.gamma(row[0], v[0])  # the same bytes at rank 1
+        assert len(calls) == 12 and single.shape == (2, 2)
+        assert single.tobytes() == _fresh_gamma(_sign_sensitive, 2, row[0], v[0]).tobytes()
+
+        q = row[0] + 1.0
+        results.append(np.ones((2, 2)))  # the next build fails its shape check
+        with pytest.raises(ValueError, match=r"returned shape \(2, 2\), expected \(2, 2, 2\)"):
+            conn.gamma(q, v[0])
+        assert len(calls) == 13
+        assert conn.gamma(row[0], v[0]).tobytes() == single.tobytes()
+        assert len(calls) == 13  # the entry before the failure is kept
+        assert conn.gamma(q, v[0]).tobytes() == _fresh_gamma(_sign_sensitive, 2, q, v[0]).tobytes()
+        assert len(calls) == 14  # the failed build was not stored
 
     def test_custom_fields_do_not_broadcast_by_default(self):
         assert not ConnectionField(1, lambda p, v: np.eye(1)).broadcasts

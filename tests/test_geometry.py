@@ -125,6 +125,8 @@ class TestPolyline:
             path_polyline([[0.0], [1.0], [2.0]], [0.0, 0.7, 0.5])
         with pytest.raises(ValueError):
             path_polyline([[0.0], [1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="got 3 points but 2 times"):
+            path_polyline([[0.0], [1.0], [2.0]], [0.0, 1.0])
 
 
 class TestReverse:

@@ -321,6 +321,16 @@ class TestHorizontalLifts:
         assert str(batch.value) == str(alone.value)
         assert 3.0 not in calls[calls.index(3.0) + 1:]
 
+    def test_stack_of_the_wrong_shape_reruns_the_seeds_alone(self):
+        # A map that claims to broadcast but returns one matrix for a stack:
+        # the batch fails the stack's shape check, and each seed is rerun alone.
+        conn = ConnectionField(2, lambda p, v: np.eye(2), broadcasts=True)
+        with pytest.raises(ValueError, match=r"returned shape \(2, 2\), expected \(2, 2, 2\)"):
+            conn.stack(np.zeros(2), np.ones((2, 2)))
+        path, seeds = path_segment([0.0, 0.0], [1.0, 0.5]), [[1.0, -2.0], [0.5, 3.0]]
+        for v, traj in zip(seeds, horizontal_lifts(conn, path, seeds)):
+            _assert_same_lift(traj, horizontal_lift(conn, path, v))
+
     def test_empty_and_bad_seeds(self):
         assert horizontal_lifts(FIG1, UNIT, []) == []
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -442,6 +452,55 @@ class TestTransportJacobian:
                 assert defect <= 1e-7 * (1 + np.linalg.norm(pu) + np.linalg.norm(pw))
 
 
+@st.composite
+def _linearity_cases(draw):
+    name = draw(st.sampled_from(["flat", "scalar-linear", "sphere-stereographic", "christoffel"]))
+    if name == "flat":
+        conn = _flat(draw(st.integers(1, 3)))
+    elif name == "scalar-linear":
+        conn = _scalar(draw(_floats(-3.0, 3.0)))
+    elif name == "christoffel":
+        n = draw(st.integers(1, 3))
+        terms = [{**t, "k": t["k"] % n, "i": t["i"] % n, "j": t["j"] % n,
+                  "monomial": t["monomial"][:n]} for t in draw(st.lists(_term, max_size=5))]
+        conn = gallery(ConnectionSpec(name, {"dimension": n, "terms": terms}))
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
+    knots = draw(st.integers(2, 4))
+    if knots == 2:
+        path, opts = path_segment(draw(point), draw(point)), None
+    else:
+        tenths = draw(st.lists(st.integers(1, 9), min_size=knots - 2, max_size=knots - 2,
+                               unique=True))
+        times = [0.0, *sorted(t / 10.0 for t in tenths), 1.0]
+        path = path_polyline([draw(point) for _ in range(knots)], times)
+        # The rhs has a kink at each inner knot, which the embedded error
+        # estimate does not see: at the default tolerances a polyline's
+        # transport is off by up to about 1e-6, so polylines run tighter.
+        opts = IntegratorOptions(rtol=1e-11, atol=1e-14)
+    vector = st.lists(_floats(-3.0, 3.0), min_size=n, max_size=n).map(np.array)
+    u, w, a, b = draw(vector), draw(vector), draw(_floats(-2.0, 2.0)), draw(_floats(-2.0, 2.0))
+    return conn, path, opts, u, w, a, b
+
+
+class TestTransportLinearity:
+    @settings(max_examples=30, deadline=None)
+    @given(_linearity_cases())
+    def test_fiber_linear_members_transport_linearly(self, case):
+        # T(a u + b w) = a T(u) + b T(w) to criterion 4's bound.  The three
+        # seeds are one batch, so linear members see stacked base points.
+        conn, path, opts, u, w, a, b = case
+        assert conn.is_linear_in_fiber
+        lifts = horizontal_lifts(conn, path, [u, w, a * u + b * w], opts)
+        if not all(traj.complete for traj in lifts):
+            return
+        tu, tw, tc = (traj.final_fiber for traj in lifts)
+        defect = np.linalg.norm(tc - a * tu - b * tw)
+        assert defect <= 1e-7 * (1.0 + np.linalg.norm(tu) + np.linalg.norm(tw))
+
+
 class TestHolonomy:
     def test_flat_loop_returns_seed(self):
         loop = path_circle([0.0, 0.0], 1.0)
@@ -513,6 +572,22 @@ class TestCompletionThreshold:
         with pytest.raises(ValueError, match="completion is not monotone over the grid"):
             completion_threshold(cubic, UNIT, [1.0, 0.0, -1.0])
 
+    def test_reversed_path_brackets_the_lower_end(self):
+        # Along 1 -> 0 the fig1 lifts complete exactly above -cot(1).
+        v_star, lo, hi = completion_threshold(FIG1, path_segment([1.0], [0.0]), [-0.7, -0.65, -0.6])
+        assert (v_star, lo, hi) == (-0.625, -0.65, -0.6)
+        assert lo < -1 / TAN1 < hi
+
+    def test_completion_on_both_sides_is_not_monotone(self):
+        # c' = c |c| from c(0) = v0 blows up at t = 1 / |v0| for either sign,
+        # so the lifts complete exactly when |v0| < 1: completion flips twice.
+        conn = ConnectionField(1, lambda p, v: np.array([[-v[0] * abs(v[0])]]))
+        grid = [-2.0, -0.5, 0.0, 0.5, 2.0]
+        done = [horizontal_lift(conn, UNIT, [v]).complete for v in grid]
+        assert done == [False, True, True, True, False]
+        with pytest.raises(ValueError, match="completion is not monotone over the grid"):
+            completion_threshold(conn, UNIT, grid)
+
     def test_needs_one_dimension(self):
         with pytest.raises(ValueError, match="works on 1-d connections"):
             completion_threshold(_flat(2), path_segment([0, 0], [1, 1]), [0.0, 1.0])
@@ -529,8 +604,8 @@ class TestCompletionThreshold:
     def test_completion_set_is_an_interval(self, member, start, length, ticks):
         # In 1-d, lifts are ordered in their seed, so the seeds whose lone
         # lifts complete form an interval.  completion_threshold brackets its
-        # upper end when it holds the lowest seed and not all; an interval
-        # above the escapes (a path run backwards) reads as not monotone.
+        # upper end when it holds the lowest seed and not all, and its lower
+        # end when it holds the top seed (a path run backwards).
         conn = gallery(ConnectionSpec(*member))
         path = path_segment([start], [start + length])
         seeds = sorted(t / 20.0 for t in ticks)  # 0.05 apart at least
@@ -542,8 +617,9 @@ class TestCompletionThreshold:
             with pytest.raises(ValueError, match="does not straddle"):
                 completion_threshold(conn, path, seeds)
         elif inside[0] > 0:
-            with pytest.raises(ValueError, match="is not monotone"):
-                completion_threshold(conn, path, seeds)
+            assert inside[-1] == len(seeds) - 1, done
+            lo, hi = seeds[inside[0] - 1], seeds[inside[0]]
+            assert completion_threshold(conn, path, seeds) == (0.5 * (lo + hi), lo, hi)
         else:
             lo, hi = seeds[inside[-1]], seeds[inside[-1] + 1]
             assert completion_threshold(conn, path, seeds) == (0.5 * (lo + hi), lo, hi)

@@ -49,6 +49,12 @@ class TestFiberWeight:
         with pytest.raises(ValueError):
             w([1.0])
 
+    def test_modes_are_checked(self):
+        with pytest.raises(ValueError, match="unknown fiber weight mode 'bogus'"):
+            FiberWeight("bogus")
+        with pytest.raises(ValueError, match="custom fiber weight needs a function"):
+            FiberWeight("custom")
+
     def test_lookup(self):
         assert fiber_weight("euclidean") is EUCLIDEAN
         assert fiber_weight("normalized") is NORMALIZED
@@ -156,6 +162,8 @@ class TestFiberScan:
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             fiber_scan(FIG1, [0.0], directions=[[2.0]])
+        with pytest.raises(ValueError, match="directions have length 2, connection n=1"):
+            fiber_scan(FIG1, [0.0], directions=[[1.0, 0.0]])
         with pytest.raises(ValueError):
             fiber_scan(FIG1, [0.0], radii=[1.0, 1.0, 2.0, 4.0])
 
@@ -175,6 +183,14 @@ class TestFiberScan:
         bad = ConnectionField(1, lambda p, v: np.array([[np.inf if abs(v[0]) > 3 else 1.0]]))
         with pytest.raises(RuntimeError, match="radius 4"):
             fiber_scan(bad, [0.0], radii=[1.0, 2.0, 4.0, 8.0])
+
+    def test_stack_of_the_wrong_shape(self):
+        # A map that claims to broadcast but returns one matrix for a stack:
+        # every sample alone is fine, so the stack's own error is raised.
+        conn = ConnectionField(2, lambda p, v: np.eye(2), broadcasts=True)
+        with pytest.raises(RuntimeError, match=r"^angle computation failed: coefficient map "
+                           r"returned shape \(2, 2\), expected \(84, 2, 2\)$"):
+            fiber_scan(conn, [0.0, 0.0])
 
     def test_default_grids(self):
         assert default_radii()[0] == 1.0 and default_radii()[-1] == 2.0**20
