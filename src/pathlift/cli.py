@@ -10,8 +10,10 @@ UTF-8 with floats at 17 significant digits; reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -93,11 +95,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _trajectory_rows(traj):
-    for i in range(traj.t.size):
-        yield [traj.t[i], *traj.base[i], *traj.fiber[i]]
-
-
 def _status_dict(traj) -> dict:
     return {
         "status": traj.status,
@@ -127,7 +124,7 @@ def cmd_lift(args) -> int:
     all_complete = True
     # A seed that fails ends the run after the files of the seeds before it.
     for idx, traj in enumerate(_lifts_in_seed_order(conn, path, vectors, opts)):
-        write_csv(out / f"lift_{idx:03d}.csv", header, _trajectory_rows(traj))
+        write_csv(out / f"lift_{idx:03d}.csv", header, [traj.t, *traj.base.T, *traj.fiber.T])
         write_json(out / f"lift_{idx:03d}.json", _status_dict(traj))
         print(f"lift_{idx:03d}: {traj.status}")
         all_complete = all_complete and traj.status == COMPLETE
@@ -193,8 +190,10 @@ def cmd_uvb_scan(args) -> int:
             raise ConfigError(str(e)) from None
         verdicts.append(report.verdict)
         if args.format == "csv":
-            write_csv(out / f"scan_{idx:03d}.csv",
-                      ["direction_index", "radius", "theta_min"], report.rows())
+            m, r = report.theta_min.shape
+            write_csv(out / f"scan_{idx:03d}.csv", ["direction_index", "radius", "theta_min"],
+                      [np.repeat(np.arange(m), r), np.tile(report.radii, m),
+                       report.theta_min.ravel()], "%d,%.17g,%.17g")
         else:
             write_json(out / f"scan_{idx:03d}.json", report.to_dict())
         print(f"scan_{idx:03d}: {report.verdict}")
@@ -207,10 +206,10 @@ def cmd_uvb_scan(args) -> int:
 
 def _figure1_families(conn, path, opts):
     """Lift the display sweep and the interior seeds; classify each curve."""
-    curves = []  # (rows, family); rows are (t, fiber) pairs in ascending t
+    curves = []  # (t, fiber, family), t ascending
     for traj in horizontal_lifts(conn, path, [[v0] for v0 in _FIGURE1_V0], opts):
         family = "from_p_complete" if traj.complete else "from_p_escaped"
-        curves.append((list(zip(traj.t, traj.fiber[:, 0])), family))
+        curves.append((traj.t, traj.fiber[:, 0], family))
     seeds = [[c0] for c0 in _FIGURE1_C0]
     for t0 in _FIGURE1_T0:
         fwds = horizontal_lifts(conn, path_segment([t0], [1.0]), seeds, opts)
@@ -230,9 +229,8 @@ def _interior_curve(fwd, bwd):
     else:
         family = "interior"
     # Base coordinate doubles as global time on the identity path.
-    rows = [(b[0], f[0]) for b, f in zip(bwd.base[::-1], bwd.fiber[::-1])]
-    rows += [(b[0], f[0]) for b, f in zip(fwd.base[1:], fwd.fiber[1:])]
-    return rows, family
+    t = np.concatenate([bwd.base[::-1, 0], fwd.base[1:, 0]])
+    return t, np.concatenate([bwd.fiber[::-1, 0], fwd.fiber[1:, 0]]), family
 
 
 def cmd_figure1(args) -> int:
@@ -245,13 +243,12 @@ def cmd_figure1(args) -> int:
     out = _out_dir(args)
 
     curves = _figure1_families(conn, path, opts)
-    rows = []
-    counts: dict[str, int] = {}
-    for curve_id, (samples, family) in enumerate(curves):
-        counts[family] = counts.get(family, 0) + 1
-        for t, fiber in samples:
-            rows.append([curve_id, t, fiber, np.tanh(fiber), family])
-    write_csv(out / "figure1.csv", ["curve", "t", "fiber", "tanh_fiber", "family"], rows)
+    ts, fibers, families = zip(*curves)
+    sizes = [t.size for t in ts]
+    fiber = np.concatenate(fibers)
+    write_csv(out / "figure1.csv", ["curve", "t", "fiber", "tanh_fiber", "family"],
+              [np.repeat(np.arange(len(curves)), sizes), np.concatenate(ts), fiber,
+               np.tanh(fiber), np.repeat(families, sizes)], "%d,%.17g,%.17g,%.17g,%s")
 
     steps = int(round(0.1 / spacing))
     grid = 0.6 + spacing * np.arange(steps + 1)
@@ -265,7 +262,7 @@ def cmd_figure1(args) -> int:
             "bracket_high": hi,
             "grid_spacing": spacing,
             "curves": len(curves),
-            "families": counts,
+            "families": dict(Counter(families)),
         },
     )
     print(f"figure1: v_star={fmt_float(v_star)} target={fmt_float(COT1)}")
@@ -285,6 +282,7 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     # Flag groups that several subcommands read, copied in as parent parsers.
     # Without allow_abbrev=False, figure1 would read --v as --vstar-spacing.

@@ -1,4 +1,9 @@
-"""Deterministic CSV/JSON emission: fixed float formatting, sorted keys, no clocks."""
+"""Deterministic CSV/JSON emission: fixed float formatting, sorted keys, no clocks.
+
+CSV is written by columns (arrays or lists, each converted once with
+``.tolist()``), every row with one ``%``-format for the whole file.  Its
+``%.17g`` equals ``fmt_float`` on every double: NaN, +-inf, +-0 and subnormals.
+"""
 
 from __future__ import annotations
 
@@ -45,18 +50,11 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
-    return str(v)
+def write_csv(path, header, columns, fmt=None) -> None:
+    """Write `columns` under `header`, one line `fmt % row` per row (ValueError if ragged).
 
-
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    `fmt` is the row format, such as ``"%d,%.17g,%s"``; it defaults to ``%.17g`` columns."""
+    fmt = fmt or ",".join(["%.17g"] * len(columns))
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [",".join(header), *map(fmt.__mod__, zip(*cols, strict=True))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

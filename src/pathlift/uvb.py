@@ -187,12 +187,6 @@ class FiberScanReport:
             "epsilon": self.epsilon,
         }
 
-    def rows(self):
-        """CSV rows (direction_index, radius, theta_min) in deterministic order."""
-        for i in range(self.directions.shape[0]):
-            for k in range(self.radii.size):
-                yield i, float(self.radii[k]), float(self.theta_min[i, k])
-
 
 def default_radii() -> np.ndarray:
     """Geometric radius grid 1, 2, 4, ..., 2^20."""

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import pathlift
 from pathlift import cli
 from pathlift.cli import main
-from pathlift.connections import ConnectionField, gallery_members
+from pathlift.connections import ConnectionField, gallery, gallery_members
 from pathlift.lifting import TransportEscapedError
+from pathlift.uvb import fiber_scan
 
 TAN1 = np.tan(1.0)
 
@@ -61,6 +62,15 @@ class TestLiftCommand:
         assert code == 0
         status = _read_json(tmp_path / "lift_000.json")
         assert abs(status["final_fiber"][0] - TAN1) < 1e-6
+
+    def test_escape_at_start_writes_one_row(self, tmp_path):
+        # The seed is already past the escape norm, so the lift holds only t = 0.
+        code = main(["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "10",
+                     "--escape-norm", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert _read_json(tmp_path / "lift_000.json")["t_escape"] == 0
+        text = (tmp_path / "lift_000.csv").read_text(encoding="utf-8")
+        assert text == "t,base_0,fiber_0\n0,0,10\n"
 
     def test_multiple_vectors(self, tmp_path):
         code = main([
@@ -237,6 +247,16 @@ class TestUvbScanCommand:
         header, rows = _read_csv(tmp_path / "scan_000.csv")
         assert header == ["direction_index", "radius", "theta_min"]
         assert len(rows) == 2 * 21
+
+    def test_csv_rows_in_direction_then_radius_order(self, tmp_path):
+        code = main(["uvb-scan", "--connection", "sphere-stereographic", "--point", "0.4,-0.3",
+                     "--format", "csv", "--out", str(tmp_path)])
+        assert code == 0
+        report = fiber_scan(gallery("sphere-stereographic"), [0.4, -0.3])
+        _, rows = _read_csv(tmp_path / "scan_000.csv")
+        want = [(i, r, theta) for i, thetas in enumerate(report.theta_min)
+                for r, theta in zip(report.radii, thetas)]
+        assert [(int(i), float(r), float(theta)) for i, r, theta in rows] == want
 
     def test_path_supplies_scan_points(self, tmp_path):
         code = main([

@@ -72,6 +72,20 @@ def test_cli_output_matches_golden_digest(argv, expected, tmp_path, capsys):
     assert got == expected, f"output of `pathlift {' '.join(argv)}` changed: digest {got}"
 
 
+def test_golden_digest_after_a_failed_run_in_the_same_process(tmp_path, capsys):
+    # main reuses one parser per process: a run that fails after setting the
+    # repeatable --v, --jacobian and --rtol must leave no trace in the next runs.
+    bad = ["transport", "--connection", "fig1", "--path", "segment:0:1", "--v", "0",
+           "--v", "1", "--jacobian", "--rtol", "1e-3", "--out", str(tmp_path / "bad")]
+    for i in (0, 2, 6):
+        assert main(bad) == 1
+        argv, expected = GOLDEN[i]
+        capsys.readouterr()
+        out = tmp_path / f"out{i}"
+        code = main(argv + ["--out", str(out)])
+        assert _digest(code, capsys.readouterr().out, out) == expected
+
+
 _TERMS_3D = [
     {"k": 0, "i": 0, "j": 1, "coeff": 0.5, "monomial": [1, 0, 0]},
     {"k": 0, "i": 2, "j": 2, "coeff": -1.25, "monomial": [0, 2, 1]},

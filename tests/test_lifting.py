@@ -385,6 +385,18 @@ class TestRoundTrip:
     def test_fig1(self):
         assert round_trip_defect(FIG1, UNIT, [0.0]) <= 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([_scalar(1.0), _flat(2), gallery("sphere-stereographic")]),
+           st.lists(_floats(-3.0, 3.0), min_size=4, max_size=4), _floats(0.0, 2 * np.pi))
+    def test_round_trip_property(self, conn, coords, angle):
+        # Criterion 4: there and back along a unit segment at the default
+        # options returns the seed to 1e-6.
+        n = conn.dimension
+        unit = [np.cos(angle), np.sin(angle)] if n == 2 else [np.sign(np.cos(angle))]
+        start = np.array(coords[:n])
+        path = path_segment(start, start + np.array(unit))
+        assert round_trip_defect(conn, path, coords[n:2 * n]) <= 1e-6
+
 
 class TestTransportJacobian:
     def test_flat_identity(self):

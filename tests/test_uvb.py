@@ -260,13 +260,6 @@ class TestReportSerialization:
         assert d["weight"] == "normalized"
         assert len(d["theta_min"]) == 2 and len(d["theta_min"][0]) == 4
 
-    def test_rows_deterministic_order(self):
-        report = fiber_scan(FIG1, [0.0], radii=[1.0, 2.0, 4.0, 8.0])
-        rows = list(report.rows())
-        assert rows[0][:2] == (0, 1.0)
-        assert rows[-1][:2] == (1, 8.0)
-        assert len(rows) == 8
-
 
 def _reference_scan(conn, p, directions, radii, weight=NORMALIZED, eps=DEFAULT_EPS):
     """The per-sample scan: one principal_angles call per (direction, radius)."""
