@@ -324,8 +324,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """``--v -1,2`` as ``--v=-1,2``, and so for --point, up to a "--": argparse
+    reads a value such as "-1,2" or "-1e-3" as a flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--v", "--point") and "--" not in out and _negative_vector(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _negative_vector(text: str) -> bool:
+    try:
+        _parse_floats(text, "vector")
+    except ConfigError:
+        return False
+    return text.startswith("-")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_vector_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -15,6 +15,7 @@ classical parallel-transport equation Dc^k = -G^k_ij gamma_dot^i c^j.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,6 +52,11 @@ class ConnectionField:
     When ``uses_base`` is false, ``gamma`` must not read p: lifts then pass
     the path's starting point instead of its position at each stage.
 
+    ``scalar_gamma(v)``, the float form of a 1-d map that ignores p, is the
+    entry of ``gamma(p, np.array([v]))`` as a float, bit for bit; a lone 1-d
+    lift calls it instead of ``gamma``.  Only the 1-d gallery builders set
+    it.  It is no ``__init__`` argument: ``dataclasses.replace`` drops it.
+
     Attributes:
         dimension: chart dimension n.
         gamma: map (p, v) -> n x n coefficient matrix, for 1-d float arrays
@@ -72,6 +78,8 @@ class ConnectionField:
     params: dict = field(default_factory=dict)
     broadcasts: bool = False
     uses_base: bool = True
+    scalar_gamma: Callable[[float], float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def coeff(self, p, v) -> np.ndarray:
         """Coefficient matrix Gamma(p, v); validates dimensions and finiteness."""
@@ -226,7 +234,19 @@ def _dimension(name: str, value) -> int:
 # The members broadcast (see ConnectionField), and all but the linear
 # connections ignore the base point.  A 1-d v takes the scalar formula; a
 # stack takes float_power, which rounds like the scalar ``**`` where an
-# array ``**`` does not.
+# array ``**`` does not.  The 1-d members also get their float form.
+def _with_scalar(conn: ConnectionField, scalar: Callable[[float], float]) -> ConnectionField:
+    object.__setattr__(conn, "scalar_gamma", scalar)
+    return conn
+
+
+def _pow(x: float, e: float) -> float:  # libm pow, as for a numpy scalar; inf on overflow
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
 def _flat(params: dict) -> ConnectionField:
     n = _dimension("flat", params.get("dimension", 1))
     zero = np.zeros((n, n))
@@ -234,7 +254,8 @@ def _flat(params: dict) -> ConnectionField:
     def gamma(p, v):
         return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
 
-    return ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
+    conn = ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
+    return _with_scalar(conn, lambda v: 0.0) if n == 1 else conn
 
 
 def _fig1(params: dict) -> ConnectionField:
@@ -243,7 +264,8 @@ def _fig1(params: dict) -> ConnectionField:
             return np.array([[-(1.0 + v[0] ** 2)]])
         return -(1.0 + np.float_power(v[:, :, None], 2))
 
-    return ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
+    conn = ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
+    return _with_scalar(conn, lambda v: -(1.0 + _pow(v, 2)))
 
 
 def _scalar_linear(params: dict) -> ConnectionField:
@@ -257,7 +279,8 @@ def _scalar_linear(params: dict) -> ConnectionField:
             return np.array([[lam * v[0]]])
         return lam * v[:, :, None]
 
-    return ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
+    conn = ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
+    return _with_scalar(conn, lambda v: lam * v)
 
 
 def _power_growth(params: dict) -> ConnectionField:
@@ -272,7 +295,8 @@ def _power_growth(params: dict) -> ConnectionField:
             return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
         return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
 
-    return ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
+    conn = ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
+    return _with_scalar(conn, lambda v, e=alpha / 2.0: -_pow(1.0 + _pow(v, 2), e))
 
 
 def _christoffel(params: dict) -> ConnectionField:

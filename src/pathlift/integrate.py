@@ -26,11 +26,14 @@ it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
 case.  While one lane is live, the loop calls the per-lane rhs, when it is
 given, at Python-float stage times.  In one dimension that lane steps in
 Python floats: its state, stage states, new state and error and escape
-norms are floats, and each stage sum is one dot on the column of stage
-derivatives, which rounds as the stacked product does.  The exception is
-stage 1's single term, which the stacked product adds to +0.0, so the lone
-lane computes ``0.0 + (1/5) k0`` (a dot keeps the -0.0 of ``(1/5) * -0.0``).
-The bits are those of the stacked path, signed zeros included.
+norms are floats, and so are the state and derivative of its rhs,
+``float_rhs`` (the caller's float form of the system, as a lift gives for
+the 1-d gallery maps, or else the per-lane rhs wrapped once, shape checked).
+Each stage sum is one dot on the column of stage derivatives, which rounds
+as the stacked product does.  The exception is stage 1's single term,
+which the stacked product adds to +0.0, so the lone lane computes
+``0.0 + (1/5) k0`` (a dot keeps the -0.0 of ``(1/5) * -0.0``).  The bits
+are those of the stacked path, signed zeros included.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -223,6 +226,7 @@ def integrate_lanes(
     opts: IntegratorOptions | None = None,
     F0=None,
     lone_rhs: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    float_rhs: Callable[[float, float], float] | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
 
@@ -232,7 +236,9 @@ def integrate_lanes(
     (k, n) array.  ``F0`` is rhs(0, Y0) when the caller has already
     evaluated it.  ``lone_rhs(t, y)``, for a float t and a state of shape
     (n,), is the same system lane by lane; when given, it is called while
-    exactly one lane is live, and must return rhs's row bit for bit.
+    exactly one lane is live, and must return rhs's row bit for bit.  In
+    1-d, ``float_rhs(t, y)`` is lone_rhs on a float state, returning a
+    float bit for bit; with lone_rhs also given, it is called in its place.
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -250,6 +256,13 @@ def integrate_lanes(
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
     A, B5, E, C = _A, _B5, _E, _C_LIST
+
+    if n == 1 and lone_rhs is not None and float_rhs is None:
+        row = np.empty(1)
+
+        def float_rhs(t: float, y: float) -> float:
+            row[:] = lone_rhs(t, np.array([y]))  # shape checked as a stage row
+            return row.item()
 
     F = np.empty((m, n))
     F[:] = rhs(np.zeros(m), Y) if F0 is None else F0
@@ -349,12 +362,12 @@ def integrate_lanes(
                 # as np.maximum does.
                 y = Y.item()
                 for i in range(1, 7):
-                    s = 0.0 + 0.2 * kv[0] if i == 1 else A[i].dot(kv_head[i])
-                    K[0, i] = lone_rhs(t + C[i] * H, np.array([y + H * s]))
-                y_new = y + H * B5.dot(kv)
+                    s = 0.0 + 0.2 * kv.item(0) if i == 1 else float(A[i].dot(kv_head[i]))
+                    kv[i] = float_rhs(t + C[i] * H, y + H * s)
+                y_new = y + H * float(B5.dot(kv))
                 a, b = abs(y), abs(y_new)
-                q = H * E.dot(kv) / (atol + rtol * (b if b > a or b != b else a))
-                Y_new, sq, yy = np.array([[y_new]]), [q * q], [y_new * y_new]
+                q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
+                Y_new, sq, yy = np.array(y_new, ndmin=2), [q * q], [y_new * y_new]
                 continue
             for i in range(1, 7):
                 stage[i][...] = lone_rhs(t + C[i] * H, (Y + H * (A[i] @ head[i]))[0])
@@ -378,6 +391,7 @@ def integrate_adaptive(
     y0,
     opts: IntegratorOptions | None = None,
     f0=None,
+    float_rhs: Callable[[float, float], float] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
 
@@ -387,8 +401,8 @@ def integrate_adaptive(
     the controller would drop below opts.min_step or the step budget is
     exhausted; ``stop_reason`` says which.  ``f0`` is rhs(0, y0) when the
     caller has already evaluated it; it must equal that value, and saves one
-    evaluation.
+    evaluation.  ``float_rhs`` is rhs's float form in 1-d (see integrate_lanes).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     F0 = None if f0 is None else [f0]
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, rhs)[0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, rhs, float_rhs)[0]

@@ -105,7 +105,8 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     The seeds run as lanes of one integration.  The rhs evaluates all live
     lanes with one ``gamma`` call when the connection broadcasts (and one
     ``position``/``velocity`` call when the path does), else row by row; a
-    lane left alone runs through the one-seed rhs.  When ``gamma`` ignores
+    lane left alone runs through the one-seed rhs, in 1-d through the map's
+    float form ``conn.scalar_gamma`` when it has one.  When ``gamma`` ignores
     the base point (``conn.uses_base`` false), path.position is not called
     and every call gets the path's starting point.  Each trajectory equals
     the seed's lift alone bit for bit.  If the batch raises, the error is
@@ -157,10 +158,15 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
             return 0.0 + (-m.item()) * vel(t).item()
         return -m @ vel(t)
 
+    scalar, float_rhs = conn.scalar_gamma, None
+    if scalar is not None:
+        def float_rhs(t: float, y: float) -> float:  # rhs on a float state, no array
+            return 0.0 + (-scalar(y)) * vel(t).item()
+
     if len(vs) == 1:
-        results = [integrate_adaptive(rhs, vs[0], opts, f0[0])]
+        results = [integrate_adaptive(rhs, vs[0], opts, f0[0], float_rhs)]
     else:
-        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs)
+        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs, float_rhs)
     return [
         LiftTrajectory(
             t=res.t,

@@ -472,6 +472,50 @@ class TestFlagsAreExact:
         assert not out.exists()
 
 
+class TestNegativeVectorValues:
+    # argparse reads "-1,2" or "-1e-3" after a space as a flag; main joins
+    # it to its --v or --point, so the space form is the "=" form.
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--connection", "flat:2", "--path", "segment:0,0:1,1", "--v", "-1,2"],
+        ["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "-1e-3"],
+        ["transport", "--connection", "fig1", "--path", "segment:0:1", "--v", "-0.5,"],
+        ["uvb-scan", "--connection", "sphere-stereographic", "--point", "-1,2",
+         "--point", "-0.5,-1.5"],
+        ["uvb-scan", "--connection", "fig1", "--v", "-2"],  # a flag uvb-scan does not read
+    ], ids=["flat-2d", "exponent", "trailing-comma", "points", "unread"])
+    def test_space_form_equals_equals_form(self, tmp_path, capsys, argv):
+        runs = []
+        for form, args in (("space", argv), ("equals", _equals_form(argv))):
+            out = tmp_path / form
+            code = main(args + ["--out", str(out)])
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (1 if argv[-1] == "-2" else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["uvb-scan", "--connection", "sphere-stereographic", "--poin", "-1,2"],
+        ["lift", "--connection", "fig1", "--path", "segment:0:1", "--vv", "-1,2"],
+        ["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "-x"],
+        ["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "0", "--", "--v", "-1"],
+    ], ids=["abbreviation", "unknown", "not-a-vector", "after-double-dash"])
+    def test_other_tokens_stay_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def _equals_form(argv):
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--v", "--point"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 class TestSpecFiles:
     def test_connection_and_path_from_json_files(self, tmp_path):
         conn = tmp_path / "conn.json"

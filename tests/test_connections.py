@@ -492,3 +492,55 @@ class TestBroadcasting:
 
     def test_custom_fields_use_the_base_point_by_default(self):
         assert ConnectionField(1, lambda p, v: np.eye(1)).uses_base
+
+
+# sqrt of the largest double: y ** 2 overflows just above it.
+_SQRT_MAX = 1.3407807929942596e154
+_fiber_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, _SQRT_MAX, -_SQRT_MAX,
+                     float(np.nextafter(_SQRT_MAX, np.inf)), 1e300]),
+    st.floats(1.3e154, 1.4e154).flatmap(lambda y: st.sampled_from([y, -y])),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _one_dimensional_members(draw):
+    name = draw(st.sampled_from(["flat", "fig1", "scalar-linear", "power-growth"]))
+    if name == "scalar-linear":
+        return _member(name, **{"lambda": draw(st.floats(-3.0, 3.0))})
+    if name == "power-growth":
+        return _member(name, alpha=draw(st.floats(0.0, 3.0)))
+    return _member(name, dimension=1) if name == "flat" else gallery(name)
+
+
+class TestFloatForm:
+    @settings(max_examples=300, deadline=None)
+    @given(_one_dimensional_members(), st.lists(_fiber_values, min_size=1, max_size=8))
+    def test_float_form_equals_gamma_bitwise(self, conn, ys):
+        # The float form takes a Python float, as a lone 1-d lane passes it,
+        # and returns a Python float; where y ** 2 overflows, inf as numpy gives.
+        for y in ys:
+            got = conn.scalar_gamma(y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = conn.gamma(np.zeros(1), np.array([y])).item()
+            assert type(got) is float, (conn.name, y)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (conn.name, y, got, want)
+
+    @pytest.mark.parametrize("conn", [
+        _member("flat", dimension=2),
+        gallery("sphere-stereographic"),
+        _member("christoffel", dimension=1, terms=[{"k": 0, "i": 0, "j": 0, "coeff": 1.0}]),
+        ConnectionField(1, lambda p, v: np.eye(1)),
+    ], ids=["flat-2d", "sphere", "christoffel-1d", "custom"])
+    def test_other_fields_have_no_float_form(self, conn):
+        assert conn.scalar_gamma is None
+
+    def test_float_form_is_not_an_argument_and_not_compared(self):
+        fig1 = gallery("fig1")
+        copy = dataclasses.replace(fig1)  # a replaced gamma must not keep the old float form
+        assert copy.scalar_gamma is None and copy == fig1
+        assert "scalar_gamma" not in repr(fig1)
+        with pytest.raises(TypeError):
+            ConnectionField(1, fig1.gamma, scalar_gamma=fig1.scalar_gamma)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlift import lifting
-from pathlift.connections import ConnectionField, ConnectionSpec, gallery
+from pathlift.connections import ConnectionField, ConnectionSpec, _inline_spec, gallery
 from pathlift.geometry import PathCurve, path_circle, path_polyline, path_reverse, path_segment
 from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
 from pathlift.lifting import (
@@ -337,6 +337,48 @@ class TestHorizontalLifts:
             horizontal_lifts(FIG1, UNIT, [[0.0], [0.0, 0.0]])
 
 
+_REVERSED = path_reverse(path_segment([-0.25], [1.0]))
+_POLYLINE = path_polyline([[0.0], [0.6], [1.2]], [0.0, 0.3, 1.0])
+
+
+class TestFloatFormLifts:
+    """A 1-d gallery member lifts through its float form, bit for bit as through gamma."""
+
+    @pytest.mark.parametrize("member, path, v0, opts, reason", [
+        ("fig1", UNIT, 0.0, IntegratorOptions(), "complete"),
+        ("fig1", UNIT, 1.0, IntegratorOptions(), "escape-norm"),
+        ("fig1", _REVERSED, -1.0, IntegratorOptions(), "escape-norm"),
+        ("fig1", UNIT, 1.0, IntegratorOptions(escape_norm=1e300), "min-step"),
+        ("fig1", _POLYLINE, 1.0, IntegratorOptions(max_steps=40), "max-steps"),
+        ("power-growth:8", UNIT, 10.0, IntegratorOptions(escape_norm=1e300), "min-step"),
+        ("power-growth:3", _REVERSED, 2.0, IntegratorOptions(), "complete"),
+        ("power-growth:0.5", _POLYLINE, -3.0, IntegratorOptions(rtol=1e-3), "complete"),
+        ("scalar-linear:-3", UNIT, 1e154, IntegratorOptions(escape_norm=1e300), "non-finite"),
+        ("scalar-linear:2", _POLYLINE, -0.0, IntegratorOptions(), "complete"),
+        ("flat", _REVERSED, -1.5, IntegratorOptions(), "complete"),
+    ])
+    def test_lone_lift_equals_the_lift_through_gamma(self, member, path, v0, opts, reason):
+        conn = gallery(_inline_spec(member, 1))
+        plain = ConnectionField(1, conn.gamma)  # the same map, without the float form
+        assert conn.scalar_gamma is not None and plain.scalar_gamma is None
+        traj = horizontal_lift(conn, path, [v0], opts)
+        assert traj.stop_reason == reason
+        _assert_same_lift(traj, horizontal_lift(plain, path, [v0], opts))
+        if member == "power-growth:8":
+            assert traj.rejected > 0  # a trial stage overflowed to inf and was rejected
+
+    @pytest.mark.parametrize("path", [UNIT, _REVERSED, _POLYLINE], ids=["segment", "reversed",
+                                                                       "polyline"])
+    def test_lanes_left_alone_use_the_float_form(self, path):
+        # Lanes retire one by one; the last steps alone through the float form.
+        seeds = [[0.0], [0.5], [-0.8], [1.0], [5.0]]
+        opts = IntegratorOptions(escape_norm=1e10)
+        plain = ConnectionField(1, FIG1.gamma, broadcasts=True, uses_base=False)
+        for traj, ref in zip(horizontal_lifts(FIG1, path, seeds, opts),
+                             horizontal_lifts(plain, path, seeds, opts)):
+            _assert_same_lift(traj, ref)
+
+
 class TestParallelTransport:
     def test_flat_identity(self):
         out = parallel_transport(_flat(2), path_segment([0, 0], [1, 1]), [3.0, 4.0])
@@ -544,6 +586,18 @@ class TestHolonomy:
                 # The fiber metric at the base point is conformal, so the
                 # rotation also preserves euclidean length.
                 assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v0), abs=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_floats(0.1, 2.0),
+           st.lists(_floats(-2.0, 2.0), min_size=2, max_size=2).filter(lambda v: np.hypot(*v) >= 0.1))
+    def test_sphere_holonomy_is_the_cap_area(self, r, v0):
+        # Counterclockwise round the chart circle of radius r, the transport
+        # turns v0 by the enclosed cap area 4 pi r^2 / (1 + r^2), mod 2 pi.
+        out = holonomy(gallery("sphere-stereographic"), path_circle([0.0, 0.0], r), v0).vec
+        angle = np.arctan2(v0[0] * out[1] - v0[1] * out[0], v0[0] * out[0] + v0[1] * out[1])
+        cap = 4 * np.pi * r**2 / (1 + r**2)
+        assert abs((angle - cap + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v0), rel=1e-8)
 
     def test_equator_has_trivial_holonomy(self):
         # Chart radius 1 encloses a hemisphere: cap area 2 pi, a full turn.
