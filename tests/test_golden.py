@@ -9,7 +9,9 @@ does not scan: the sphere, a 3-d christoffel term set and fig1.  The lift
 digests pin every field of single-seed ``LiftTrajectory`` values, the
 in-memory ``stop_reason`` included, for lifts on segments, a circle and
 cubic-Hermite polylines that complete, escape and stop at the ``min_step``
-floor.  A change that alters emitted numbers on purpose
+floor.  The batch digests pin every lift of a ``horizontal_lifts`` batch
+whose last lane ends alone, on a 1-d member with no float form and on the
+sphere.  A change that alters emitted numbers on purpose
 must regenerate the tables and say so.
 """
 
@@ -22,7 +24,7 @@ import pytest
 from pathlift.cli import main
 from pathlift.connections import ConnectionSpec, gallery
 from pathlift.geometry import path_circle, path_polyline, path_segment
-from pathlift.lifting import horizontal_lift
+from pathlift.lifting import horizontal_lift, horizontal_lifts
 from pathlift.uvb import fiber_scan
 
 GOLDEN = [
@@ -126,6 +128,11 @@ def _pg(alpha):
 
 _UNIT = ("segment", [0.0], [1.0])
 _OFF = ("segment", [-1.0], [0.25])  # off the origin, speed 1.25
+_SHORT = ("segment", [-1.0], [0.5])
+# A 1-d member with no float form: Gamma(p, v) = (1.5 p - 0.5) v.
+_CHRISTOFFEL_1D = ConnectionSpec("christoffel", {"dimension": 1, "terms": [
+    {"k": 0, "i": 0, "j": 0, "coeff": 1.5, "monomial": [1]},
+    {"k": 0, "i": 0, "j": 0, "coeff": -0.5}]})
 
 # (connection, path, seed, stop_reason, rejected steps, digest of every field).
 GOLDEN_LIFTS = [
@@ -158,6 +165,11 @@ GOLDEN_LIFTS = [
      "afc1e90e5231c3395be1cccb3588b2fef4b39bcd54eb6cf654c85ce341103e48"),
     (_pg(2.0), ("polyline", [[0.0], [0.8], [0.5]], [0.0, 0.5, 1.0]), [1.5], "escape-norm", 0,
      "a63ed1405103e7ce9256cf0410af71858d6dcd8b79a15296702030484fd1795e"),
+    (_CHRISTOFFEL_1D, _SHORT, [2.0], "complete", 0,
+     "0a6dd534e2eb8b173a2c5c219a4aba9f1abb72b718ea03eda9b834207d888a07"),
+    (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}),
+     ("segment", [0.3, -0.8, 1.2], [-0.1, 0.3, 0.2]), [0.5, 1.0, -0.25], "complete", 0,
+     "2d1d6e7bf8f632e7040bd616abf877b791ea26ebe96655254f36487b330f5e8d"),
 ]
 
 
@@ -184,3 +196,25 @@ def test_lone_lift_matches_golden_digest(spec, path, seed, reason, rejected, exp
     assert (traj.stop_reason, traj.rejected) == (reason, rejected)
     got = _lift_digest(traj)
     assert got == expected, f"lift of {spec.name} {spec.params} from {seed} changed: digest {got}"
+
+
+# (connection, path, seeds, steps of each lift, digest of every field of every
+# lift).  The lanes retire at different times, so the last one takes its
+# final steps alone.
+GOLDEN_BATCHES = [
+    (_CHRISTOFFEL_1D, _SHORT, [[0.0], [1e-3], [2.0]], [7, 29, 32],
+     "657350c77b5616e8f8233d23cdaf8ec0bdec5a9ac8902d200b4be22cc333495a"),
+    (ConnectionSpec("sphere-stereographic"), ("segment", [0.1, -0.2], [0.9, 0.6]),
+     [[0.0, 0.0], [1e-9, 2e-9], [1.0, -0.5]], [7, 4, 26],
+     "6e318c53297f37425402d7468ad3fe2592f35b0a680117da571462f9b2c62400"),
+]
+
+
+@pytest.mark.parametrize("spec, path, seeds, steps, expected", GOLDEN_BATCHES,
+                         ids=[f"{s.name} {len(v)} seeds" for s, _, v, *_ in GOLDEN_BATCHES])
+def test_batched_lifts_match_golden_digest(spec, path, seeds, steps, expected):
+    lifts = horizontal_lifts(gallery(spec), _path(path), seeds)
+    assert [traj.steps for traj in lifts] == steps
+    assert all(traj.complete for traj in lifts)
+    got = _sha256([_lift_digest(traj).encode() for traj in lifts])
+    assert got == expected, f"batched lifts of {spec.name} changed: digest {got}"
