@@ -240,6 +240,9 @@ def cmd_figure1(args) -> int:
     spacing = args.vstar_spacing
     if not (0 < spacing <= 0.05):
         raise ConfigError(f"--vstar-spacing must be in (0, 0.05], got {spacing}")
+    if 0.1 / spacing > 10_000.5:  # round(0.1 / spacing) + 1 > 10,001 grid points, or inf
+        raise ConfigError(f"--vstar-spacing {spacing} makes a threshold grid of more than "
+                          "10001 points; use a spacing of at least 1e-05")
     out = _out_dir(args)
 
     curves = _figure1_families(conn, path, opts)

@@ -295,8 +295,15 @@ def _power_growth(params: dict) -> ConnectionField:
             return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
         return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
 
+    def scalar(v: float, e: float = alpha / 2.0) -> float:
+        g = -_pow(1.0 + _pow(v, 2), e)
+        if g != g:  # libm pow and numpy disagree on a NaN's sign (at e = 1)
+            with np.errstate(invalid="ignore"):
+                return float(-np.float_power(1.0 + np.float_power(v, 2), e))
+        return g
+
     conn = ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
-    return _with_scalar(conn, lambda v, e=alpha / 2.0: -_pow(1.0 + _pow(v, 2), e))
+    return _with_scalar(conn, scalar)
 
 
 def _christoffel(params: dict) -> ConnectionField:

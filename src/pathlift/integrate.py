@@ -2,17 +2,14 @@
 
 A Dormand-Prince 5(4) pair integrates y' = f(t, y) over [0, 1] under
 proportional-integral step control (Hairer, Norsett & Wanner, Solving ODEs
-I, section II.4).  Integration ends in one of three ways:
+I, section II.4).  Integration ends in one of three ways, which
+``stop_reason`` refines:
 
-    complete       reached t = 1
-    escaped        ||y|| crossed the escape threshold (finite-time blow-up)
-    step-collapse  the controller pushed the step below the minimum, or the
-                   step budget ran out, away from the escape regime
-
-``stop_reason`` tells the ways apart in more detail: ``complete``,
-``escape-norm`` or ``non-finite`` (escaped: the norm of an accepted state
-reached the threshold, or is not a finite number), ``min-step`` or
-``max-steps`` (step-collapse).
+    complete       reached t = 1 (``complete``)
+    escaped        the norm of an accepted state reached the escape threshold
+                   (``escape-norm``) or is not finite (``non-finite``): blow-up
+    step-collapse  the controller pushed the step below the minimum
+                   (``min-step``) or the step budget ran out (``max-steps``)
 
 A trial step whose stages or error estimate are not finite (the rhs
 overflowed during a blow-up, or returned NaN) counts as a rejected step and
@@ -23,17 +20,13 @@ the states are *lanes* of a stack, evaluated by one rhs call per stage, and
 each lane keeps its own t, step size, controller state and status, so its
 result is bit for bit the one it gets integrated alone.  A lane retires when
 it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
-case.  While one lane is live, the loop calls the per-lane rhs, when it is
-given, at Python-float stage times.  In one dimension that lane steps in
-Python floats: its state, stage states, new state and error and escape
-norms are floats, and so are the state and derivative of its rhs,
-``float_rhs`` (the caller's float form of the system, as a lift gives for
-the 1-d gallery maps, or else the per-lane rhs wrapped once, shape checked).
-Each stage sum is one dot on the column of stage derivatives, which rounds
-as the stacked product does.  The exception is stage 1's single term,
-which the stacked product adds to +0.0, so the lone lane computes
-``0.0 + (1/5) k0`` (a dot keeps the -0.0 of ``(1/5) * -0.0``).  The bits
-are those of the stacked path, signed zeros included.
+case.  A step runs one of two kernels: the stacked kernel, for any lanes,
+or, for a lone 1-d lane whose caller gives the float form ``float_rhs``,
+the float kernel, which steps in Python floats.  Its stage sums are dots on
+the column of stage derivatives, which round as the stacked products do,
+except stage 1's single term, which the stacked product adds to +0.0 (a dot
+keeps the -0.0 of ``(1/5) * -0.0``).  The bits are the stacked kernel's,
+signed zeros included.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -225,7 +218,6 @@ def integrate_lanes(
     Y0,
     opts: IntegratorOptions | None = None,
     F0=None,
-    lone_rhs: Callable[[float, np.ndarray], np.ndarray] | None = None,
     float_rhs: Callable[[float, float], float] | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
@@ -234,11 +226,9 @@ def integrate_lanes(
     shape (k,), and ``Y`` their states, shape (k, n), in the order of Y0's
     rows; it returns their derivatives as anything that assigns into a
     (k, n) array.  ``F0`` is rhs(0, Y0) when the caller has already
-    evaluated it.  ``lone_rhs(t, y)``, for a float t and a state of shape
-    (n,), is the same system lane by lane; when given, it is called while
-    exactly one lane is live, and must return rhs's row bit for bit.  In
-    1-d, ``float_rhs(t, y)`` is lone_rhs on a float state, returning a
-    float bit for bit; with lone_rhs also given, it is called in its place.
+    evaluated it.  In 1-d, ``float_rhs(t, y)`` is rhs on one lane in Python
+    floats, bit for bit; when given, it is called while exactly one lane is
+    live (and states that are not 1-d are an error).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -253,16 +243,11 @@ def integrate_lanes(
     if not np.all(np.isfinite(Y)):
         raise ValueError("initial states must be finite")
     m, n = Y.shape
+    if float_rhs is not None and n != 1:
+        raise ValueError(f"float_rhs needs 1-d states, got dimension {n}")
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
     A, B5, E, C = _A, _B5, _E, _C_LIST
-
-    if n == 1 and lone_rhs is not None and float_rhs is None:
-        row = np.empty(1)
-
-        def float_rhs(t: float, y: float) -> float:
-            row[:] = lone_rhs(t, np.array([y]))  # shape checked as a stage row
-            return row.item()
 
     F = np.empty((m, n))
     F[:] = rhs(np.zeros(m), Y) if F0 is None else F0
@@ -352,31 +337,24 @@ def integrate_lanes(
             kv = K[0, :, 0]  # the first lane's stages, read while it is alone in 1-d
             kv_head = [kv[:i] for i in range(7)]
         stage[0][...] = F
-        if k == 1 and lone_rhs is not None:
-            # Python-float stage times: t + c_i h rounds as in the array below.
-            t, H = ts[0], hs[0]
-            if n == 1:
-                # The step in Python floats, one dot per stage sum (see the
-                # module docstring); stage 1 adds its term to +0.0, as the
-                # stacked product does.  The scale's max keeps a NaN operand,
-                # as np.maximum does.
-                y = Y.item()
-                for i in range(1, 7):
-                    s = 0.0 + 0.2 * kv.item(0) if i == 1 else float(A[i].dot(kv_head[i]))
-                    kv[i] = float_rhs(t + C[i] * H, y + H * s)
-                y_new = y + H * float(B5.dot(kv))
-                a, b = abs(y), abs(y_new)
-                q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
-                Y_new, sq, yy = np.array(y_new, ndmin=2), [q * q], [y_new * y_new]
-                continue
+        if k == 1 and float_rhs is not None:
+            # The float kernel (see the module docstring).  Stage times
+            # t + c_i h round as in the stacked kernel; the scale's max keeps
+            # a NaN operand, as np.maximum does.
+            t, H, y = ts[0], hs[0], Y.item()
             for i in range(1, 7):
-                stage[i][...] = lone_rhs(t + C[i] * H, (Y + H * (A[i] @ head[i]))[0])
-        else:
-            h_row = np.array(hs)
-            H = h_row[:, None]
-            stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
-            for i in range(1, 7):
-                stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
+                s = 0.0 + 0.2 * kv.item(0) if i == 1 else float(A[i].dot(kv_head[i]))
+                kv[i] = float_rhs(t + C[i] * H, y + H * s)
+            y_new = y + H * float(B5.dot(kv))
+            a, b = abs(y), abs(y_new)
+            q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
+            Y_new, sq, yy = np.array(y_new, ndmin=2), [q * q], [y_new * y_new]
+            continue
+        h_row = np.array(hs)
+        H = h_row[:, None]
+        stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
+        for i in range(1, 7):
+            stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
         Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
@@ -405,4 +383,4 @@ def integrate_adaptive(
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     F0 = None if f0 is None else [f0]
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, rhs, float_rhs)[0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, float_rhs)[0]

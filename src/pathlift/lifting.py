@@ -104,13 +104,12 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
 
     The seeds run as lanes of one integration.  The rhs evaluates all live
     lanes with one ``gamma`` call when the connection broadcasts (and one
-    ``position``/``velocity`` call when the path does), else row by row; a
-    lane left alone runs through the one-seed rhs, in 1-d through the map's
-    float form ``conn.scalar_gamma`` when it has one.  When ``gamma`` ignores
-    the base point (``conn.uses_base`` false), path.position is not called
-    and every call gets the path's starting point.  Each trajectory equals
-    the seed's lift alone bit for bit.  If the batch raises, the error is
-    the one the first failing seed raises alone.
+    ``position``/``velocity`` call when the path does), else row by row; in
+    1-d a lane left alone steps in Python floats (``conn.scalar_gamma``, or
+    else ``gamma``).  When ``gamma`` ignores the base point
+    (``conn.uses_base`` false), every call gets the path's starting point.
+    Each trajectory equals the seed's lift alone bit for bit.  If the batch
+    raises, the error is the one the first failing seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -148,25 +147,28 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
     uses_base = conn.uses_base
 
-    def rhs(t: float, c: np.ndarray) -> np.ndarray | float:
+    def coeffs(t: float, c: np.ndarray) -> np.ndarray:
         m = np.asarray(g(pos(t) if uses_base else p0, c), dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
-        if n == 1:
-            # -m @ vel(t) bit for bit, signed zeros included: the product
-            # adds its one term to +0.0.
-            return 0.0 + (-m.item()) * vel(t).item()
-        return -m @ vel(t)
+        return m
 
+    def rhs(t: float, c: np.ndarray) -> np.ndarray:
+        return -coeffs(t, c) @ vel(t)
+
+    # rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
     scalar, float_rhs = conn.scalar_gamma, None
     if scalar is not None:
-        def float_rhs(t: float, y: float) -> float:  # rhs on a float state, no array
+        def float_rhs(t: float, y: float) -> float:
             return 0.0 + (-scalar(y)) * vel(t).item()
+    elif n == 1:
+        def float_rhs(t: float, y: float) -> float:
+            return 0.0 + (-coeffs(t, np.array([y])).item()) * vel(t).item()
 
     if len(vs) == 1:
         results = [integrate_adaptive(rhs, vs[0], opts, f0[0], float_rhs)]
     else:
-        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, rhs, float_rhs)
+        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, float_rhs)
     return [
         LiftTrajectory(
             t=res.t,

@@ -322,6 +322,16 @@ class TestFigure1Command:
             f"error: --vstar-spacing must be in (0, 0.05], got {float(spacing)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", ["1e-9", "5e-324", "9.9e-6"])
+    def test_grid_of_more_than_10001_points_exits_1(self, tmp_path, capsys, spacing):
+        # 1e-9 would lift 10^8 lanes; 0.1 / 5e-324 overflows to inf.
+        out = tmp_path / "run"
+        assert main(["figure1", "--out", str(out), "--vstar-spacing", spacing]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --vstar-spacing {float(spacing)} makes a threshold grid of more than "
+            "10001 points; use a spacing of at least 1e-05\n")
+        assert not out.exists()
+
 
 class TestGalleryCommand:
     def test_listing(self, capsys):

@@ -224,6 +224,11 @@ def _assert_same_result(a, b):
             assert (type(x), repr(x)) == (type(y), repr(y)), f.name
 
 
+def _float_form(rhs):
+    """``rhs`` on a 1-d state, a Python float in and out, as float_rhs takes it."""
+    return lambda t, y: rhs(t, np.array([y])).item()
+
+
 class TestLanes:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -265,9 +270,10 @@ class TestLanes:
     @pytest.mark.parametrize("partners", [[0.0], [0.0, -0.5], [15.0, 12.0], [1e9, 15.0]])
     def test_nonfinite_trial_stages_match_lone_integration(self, nan_above, partners):
         # y' = 1 + y^8 from 10 blows up within 1.5e-8: trial stages overflow
-        # (or, with nan_above, return NaN) and are rejected.  Partners 0 and
-        # -0.5 outlive the lane, so its steps run stacked; 15, 12 and 1e9
-        # retire first, so its last steps run in the one-lane branch.
+        # (or, with nan_above, return NaN) and are rejected.  Its first
+        # steps run stacked with its partners; every partner retires before
+        # the lane stops at the min-step floor, so its last steps run in the
+        # float kernel.
         nonfinite = []
 
         def rhs(t, y):
@@ -279,7 +285,8 @@ class TestLanes:
 
         lone = integrate_adaptive(rhs, [10.0])
         assert lone.rejected > 0 and any(nonfinite)
-        lanes = integrate_lanes(rhs, [[10.0]] + [[p] for p in partners], lone_rhs=rhs)
+        lanes = integrate_lanes(rhs, [[10.0]] + [[p] for p in partners],
+                                float_rhs=_float_form(rhs))
         _assert_same_result(lanes[0], lone)
 
     @pytest.mark.parametrize("y0, error", [
@@ -289,6 +296,15 @@ class TestLanes:
     def test_rejects_bad_initial_states(self, y0, error):
         with pytest.raises(ValueError, match=error):
             integrate_lanes(lambda t, Y: Y, y0)
+
+    def test_rejects_a_float_rhs_on_states_that_are_not_1d(self):
+        def never(*args):
+            raise AssertionError("called")
+
+        with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 2"):
+            integrate_lanes(never, [[1.0, 2.0]], float_rhs=never)
+        with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 3"):
+            integrate_adaptive(never, [1.0, 2.0, 3.0], float_rhs=never)
 
     def test_no_lanes(self):
         assert integrate_lanes(lambda t, Y: Y, np.empty((0, 2))) == []
@@ -334,8 +350,8 @@ class TestLoneOneDimensionalLane:
         st.sampled_from([1e-9, 1e-3]),
     )
     def test_lone_rhs_lane_equals_the_stacked_lane(self, seeds, form, rtol):
-        # The Python-float branch (lone_rhs given) against the stacked k = 1
-        # path (lone_rhs None), each lane alone and among partners.
+        # The float kernel (float_rhs given) against the stacked kernel at
+        # k = 1 (float_rhs None), each lane alone and among partners.
         def lone(t, y):
             if form == "riccati":
                 return 1.0 + y * y
@@ -350,8 +366,9 @@ class TestLoneOneDimensionalLane:
 
         opts = IntegratorOptions(rtol=rtol)
         y0 = [[s] for s in seeds]
-        floats = integrate_lanes(stack, y0, opts, lone_rhs=lone)
+        floats = integrate_lanes(stack, y0, opts, float_rhs=_float_form(lone))
         stacked = integrate_lanes(stack, y0, opts)
         for a, b in zip(floats, stacked):
             _assert_same_result(a, b)
-        _assert_same_result(integrate_adaptive(lone, seeds[0], opts), stacked[0])
+        alone = integrate_adaptive(lone, seeds[0], opts, float_rhs=_float_form(lone))
+        _assert_same_result(alone, stacked[0])
