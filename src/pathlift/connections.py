@@ -232,15 +232,16 @@ def _dimension(name: str, value) -> int:
 
 
 # The members broadcast (see ConnectionField), and all but the linear
-# connections ignore the base point.  A 1-d v takes the scalar formula; a
-# stack takes float_power, which rounds like the scalar ``**`` where an
-# array ``**`` does not.  The 1-d members also get their float form.
+# connections ignore the base point.  One formula on v[..., None] serves a
+# single row and a stack.  The 1-d members also get their float form; the
+# powers use float_power, which rounds like its ``**`` where an array ``**``
+# does not.
 def _with_scalar(conn: ConnectionField, scalar: Callable[[float], float]) -> ConnectionField:
     object.__setattr__(conn, "scalar_gamma", scalar)
     return conn
 
 
-def _pow(x: float, e: float) -> float:  # libm pow, as for a numpy scalar; inf on overflow
+def _pow(x: float, e: float) -> float:  # libm pow, as np.float_power; inf on overflow
     try:
         return x ** e
     except OverflowError:
@@ -249,10 +250,9 @@ def _pow(x: float, e: float) -> float:  # libm pow, as for a numpy scalar; inf o
 
 def _flat(params: dict) -> ConnectionField:
     n = _dimension("flat", params.get("dimension", 1))
-    zero = np.zeros((n, n))
 
     def gamma(p, v):
-        return zero if v.ndim == 1 else np.zeros(v.shape + (n,))
+        return np.zeros(v.shape + (n,))
 
     conn = ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
     return _with_scalar(conn, lambda v: 0.0) if n == 1 else conn
@@ -260,9 +260,7 @@ def _flat(params: dict) -> ConnectionField:
 
 def _fig1(params: dict) -> ConnectionField:
     def gamma(p, v):
-        if v.ndim == 1:
-            return np.array([[-(1.0 + v[0] ** 2)]])
-        return -(1.0 + np.float_power(v[:, :, None], 2))
+        return -(1.0 + np.float_power(v[..., None], 2))
 
     conn = ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
     return _with_scalar(conn, lambda v: -(1.0 + _pow(v, 2)))
@@ -275,9 +273,7 @@ def _scalar_linear(params: dict) -> ConnectionField:
         raise ValueError(f"scalar-linear lambda must be finite, got {value!r}")
 
     def gamma(p, v, lam=lam):
-        if v.ndim == 1:
-            return np.array([[lam * v[0]]])
-        return lam * v[:, :, None]
+        return lam * v[..., None]
 
     conn = ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
     return _with_scalar(conn, lambda v: lam * v)
@@ -291,9 +287,7 @@ def _power_growth(params: dict) -> ConnectionField:
         raise ValueError(f"power-growth alpha must be >= 0, got {params['alpha']!r}")
 
     def gamma(p, v, alpha=alpha):
-        if v.ndim == 1:
-            return np.array([[-((1.0 + v[0] ** 2) ** (alpha / 2.0))]])
-        return -np.float_power(1.0 + np.float_power(v[:, :, None], 2), alpha / 2.0)
+        return -np.float_power(1.0 + np.float_power(v[..., None], 2), alpha / 2.0)
 
     def scalar(v: float, e: float = alpha / 2.0) -> float:
         g = -_pow(1.0 + _pow(v, 2), e)

@@ -35,6 +35,7 @@ interpolation of the accepted steps (locally 4th order), plus step counts.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -112,8 +113,8 @@ class IntegratorOptions:
             raise ValueError(f"rtol must be >= 1e-14, got {self.rtol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.dense_samples < 2:
-            raise ValueError(f"dense_samples must be >= 2, got {self.dense_samples}")
+        if not isinstance(self.dense_samples, numbers.Integral) or self.dense_samples < 2:
+            raise ValueError(f"dense_samples must be an integer >= 2, got {self.dense_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,6 @@ def integrate_lanes(
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Y0,
     opts: IntegratorOptions | None = None,
-    F0=None,
     float_rhs: Callable[[float, float], float] | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
@@ -225,10 +225,10 @@ def integrate_lanes(
     ``rhs(t, Y)`` evaluates the live lanes at once: ``t`` holds their times,
     shape (k,), and ``Y`` their states, shape (k, n), in the order of Y0's
     rows; it returns their derivatives as anything that assigns into a
-    (k, n) array.  ``F0`` is rhs(0, Y0) when the caller has already
-    evaluated it.  In 1-d, ``float_rhs(t, y)`` is rhs on one lane in Python
-    floats, bit for bit; when given, it is called while exactly one lane is
-    live (and states that are not 1-d are an error).
+    (k, n) array.  The first call is rhs(zeros(m), Y0).  In 1-d,
+    ``float_rhs(t, y)`` is rhs on one lane in Python floats, bit for bit;
+    when given, it is called while exactly one lane is live (and states
+    that are not 1-d are an error).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -250,7 +250,7 @@ def integrate_lanes(
     A, B5, E, C = _A, _B5, _E, _C_LIST
 
     F = np.empty((m, n))
-    F[:] = rhs(np.zeros(m), Y) if F0 is None else F0
+    F[:] = rhs(np.zeros(m), Y)
     # Accepted nodes are rows of these stacks; lane j starts at row j.
     ys, fs = [Y], [F]
     lanes = [_Lane(j) for j in range(m)]
@@ -368,7 +368,6 @@ def integrate_adaptive(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0,
     opts: IntegratorOptions | None = None,
-    f0=None,
     float_rhs: Callable[[float, float], float] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
@@ -377,10 +376,8 @@ def integrate_adaptive(
     stops early with status ``escaped`` once ||y|| reaches opts.escape_norm
     (the escape time is the last accepted t), or with ``step-collapse`` when
     the controller would drop below opts.min_step or the step budget is
-    exhausted; ``stop_reason`` says which.  ``f0`` is rhs(0, y0) when the
-    caller has already evaluated it; it must equal that value, and saves one
-    evaluation.  ``float_rhs`` is rhs's float form in 1-d (see integrate_lanes).
+    exhausted; ``stop_reason`` says which.  ``float_rhs`` is rhs's float
+    form in 1-d (see integrate_lanes).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    F0 = None if f0 is None else [f0]
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, F0, float_rhs)[0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, float_rhs)[0]

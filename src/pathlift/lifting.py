@@ -141,9 +141,10 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     # trial stage that overflows during a blow-up reaches the integrator as a
     # non-finite value (a rejected step) instead of a configuration error.
     # An overflow at a seed is reported by coeff's finiteness check alone.
-    p0, u0 = path.position(0.0), path.velocity(0.0)
+    p0 = path.position(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = [-conn.coeff(p0, v) @ u0 for v in vs]
+        for v in vs:
+            conn.coeff(p0, v)
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
     uses_base = conn.uses_base
 
@@ -166,9 +167,9 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
             return 0.0 + (-coeffs(t, np.array([y])).item()) * vel(t).item()
 
     if len(vs) == 1:
-        results = [integrate_adaptive(rhs, vs[0], opts, f0[0], float_rhs)]
+        results = [integrate_adaptive(rhs, vs[0], opts, float_rhs)]
     else:
-        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, f0, float_rhs)
+        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, float_rhs)
     return [
         LiftTrajectory(
             t=res.t,
@@ -265,13 +266,16 @@ def transport_jacobian(conn: ConnectionField, path: PathCurve, v0,
     """Centered finite-difference Jacobian of v -> transport(v) at v0.
 
     Probes 2n transports with step h (default 1e-5 * (1 + ||v0||)), lifted
-    together.  Raises the TransportEscapedError of the first probe, in the
-    order (j, +h), (j, -h), that fails to complete.
+    together; h must be positive and finite.  Raises the
+    TransportEscapedError of the first probe, in the order (j, +h), (j, -h),
+    that fails to complete.
     """
     v = as_coords(v0, "initial fiber vector")
     n = v.size
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(v)))
+    elif not (0.0 < h < np.inf):
+        raise ValueError(f"step h must be positive and finite, got {h}")
     probes = []  # (j, +h), (j, -h) for j = 0 .. n-1
     for j in range(n):
         e = np.zeros(n)

@@ -16,8 +16,8 @@ from pathlift.connections import (
 )
 from pathlift.connections import _polynomial_christoffels
 from pathlift.geometry import path_segment
-from pathlift.lifting import horizontal_lift
-from pathlift.uvb import fiber_scan
+from pathlift.lifting import horizontal_lift, parallel_transport
+from pathlift.uvb import EUCLIDEAN, NORMALIZED, fiber_scan, principal_angles
 
 
 def _member(name, **params):
@@ -28,6 +28,20 @@ class TestCoeff:
     def test_flat_is_zero(self):
         conn = _member("flat", dimension=3)
         assert np.array_equal(conn.coeff([1, 2, 3], [4, 5, 6]), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_flat_results_are_not_shared(self, n):
+        # A caller may write into a coefficient matrix it was given; the
+        # connection must not see the write.
+        conn = _member("flat", dimension=n)
+        p, v = np.zeros(n), np.arange(1.0, n + 1.0)
+        conn.coeff(p, v)[...] = 5.0
+        conn.gamma(p, v)[...] = 5.0
+        assert np.array_equal(conn.coeff(p, v), np.zeros((n, n)))
+        end = parallel_transport(conn, path_segment(p, np.ones(n)), v)
+        assert end.vec.tolist() == v.tolist()
+        for weight in (EUCLIDEAN, NORMALIZED):
+            assert np.all(principal_angles(conn, p, v, weight).angles == np.pi / 2)
 
     def test_fig1_value(self):
         conn = gallery("fig1")

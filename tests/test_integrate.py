@@ -37,6 +37,7 @@ class TestOptions:
             {"min_step": -1.0},
             {"max_steps": 0},
             {"dense_samples": 1},
+            {"dense_samples": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

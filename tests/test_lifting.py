@@ -457,6 +457,11 @@ class TestTransportJacobian:
         with pytest.raises(TransportEscapedError):
             transport_jacobian(FIG1, UNIT, [0.642], h=0.01)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            transport_jacobian(_scalar(1.0), UNIT, [1.3], h=h)
+
     def _stop(self, call):
         with pytest.raises(TransportEscapedError) as info:
             call()

@@ -122,6 +122,51 @@ class TestPrincipalAngles:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+@st.composite
+def _rotated_members(draw):
+    # A member and the same connection in a chart rotated by an orthogonal
+    # Q: gamma'(p, v) = Q gamma(Q^T p, Q^T v) Q^T.
+    name = draw(st.sampled_from(["christoffel", "sphere-stereographic", "power-growth"]))
+    if name == "christoffel":
+        n = draw(st.integers(1, 3))
+        index = st.integers(0, n - 1)
+        terms = draw(st.lists(st.fixed_dictionaries({
+            "k": index, "i": index, "j": index, "coeff": st.floats(-3.0, 3.0),
+            "monomial": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        }), max_size=6))
+        conn = _member(name, dimension=n, terms=terms)
+    elif name == "power-growth":
+        conn = _member(name, alpha=draw(st.floats(0.0, 3.0)))
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    q, _ = np.linalg.qr(np.array(entries).reshape(n, n))  # orthogonal even when singular
+    rotated = ConnectionField(n, lambda p, v: q @ conn.gamma(q.T @ p, q.T @ v) @ q.T)
+    point = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    fiber = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return conn, rotated, q, point, fiber
+
+
+class TestOrthogonalInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(_rotated_members())
+    def test_angles_and_scans_are_invariant(self, case):
+        # Principal angles at (Q p, Q v) under the rotated connection equal
+        # those at (p, v); so does theta_min of a scan along the directions d Q^T.
+        # The radii stay small: Q^T Q v differs from v by rounding, which
+        # moves an exact right angle by about eps * r * |Gamma|.
+        conn, rotated, q, p, v = case
+        dirs, radii = axis_directions(conn.dimension), [1.0, 10.0, 100.0]
+        for weight in (EUCLIDEAN, NORMALIZED):
+            a = principal_angles(conn, p, v, weight).angles
+            b = principal_angles(rotated, q @ p, q @ v, weight).angles
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+            a = fiber_scan(conn, p, dirs, radii, weight).theta_min
+            b = fiber_scan(rotated, q @ p, dirs @ q.T, radii, weight).theta_min
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+
+
 class TestFiberScan:
     def test_flat_scan_is_flat(self):
         report = fiber_scan(_member("flat", dimension=2), [0.0, 0.0])
