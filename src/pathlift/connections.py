@@ -144,16 +144,21 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     ``christoffel`` must be a pure function of the bytes of p: ``gamma``
     keeps the tensors of its last call and reuses them when the next call
     passes the same p, bytes and rank alike (all samples of a fiber scan,
-    both DOPRI stages at t + h).  ``gamma`` broadcasts.
+    both DOPRI stages at t + h).  ``gamma`` broadcasts; on a (k, n) stack of
+    base points it calls ``christoffel`` once per row.
     """
-    n = int(n)
+    return _linear(int(n), lambda p: christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
+                   name, params)
+
+
+def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
+    # tensors maps p of shape (n,) or (k, n) to the (n, n, n) or (k, n, n, n) tensors.
     last = [b"", None]  # key and tensors of the last call; a failed build is not kept
 
     def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
         key = p.tobytes() + bytes(p.ndim)
         if key != last[0]:
-            G = np.asarray(christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
-                           dtype=float)
+            G = np.asarray(tensors(p), dtype=float)
             shape = p.shape[:-1] + (n, n, n)
             if G.shape != shape:
                 raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
@@ -175,14 +180,14 @@ def _stereographic_christoffels(p: np.ndarray) -> np.ndarray:
     # Round metric 4 delta_ij / (1 + |p|^2)^2 on the plane chart; conformal
     # factor phi = log 2 - log(1 + |p|^2) gives
     # G^k_ij = d_i phi delta_kj + d_j phi delta_ki - d_k phi delta_ij.
-    n = p.size
-    dphi = -2.0 * p / (1.0 + p @ p)
-    eye = np.eye(n)
-    return (
-        np.einsum("j,ki->kij", dphi, eye)
-        + np.einsum("i,kj->kij", dphi, eye)
-        - np.einsum("k,ij->kij", dphi, eye)
-    )
+    # p is one point (n,) or a stack (k, n).  Each "0.0 +" rounds a product
+    # as einsum's one-term sums do (-0.0 becomes +0.0), so the tensors equal
+    # the per-row einsums bit for bit.
+    dphi = -2.0 * p / (1.0 + np.vecdot(p, p))[..., None]
+    eye = np.eye(p.shape[-1])
+    return ((0.0 + dphi[..., None, None, :] * eye[:, :, None])
+            + (0.0 + dphi[..., None, :, None] * eye[:, None, :])
+            - (0.0 + dphi[..., :, None, None] * eye))
 
 
 def _polynomial_christoffels(n: int, terms):
@@ -332,7 +337,7 @@ _GALLERY = {
     "scalar-linear": _Member(_scalar_linear, 1, ("lambda",), True, 1.0,
                              "Gamma(p,v) = lambda v; transport scales by exp(-lambda displacement)"),
     "sphere-stereographic": _Member(
-        lambda params: make_linear_connection(2, _stereographic_christoffels, "sphere-stereographic"),
+        lambda params: _linear(2, _stereographic_christoffels, "sphere-stereographic", None),
         2, (), True, 1.0, "round-sphere transport in the stereographic plane chart"),
 }
 

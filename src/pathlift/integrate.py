@@ -111,8 +111,8 @@ class IntegratorOptions:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
         if self.rtol < 1e-14:
             raise ValueError(f"rtol must be >= 1e-14, got {self.rtol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not isinstance(self.dense_samples, numbers.Integral) or self.dense_samples < 2:
             raise ValueError(f"dense_samples must be an integer >= 2, got {self.dense_samples!r}")
 

@@ -14,7 +14,8 @@ from pathlift.connections import (
     gallery_members,
     make_linear_connection,
 )
-from pathlift.connections import _polynomial_christoffels
+from pathlift import connections
+from pathlift.connections import _polynomial_christoffels, _stereographic_christoffels
 from pathlift.geometry import path_segment
 from pathlift.lifting import horizontal_lift, parallel_transport
 from pathlift.uvb import EUCLIDEAN, NORMALIZED, fiber_scan, principal_angles
@@ -507,6 +508,59 @@ class TestBroadcasting:
 
     def test_custom_fields_use_the_base_point_by_default(self):
         assert ConnectionField(1, lambda p, v: np.eye(1)).uses_base
+
+
+def _einsum_stereographic(p):
+    # The per-point sphere tensors as built before the formula broadcast.
+    n = p.size
+    dphi = -2.0 * p / (1.0 + p @ p)
+    eye = np.eye(n)
+    return (
+        np.einsum("j,ki->kij", dphi, eye)
+        + np.einsum("i,kj->kij", dphi, eye)
+        - np.einsum("k,ij->kij", dphi, eye)
+    )
+
+
+# 1e154: p @ p overflows; 5e-324 and 1e-310 are subnormal.
+_sphere_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310,
+                     1e154, -1e154, 1e300, -1e-300]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestStereographicStack:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_sphere_coord, min_size=2, max_size=2), min_size=1, max_size=8),
+           st.booleans())
+    def test_stack_equals_per_point_einsums_bitwise(self, rows, lone):
+        points = np.array(rows).reshape(-1, 2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if lone:
+                got, want = _stereographic_christoffels(points[0]), _einsum_stereographic(points[0])
+            else:
+                got = _stereographic_christoffels(points)
+                want = np.array([_einsum_stereographic(p) for p in points])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_build_per_stack(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p.shape)
+            return _stereographic_christoffels(p)
+
+        monkeypatch.setattr(connections, "_stereographic_christoffels", counting)
+        conn = gallery("sphere-stereographic")
+        points = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+        got = conn.gamma(points, np.ones((6, 2)))
+        assert calls == [(6, 2)]
+        want = np.array([np.einsum("kij,j->ki", _einsum_stereographic(p), np.ones(2))
+                         for p in points])
+        assert got.tobytes() == want.tobytes()
 
 
 # sqrt of the largest double: y ** 2 overflows just above it.

@@ -36,6 +36,10 @@ class TestOptions:
             {"escape_norm": 0.0},
             {"min_step": -1.0},
             {"max_steps": 0},
+            {"max_steps": float("nan")},
+            {"max_steps": float("inf")},
+            {"max_steps": 2.5},
+            {"max_steps": 5.0},
             {"dense_samples": 1},
             {"dense_samples": 2.5},
         ],
