@@ -38,9 +38,10 @@ class ConnectionField:
     """A connection given by its coefficient map Gamma(p, v).
 
     ``coeff`` is the validated entry point.  A lift validates through it
-    once, at the seed, and then calls ``gamma`` raw in every rhs evaluation:
-    ``gamma`` must return an (n, n) float array; non-finite entries (an
-    overflow during a blow-up) make the integrator reject the trial step.
+    once, at the seed, and then calls ``gamma`` raw in every rhs evaluation,
+    or contracts the tensors of ``christoffel`` (below): ``gamma`` must
+    return an (n, n) float array; non-finite entries (an overflow during a
+    blow-up) make the integrator reject the trial step.
 
     When ``broadcasts`` is true, ``gamma`` also evaluates a stack: for v of
     shape (k, n) and p of shape (n,) or (k, n) it returns the (k, n, n)
@@ -56,6 +57,13 @@ class ConnectionField:
     entry of ``gamma(p, np.array([v]))`` as a float, bit for bit; a lone 1-d
     lift calls it instead of ``gamma``.  Only the 1-d gallery builders set
     it.  It is no ``__init__`` argument: ``dataclasses.replace`` drops it.
+
+    ``christoffel(P)``, set on the members built from Christoffel data, maps
+    a (k, n) stack of base points to their (k, n, n, n) tensors G^k_ij;
+    ``gamma(p, v)`` is their contraction sum_j G^k_ij v^j, bit for bit.  A
+    lift builds them once per step, at all its stage base points, and a
+    stage only contracts them.  Like ``scalar_gamma`` it is no ``__init__``
+    argument, so a replaced ``gamma`` is never paired with the old tensors.
 
     Attributes:
         dimension: chart dimension n.
@@ -79,6 +87,8 @@ class ConnectionField:
     broadcasts: bool = False
     uses_base: bool = True
     scalar_gamma: Callable[[float], float] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    christoffel: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def coeff(self, p, v) -> np.ndarray:
@@ -143,9 +153,11 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
 
     ``christoffel`` must be a pure function of the bytes of p: ``gamma``
     keeps the tensors of its last call and reuses them when the next call
-    passes the same p, bytes and rank alike (all samples of a fiber scan,
-    both DOPRI stages at t + h).  ``gamma`` broadcasts; on a (k, n) stack of
-    base points it calls ``christoffel`` once per row.
+    passes the same p, bytes and rank alike (a point scanned or validated
+    again, both DOPRI stages at t + h of a 1-d lane stepping alone).
+    ``gamma`` broadcasts; on a (k, n) stack of base points it calls
+    ``christoffel`` once per row, as lifts do on the stack of a step's stage
+    base points (see ConnectionField).
     """
     return _linear(int(n), lambda p: christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
                    name, params)
@@ -155,17 +167,20 @@ def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
     # tensors maps p of shape (n,) or (k, n) to the (n, n, n) or (k, n, n, n) tensors.
     last = [b"", None]  # key and tensors of the last call; a failed build is not kept
 
+    def christoffel(p: np.ndarray) -> np.ndarray:
+        G = np.asarray(tensors(p), dtype=float)
+        shape = p.shape[:-1] + (n, n, n)
+        if G.shape != shape:
+            raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
+        return G
+
     def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
         key = p.tobytes() + bytes(p.ndim)
         if key != last[0]:
-            G = np.asarray(tensors(p), dtype=float)
-            shape = p.shape[:-1] + (n, n, n)
-            if G.shape != shape:
-                raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
-            last[:] = key, G
-        return np.einsum("...kij,...j->...ki", last[1], v)
+            last[:] = key, christoffel(p)
+        return _contract(last[1], v)
 
-    return ConnectionField(
+    conn = ConnectionField(
         dimension=n,
         gamma=gamma,
         is_linear_in_fiber=True,
@@ -174,6 +189,13 @@ def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
         params=dict(params or {}),
         broadcasts=True,
     )
+    object.__setattr__(conn, "christoffel", christoffel)
+    return conn
+
+
+def _contract(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gamma(p, v)^k_i = sum_j G^k_ij(p) v^j, for one point or a stack of them."""
+    return np.einsum("...kij,...j->...ki", G, v)
 
 
 def _stereographic_christoffels(p: np.ndarray) -> np.ndarray:

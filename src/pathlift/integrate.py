@@ -28,6 +28,11 @@ except stage 1's single term, which the stacked product adds to +0.0 (a dot
 keeps the -0.0 of ``(1/5) * -0.0``).  The bits are the stacked kernel's,
 signed zeros included.
 
+The stacked kernel hands the stage times t + c_i h of a step, all known
+before its first stage, to a per-step hook ``stages`` that returns the
+stage rhs: a caller evaluates there what depends on t alone (a lift's path
+and Christoffel tensors) once per step, not once per stage.
+
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
 """
@@ -213,12 +218,13 @@ def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions)
     return steps
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_lanes(
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Y0,
     opts: IntegratorOptions | None = None,
     float_rhs: Callable[[float, float], float] | None = None,
+    stages: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]] | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
 
@@ -229,6 +235,13 @@ def integrate_lanes(
     ``float_rhs(t, y)`` is rhs on one lane in Python floats, bit for bit;
     when given, it is called while exactly one lane is live (and states
     that are not 1-d are an error).
+
+    ``stages(stage_t)`` is called once per step of the stacked kernel, with
+    the live lanes' stage times as a (7, k) array (row i: t + c_i h), and
+    returns ``f(i, Y)``: the derivatives at stage i = 1..6 for the stage
+    states Y, bit for bit rhs(stage_t[i], Y).  It lets the caller evaluate
+    what depends on t alone once per step.  Without it, f(i, Y) is
+    rhs(stage_t[i], Y).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -245,6 +258,9 @@ def integrate_lanes(
     m, n = Y.shape
     if float_rhs is not None and n != 1:
         raise ValueError(f"float_rhs needs 1-d states, got dimension {n}")
+    if stages is None:
+        def stages(stage_t):
+            return lambda i, Y: rhs(stage_t[i], Y)
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
     A, B5, E, C = _A, _B5, _E, _C_LIST
@@ -352,9 +368,9 @@ def integrate_lanes(
             continue
         h_row = np.array(hs)
         H = h_row[:, None]
-        stage_t = np.array(ts) + _C_COL * h_row  # row i: t + c_i h
+        f = stages(np.array(ts) + _C_COL * h_row)  # row i: t + c_i h
         for i in range(1, 7):
-            stage[i][...] = rhs(stage_t[i], Y + H * (A[i] @ head[i]))
+            stage[i][...] = f(i, Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
         Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
@@ -369,6 +385,7 @@ def integrate_adaptive(
     y0,
     opts: IntegratorOptions | None = None,
     float_rhs: Callable[[float, float], float] | None = None,
+    stages: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
 
@@ -377,7 +394,11 @@ def integrate_adaptive(
     (the escape time is the last accepted t), or with ``step-collapse`` when
     the controller would drop below opts.min_step or the step budget is
     exhausted; ``stop_reason`` says which.  ``float_rhs`` is rhs's float
-    form in 1-d (see integrate_lanes).
+    form in 1-d, and ``stages`` the stage hook of integrate_lanes, on the
+    lane as a stack of one row.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, float_rhs)[0]
+    if stages is None:  # rhs itself, not through the lambda below: one call less per stage
+        def stages(stage_t):
+            return lambda i, Y: rhs(stage_t[i, 0], Y[0])
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, float_rhs, stages)[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionField
+from .connections import ConnectionField, _contract
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
 from .integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive, integrate_lanes
 
@@ -102,14 +102,20 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
                      opts: IntegratorOptions | None = None) -> list[LiftTrajectory]:
     """Lifts of ``path`` through each fiber value in ``seeds``, in order.
 
-    The seeds run as lanes of one integration.  The rhs evaluates all live
-    lanes with one ``gamma`` call when the connection broadcasts (and one
-    ``position``/``velocity`` call when the path does), else row by row; in
-    1-d a lane left alone steps in Python floats (``conn.scalar_gamma``, or
-    else ``gamma``).  When ``gamma`` ignores the base point
-    (``conn.uses_base`` false), every call gets the path's starting point.
-    Each trajectory equals the seed's lift alone bit for bit.  If the batch
-    raises, the error is the one the first failing seed raises alone.
+    The seeds run as lanes of one integration.  Each step reads the path
+    once, at the five distinct stage times of the live lanes (one
+    ``position`` and one ``velocity`` call when the path broadcasts, else
+    one per time), and a member with Christoffel tensors
+    (``conn.christoffel``) builds them there in one call; a stage then only
+    contracts them with its fiber rows.  Other members take one ``gamma``
+    call per stage when the connection broadcasts, else one per row.  A
+    lone seed of a member without tensors is lifted stage by stage on one
+    row, and in 1-d a lane left alone steps in Python floats
+    (``conn.scalar_gamma``, or else ``gamma``).  When ``gamma`` ignores the
+    base point (``conn.uses_base`` false), every call gets the path's
+    starting point.  Each trajectory equals the seed's lift alone bit for
+    bit.  If the batch raises, the error is the one the first failing seed
+    raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -142,7 +148,7 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     # non-finite value (a rejected step) instead of a configuration error.
     # An overflow at a seed is reported by coeff's finiteness check alone.
     p0 = path.position(0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for v in vs:
             conn.coeff(p0, v)
     g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
@@ -166,10 +172,14 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
         def float_rhs(t: float, y: float) -> float:
             return 0.0 + (-coeffs(t, np.array([y])).item()) * vel(t).item()
 
+    stack_rhs, stages = _stack_rhs(conn, path, p0)
     if len(vs) == 1:
-        results = [integrate_adaptive(rhs, vs[0], opts, float_rhs)]
+        # A lone lift calls gamma on one row; its steps take the stage hook
+        # only when the member has tensors.
+        hook = stages if conn.christoffel is not None else None
+        results = [integrate_adaptive(rhs, vs[0], opts, float_rhs, hook)]
     else:
-        results = integrate_lanes(_stack_rhs(conn, path, p0), vs, opts, float_rhs)
+        results = integrate_lanes(stack_rhs, vs, opts, float_rhs, stages)
     return [
         LiftTrajectory(
             t=res.t,
@@ -188,24 +198,51 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
 
 
 def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
-    """Lane rhs: the coefficient stack through ``conn.stack``.
+    """Lane rhs and its stage hook (see integrate_lanes and horizontal_lifts).
 
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
     """
-    stack, pos, vel = conn.stack, path.position, path.velocity
-    path_broadcasts, uses_base = path.broadcasts, conn.uses_base
+    stack, christoffel, pos, vel = conn.stack, conn.christoffel, path.position, path.velocity
+    path_broadcasts, uses_base, n = path.broadcasts, conn.uses_base, conn.dimension
+
+    def base(T: np.ndarray):
+        # Positions and velocities at the times T, as arrays that broadcast to (T.size, n).
+        if path_broadcasts:
+            return (pos(T[:, None]) if uses_base else p0), vel(T[:, None])
+        P = np.array([pos(t) for t in T]) if uses_base else p0
+        return P, np.array([vel(t) for t in T])
 
     def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
-        if path_broadcasts:
-            P, V = (pos(T[:, None]) if uses_base else p0), vel(T[:, None])
-        else:
-            P = np.array([pos(t) for t in T]) if uses_base else p0
-            V = np.array([vel(t) for t in T])
+        P, V = base(T)
         # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
         return ((-stack(P, C)) @ V[..., None])[..., 0]
 
-    return rhs
+    def stages(stage_t: np.ndarray):
+        k = stage_t.shape[1]
+        P, V = base(stage_t[1:6].ravel())
+        G = None
+        if christoffel is not None:
+            P = P if P.shape == (5 * k, n) else np.broadcast_to(P, (5 * k, n))
+            G = christoffel(P).reshape(5, k, n, n, n)
+        P, V = _stage_rows(P, k), _stage_rows(V, k)
+
+        def f(i: int, C: np.ndarray) -> np.ndarray:
+            j = _STAGE_ROW[i]
+            M = stack(P[j], C) if G is None else _contract(G[j], C)
+            return ((-M) @ V[j][..., None])[..., 0]
+
+        return f
+
+    return rhs, stages
+
+
+def _stage_rows(X: np.ndarray, k: int):
+    # The (k, ...) rows of each of the five stage times, or X itself for all of them.
+    return X.reshape(5, k, -1) if X.ndim == 2 and X.shape[0] == 5 * k else (X,) * 5
+
+
+_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)  # c_5 = c_6 = 1
 
 
 def _endpoint(traj: LiftTrajectory) -> TangentVector:

@@ -210,7 +210,7 @@ def _decade_fit(radii: np.ndarray, thetas: np.ndarray) -> float:
     return float(np.polyfit(np.log(radii[window]), np.log(thetas[window]), 1)[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                weight: FiberWeight = NORMALIZED,
                eps: float = DEFAULT_EPS) -> FiberScanReport:
@@ -221,8 +221,8 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     a strictly increasing, positive and finite grid of at least two, and eps
     positive and finite.
 
-    All samples are evaluated as one stack under np.errstate(over/invalid=
-    "ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
+    All samples are evaluated as one stack under np.errstate(over/invalid/
+    divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
     modify an array it returned earlier), then coeff's checks once over the
     stack and one batched SVD.  On failure the samples are rerun in
     (direction, radius) order through principal_angles, and the first to

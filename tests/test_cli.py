@@ -147,6 +147,27 @@ class TestBlowupIsNotConfigError:
             "error: coefficient matrix is not finite at p=[0.], v=[10.]\n"
         )
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("lift", ["--path", "segment:0,0:1,0", "--v", "1,0"], ""),
+        ("transport", ["--path", "segment:0,0:1,0", "--v", "1,0"], ""),
+        ("uvb-scan", ["--point", "0,0"], "angle computation failed at direction 0 ([1. 0.]), "
+                                         "radius 1.0: "),
+    ], ids=["lift", "transport", "uvb-scan"])
+    def test_seed_division_by_zero_is_one_error_line(self, tmp_path, capsys, command, args,
+                                                     message):
+        # A 1/p_0 Christoffel term is infinite at p = 0: a configuration
+        # error, reported without a numpy divide-by-zero warning.
+        conn = tmp_path / "conn.json"
+        conn.write_text(json.dumps({"name": "christoffel", "dimension": 2, "terms": [
+            {"k": 0, "i": 0, "j": 0, "coeff": 1.0, "monomial": [-1, 0]}]}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--connection", str(conn), *args, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {message}coefficient matrix is not finite at p=[0. 0.], v=[1. 0.]\n"
+        )
+
     def test_stalled_transport_has_no_escape_time(self, tmp_path):
         argv = ["--connection", "power-growth:8", "--path", "segment:0:1", "--v", "10"]
         assert main(["transport", *argv, "--out", str(tmp_path / "transport")]) == 2

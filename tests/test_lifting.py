@@ -379,6 +379,75 @@ class TestFloatFormLifts:
             _assert_same_lift(traj, ref)
 
 
+@st.composite
+def _hook_cases(draw):
+    name = draw(st.sampled_from(["sphere-stereographic", "christoffel", "flat"]))
+    if name == "christoffel":
+        n = draw(st.integers(1, 3))
+        terms = [{**t, "k": t["k"] % n, "i": t["i"] % n, "j": t["j"] % n,
+                  "monomial": t["monomial"][:n]} for t in draw(st.lists(_term, max_size=5))]
+        conn = gallery(ConnectionSpec(name, {"dimension": n, "terms": terms}))
+    elif name == "flat":
+        conn = _flat(draw(st.integers(2, 3)))
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["segment", "polyline"] + ["circle"] * (n > 1)))
+    if kind == "circle":
+        path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
+    elif kind == "polyline":
+        path = path_polyline([draw(point) for _ in range(3)], [0.0, draw(_floats(0.2, 0.8)), 1.0])
+    else:
+        path = path_segment(draw(point), draw(point))
+    if draw(st.booleans()):
+        path = path_reverse(path)
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))
+    seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6))
+    return conn, path, seeds
+
+
+def _counting_segment(a, b):
+    seg, calls = path_segment(a, b), {"position": 0, "velocity": 0}
+
+    def counted(name, fn):
+        def call(t):
+            calls[name] += 1
+            return fn(t)
+        return call
+
+    path = PathCurve(seg.dimension, counted("position", seg.position),
+                     counted("velocity", seg.velocity), broadcasts=True)
+    return path, calls
+
+
+class TestStageHook:
+    """Once per step, the path at all stage times and the tensors at all stage base points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_hook_cases())
+    def test_hook_equals_the_per_stage_route_bitwise(self, case):
+        # A replaced gamma has no tensors, so it is evaluated stage by stage.
+        conn, path, seeds = case
+        plain = dataclasses.replace(conn, gamma=conn.gamma)
+        assert plain.christoffel is None
+        for traj, ref in zip(horizontal_lifts(conn, path, seeds),
+                             horizontal_lifts(plain, path, seeds)):
+            _assert_same_lift(traj, ref)
+
+    @pytest.mark.parametrize("seeds", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, -2.0], [0.5, 0.5]]],
+                             ids=["lone", "batch"])
+    def test_one_path_call_per_step_attempt(self, seeds):
+        # Beyond one position and one velocity call per step of the stack,
+        # the lift reads the start (position), the first derivatives and the
+        # first step's probe (both), and each trajectory's base samples.
+        path, calls = _counting_segment([0.1, -0.2], [0.9, 0.4])
+        lifts = horizontal_lifts(gallery("sphere-stereographic"), path, seeds)
+        attempts = max(traj.steps + traj.rejected for traj in lifts)
+        assert attempts > 5
+        assert calls == {"position": attempts + 3 + len(seeds), "velocity": attempts + 2}
+
+
 class TestParallelTransport:
     def test_flat_identity(self):
         out = parallel_transport(_flat(2), path_segment([0, 0], [1, 1]), [3.0, 4.0])
