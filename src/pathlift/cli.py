@@ -20,7 +20,7 @@ import numpy as np
 
 from .connections import ConnectionField, _inline_spec, connection_from_json, gallery
 from .connections import gallery_members
-from .emit import fmt_float, write_csv, write_json
+from .emit import csv_rows, fmt_float, write_csv, write_json
 from .geometry import PathCurve, path_from_json, path_segment
 from .integrate import COMPLETE, ESCAPED, IntegratorOptions
 from .lifting import (
@@ -119,12 +119,18 @@ def _lift_inputs(args):
 def cmd_lift(args) -> int:
     path, vectors, conn, opts, out = _lift_inputs(args)
 
-    n = conn.dimension
-    header = ["t"] + [f"base_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
     all_complete = True
+    shared = {}  # the rendered t and base columns of each dense grid
     # A seed that fails ends the run after the files of the seeds before it.
     for idx, traj in enumerate(_lifts_in_seed_order(conn, path, vectors, opts)):
-        write_csv(out / f"lift_{idx:03d}.csv", header, [traj.t, *traj.base.T, *traj.fiber.T])
+        if idx == 0:  # after the first lift, which checks n against the seeds and path
+            n = conn.dimension
+            header = ["t"] + [f"base_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
+            fmt = "%s," + ",".join(["%.17g"] * n)
+        key = traj.t.tobytes() + traj.base.tobytes()
+        if key not in shared:
+            shared[key] = csv_rows([traj.t, *traj.base.T])
+        write_csv(out / f"lift_{idx:03d}.csv", header, [shared[key], *traj.fiber.T], fmt)
         write_json(out / f"lift_{idx:03d}.json", _status_dict(traj))
         print(f"lift_{idx:03d}: {traj.status}")
         all_complete = all_complete and traj.status == COMPLETE

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt_float", "dumps_json", "write_json", "write_csv"]
+__all__ = ["fmt_float", "dumps_json", "write_json", "csv_rows", "write_csv"]
 
 
 def fmt_float(x: float) -> str:
@@ -50,11 +50,16 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
-def write_csv(path, header, columns, fmt=None) -> None:
-    """Write `columns` under `header`, one line `fmt % row` per row (ValueError if ragged).
+def csv_rows(columns, fmt=None) -> list[str]:
+    """The lines ``fmt % row`` of the rows of `columns` (ValueError if ragged).
 
     `fmt` is the row format, such as ``"%d,%.17g,%s"``; it defaults to ``%.17g`` columns."""
     fmt = fmt or ",".join(["%.17g"] * len(columns))
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    lines = [",".join(header), *map(fmt.__mod__, zip(*cols, strict=True))]
+    return list(map(fmt.__mod__, zip(*cols, strict=True)))
+
+
+def write_csv(path, header, columns, fmt=None) -> None:
+    """Write `columns` under `header`, one line per row (see csv_rows)."""
+    lines = [",".join(header), *csv_rows(columns, fmt)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -18,15 +18,19 @@ is retried with a tenth of the step, silently: no RuntimeWarning.
 ``integrate_lanes`` integrates one system from many initial states at once:
 the states are *lanes* of a stack, evaluated by one rhs call per stage, and
 each lane keeps its own t, step size, controller state and status, so its
-result is bit for bit the one it gets integrated alone.  A lane retires when
-it completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
-case.  A step runs one of two kernels: the stacked kernel, for any lanes,
-or, for a lone 1-d lane whose caller gives the float form ``float_rhs``,
-the float kernel, which steps in Python floats.  Its stage sums are dots on
-the column of stage derivatives, which round as the stacked products do,
-except stage 1's single term, which the stacked product adds to +0.0 (a dot
-keeps the -0.0 of ``(1/5) * -0.0``).  The bits are the stacked kernel's,
-signed zeros included.
+result is bit for bit the one it gets integrated alone.  A lane retires
+when it completes, escapes or collapses.  ``integrate_adaptive`` is the
+one-lane case.  A step runs one of two kernels: the stacked kernel, for any
+lanes, or, when the caller gives the float form ``float_rhs`` of a 1-d rhs
+and at most eight lanes are live, the float kernel, which steps the lanes
+one after another in Python floats.  A stacked step costs about a hundred
+numpy calls whatever the lane count, a float lane-step six rhs calls and
+seven dots, and the two cost about the same at eight lanes; a batch that
+starts above eight switches to floats once enough lanes retire.  The float
+kernel's stage sums are dots on a lane's column of stage derivatives, which round as the
+stacked products do, except stage 1's single term, which the stacked
+product adds to +0.0 (a dot keeps the -0.0 of ``(1/5) * -0.0``).  The bits
+are the stacked kernel's, signed zeros included.
 
 The stacked kernel hands the stage times t + c_i h of a step, all known
 before its first stage, to a per-step hook ``stages`` that returns the
@@ -90,6 +94,11 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+
+# The float kernel steps up to this many lanes: above it the stacked
+# kernel's fixed per-step cost is the smaller one (the crossover sweep is in
+# ROADMAP item 6).
+_FLOAT_LANES = 8
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -233,8 +242,9 @@ def integrate_lanes(
     rows; it returns their derivatives as anything that assigns into a
     (k, n) array.  The first call is rhs(zeros(m), Y0).  In 1-d,
     ``float_rhs(t, y)`` is rhs on one lane in Python floats, bit for bit;
-    when given, it is called while exactly one lane is live (and states
-    that are not 1-d are an error).
+    when given, every step taken while at most eight lanes are live calls
+    it, lane after lane, instead of rhs or ``stages`` (and states that are
+    not 1-d are an error).
 
     ``stages(stage_t)`` is called once per step of the stacked kernel, with
     the live lanes' stage times as a (7, k) array (row i: t + c_i h), and
@@ -283,6 +293,8 @@ def integrate_lanes(
     base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
     sq = None  # squared error norms of the step just taken; none before the first
+    floats = False  # whether the live lanes step in the float kernel, from now on
+    yf, ff = array("d"), array("d")  # its node states and derivatives, rows after the stacks
 
     # One pass over the lanes per step: settle each lane's step, then plan
     # its next one (or retire it); then take the next step for all of them.
@@ -328,47 +340,66 @@ def integrate_lanes(
                 last_next.append(lane.h >= 1.0 - t)
                 hs_next.append((1.0 - t) if last_next[-1] else lane.h)
         if accepted:
-            F_new = stage[6].copy()  # FSAL
-            ys.append(Y_new)
-            fs.append(F_new)
             base += k
-            if len(accepted) == k:
-                Y, F = Y_new, F_new
+            if floats:
+                f_new = k6.tolist()  # FSAL
+                yf.extend(y_new)
+                ff.extend(f_new)
+                for j in accepted:
+                    yv[j], fv[j] = y_new[j], f_new[j]
             else:
-                took = np.zeros((k, 1), dtype=bool)
-                took[accepted] = True
-                Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
+                F_new = stage[6].copy()  # FSAL
+                ys.append(Y_new)
+                fs.append(F_new)
+                if len(accepted) == k:
+                    Y, F = Y_new, F_new
+                else:
+                    took = np.zeros((k, 1), dtype=bool)
+                    took[accepted] = True
+                    Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
         if not keep:
             break
         if len(keep) < len(lv):
             lv = [lv[j] for j in keep]
-            Y, F = Y[keep], F[keep]
+            if floats:
+                yv, fv = [yv[j] for j in keep], [fv[j] for j in keep]
+            else:
+                Y, F = Y[keep], F[keep]
         hs, last = hs_next, last_next
 
         k = len(lv)
         if K.shape[0] != k:
             K = np.empty((k, 7, n))
-            stage = [K[:, i] for i in range(7)]  # views, made once per lane count
-            head = [K[:, :i] for i in range(7)]
-            kv = K[0, :, 0]  # the first lane's stages, read while it is alone in 1-d
-            kv_head = [kv[:i] for i in range(7)]
-        stage[0][...] = F
-        if k == 1 and float_rhs is not None:
-            # The float kernel (see the module docstring).  Stage times
-            # t + c_i h round as in the stacked kernel; the scale's max keeps
-            # a NaN operand, as np.maximum does.
-            t, H, y = ts[0], hs[0], Y.item()
-            for i in range(1, 7):
-                s = 0.0 + 0.2 * kv.item(0) if i == 1 else float(A[i].dot(kv_head[i]))
-                kv[i] = float_rhs(t + C[i] * H, y + H * s)
-            y_new = y + H * float(B5.dot(kv))
-            a, b = abs(y), abs(y_new)
-            q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
-            Y_new, sq, yy = np.array(y_new, ndmin=2), [q * q], [y_new * y_new]
+            if float_rhs is not None and k <= _FLOAT_LANES:
+                if not floats:
+                    floats = True
+                    yv, fv = Y[:, 0].tolist(), F[:, 0].tolist()
+                # Each lane's stage column and its heads, views made once per lane count.
+                cols = [(K[j, :, 0], [K[j, :i, 0] for i in range(7)]) for j in range(k)]
+                k6 = K[:, 6, 0]
+                y_new, sq, yy = [0.0] * k, [0.0] * k, [0.0] * k
+            else:
+                stage = [K[:, i] for i in range(7)]  # views, made once per lane count
+                head = [K[:, :i] for i in range(7)]
+        if floats:
+            # The float kernel (see the module docstring), lane after lane.
+            # Stage times t + c_i h round as in the stacked kernel; the
+            # scale's max keeps a NaN operand, as np.maximum does.
+            for j, (kv, kv_head) in enumerate(cols):
+                t, H, y, f0 = ts[j], hs[j], yv[j], fv[j]
+                kv[0] = f0
+                kv[1] = float_rhs(t + C[1] * H, y + H * (0.0 + 0.2 * f0))
+                for i in range(2, 7):
+                    kv[i] = float_rhs(t + C[i] * H, y + H * float(A[i].dot(kv_head[i])))
+                y1 = y + H * float(B5.dot(kv))
+                a, b = abs(y), abs(y1)
+                q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
+                y_new[j], sq[j], yy[j] = y1, q * q, y1 * y1
             continue
         h_row = np.array(hs)
         H = h_row[:, None]
         f = stages(np.array(ts) + _C_COL * h_row)  # row i: t + c_i h
+        stage[0][...] = F
         for i in range(1, 7):
             stage[i][...] = f(i, Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
@@ -376,6 +407,9 @@ def integrate_lanes(
         sq = np.add.reduce(Q * Q, axis=1).tolist()
         yy = np.vecdot(Y_new, Y_new).tolist()
 
+    if floats:
+        ys.append(np.frombuffer(yf).reshape(-1, 1))
+        fs.append(np.frombuffer(ff).reshape(-1, 1))
     ys, fs = np.concatenate(ys), np.concatenate(fs)
     return [lane.result(ys, fs, opts) for lane in lanes]
 

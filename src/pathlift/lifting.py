@@ -110,9 +110,12 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     contracts them with its fiber rows.  Other members take one ``gamma``
     call per stage when the connection broadcasts, else one per row.  A
     lone seed of a member without tensors is lifted stage by stage on one
-    row, and in 1-d a lane left alone steps in Python floats
-    (``conn.scalar_gamma``, or else ``gamma``).  When ``gamma`` ignores the
-    base point (``conn.uses_base`` false), every call gets the path's
+    row.  In 1-d a lone seed steps in Python floats (through
+    ``conn.scalar_gamma``, or else ``gamma``), and so do the lanes of a
+    member with ``conn.scalar_gamma`` while at most eight are live; the
+    float form built on ``gamma`` is slower than the stacked kernel on a
+    batch, so other members' batches step stacked.  When ``gamma`` ignores
+    the base point (``conn.uses_base`` false), every call gets the path's
     starting point.  Each trajectory equals the seed's lift alone bit for
     bit.  If the batch raises, the error is the one the first failing seed
     raises alone.
@@ -179,7 +182,10 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
         hook = stages if conn.christoffel is not None else None
         results = [integrate_adaptive(rhs, vs[0], opts, float_rhs, hook)]
     else:
-        results = integrate_lanes(stack_rhs, vs, opts, float_rhs, stages)
+        # Batches step in floats only through the member's own float form:
+        # the one built on gamma is slower than the stacked kernel on them.
+        batch_float = float_rhs if scalar is not None else None
+        results = integrate_lanes(stack_rhs, vs, opts, batch_float, stages)
     return [
         LiftTrajectory(
             t=res.t,

@@ -217,9 +217,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     """Sample theta_min at v = r * d over fiber rays and classify the decay.
 
     Defaults: signed coordinate-axis directions and the geometric radius
-    grid from default_radii().  Directions must be finite unit vectors, radii
-    a strictly increasing, positive and finite grid of at least two, and eps
-    positive and finite.
+    grid from default_radii().  The point must have the connection's
+    dimension n (checked first), directions must be finite unit vectors,
+    radii a strictly increasing, positive and finite grid of at least two,
+    and eps positive and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid/
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
@@ -230,6 +231,8 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
+    if pc.size != conn.dimension:  # before anything of size n is built
+        raise ValueError(f"base point has length {pc.size}, connection n={conn.dimension}")
     dirs = axis_directions(conn.dimension) if directions is None else np.atleast_2d(
         np.asarray(directions, dtype=float)
     )
@@ -247,8 +250,8 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     n = conn.dimension
     vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
     try:
-        if pc.size != n or not np.all(np.isfinite(vs)):
-            raise ValueError("base point or fiber points invalid")
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("fiber points are not finite")
         w = weight.stack(vs)
         G = conn.stack(pc, vs)
         if not np.all(np.isfinite(G)):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -384,6 +385,27 @@ class TestConfigErrors:
     def test_dimension_mismatch(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--path", "segment:0,0:1,1",
                      "--v", "0,0", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lift", "--path", "segment:0:1", "--v", "0.5"],
+         "dimension mismatch: connection n=1000000000, path n=1, initial vector length 1"),
+        (["uvb-scan", "--point", "0"], "base point has length 1, connection n=1000000000"),
+    ], ids=["lift", "uvb-scan"])
+    def test_dimension_mismatch_is_found_before_anything_of_size_n(self, tmp_path, argv,
+                                                                   message):
+        # Under a 2 GB address-space limit, so that building anything of the
+        # connection's size fails at once instead of filling the memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(pathlift.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "pathlift", argv[0], "--connection", "flat:1e9", *argv[1:],
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
+        assert (run.returncode, run.stderr) == (1, f"error: {message}\n")
 
     def test_missing_path(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--v", "0",

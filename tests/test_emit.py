@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlift.cli import main
-from pathlift.connections import connection_from_json
+from pathlift.connections import connection_from_json, gallery
 from pathlift.emit import fmt_float, write_csv
 from pathlift.geometry import path_segment
 from pathlift.lifting import horizontal_lifts
@@ -103,3 +103,19 @@ def test_three_dimensional_lift_matches_per_cell_reference(tmp_path):
         rows = ([t, *b, *f] for t, b, f in zip(traj.t, traj.base, traj.fiber))
         got = (out / f"lift_{idx:03d}.csv").read_text(encoding="utf-8")
         assert got == _reference_csv(header, rows)
+
+
+def test_lift_run_with_two_dense_grids_matches_per_cell_reference(tmp_path):
+    # Complete lifts share one dense grid and render its t and base columns
+    # once; an escaped lift has a grid of its own.
+    seeds = [[0.0], [2.0], [0.5], [-0.3]]
+    out = tmp_path / "out"
+    argv = ["lift", "--connection", "fig1", "--path", "segment:0.25:1", "--out", str(out)]
+    assert main(argv + [f"--v={v[0]}" for v in seeds]) == 2
+    trajs = horizontal_lifts(gallery("fig1"), path_segment([0.25], [1.0]), seeds)
+    assert [traj.complete for traj in trajs] == [True, False, True, True]
+    assert len({traj.t.tobytes() + traj.base.tobytes() for traj in trajs}) == 2
+    for idx, traj in enumerate(trajs):
+        rows = ([t, *b, *f] for t, b, f in zip(traj.t, traj.base, traj.fiber))
+        got = (out / f"lift_{idx:03d}.csv").read_text(encoding="utf-8")
+        assert got == _reference_csv(["t", "base_0", "fiber_0"], rows)

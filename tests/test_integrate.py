@@ -275,10 +275,9 @@ class TestLanes:
     @pytest.mark.parametrize("partners", [[0.0], [0.0, -0.5], [15.0, 12.0], [1e9, 15.0]])
     def test_nonfinite_trial_stages_match_lone_integration(self, nan_above, partners):
         # y' = 1 + y^8 from 10 blows up within 1.5e-8: trial stages overflow
-        # (or, with nan_above, return NaN) and are rejected.  Its first
-        # steps run stacked with its partners; every partner retires before
-        # the lane stops at the min-step floor, so its last steps run in the
-        # float kernel.
+        # (or, with nan_above, return NaN) and are rejected.  With float_rhs
+        # and at most eight lanes, the batch steps in the float kernel, lane
+        # after lane, while the lone integration steps stacked.
         nonfinite = []
 
         def rhs(t, y):
@@ -310,6 +309,39 @@ class TestLanes:
             integrate_lanes(never, [[1.0, 2.0]], float_rhs=never)
         with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 3"):
             integrate_adaptive(never, [1.0, 2.0, 3.0], float_rhs=never)
+
+    @pytest.mark.parametrize("m", [1, 8, 9])
+    def test_float_kernel_steps_up_to_eight_lanes(self, m):
+        # y' = 1 + y^2: the lane from 5 escapes at t = pi/2 - atan(5), the
+        # others complete.  The stage hook runs while more than eight lanes
+        # are live, every later step is in floats, and the stacked rhs makes
+        # only the first evaluation and the step-size probe besides the hook.
+        rhs_lanes, hook_lanes, float_calls = [], [], []
+
+        def rhs(t, Y):
+            rhs_lanes.append(len(t))
+            return 1.0 + Y * Y
+
+        def stages(stage_t):
+            hook_lanes.append(stage_t.shape[1])
+            return lambda i, Y: rhs(stage_t[i], Y)
+
+        def float_rhs(t, y):
+            float_calls.append(t)
+            return 1.0 + y * y
+
+        y0 = [[5.0]] + [[v] for v in np.linspace(-0.5, 0.5, m - 1)]
+        got = integrate_lanes(rhs, y0, float_rhs=float_rhs, stages=stages)
+        assert [r.status for r in got] == [ESCAPED] + [COMPLETE] * (m - 1)
+        assert float_calls
+        if m <= 8:
+            assert rhs_lanes == [m, m] and hook_lanes == []
+        else:
+            # Until the first lane retires, then never again.
+            assert hook_lanes == [m] * min(r.steps + r.rejected for r in got)
+            assert set(rhs_lanes) == {m}
+        for res, ref in zip(got, integrate_lanes(rhs, y0)):
+            _assert_same_result(res, ref)
 
     def test_no_lanes(self):
         assert integrate_lanes(lambda t, Y: Y, np.empty((0, 2))) == []
@@ -350,13 +382,14 @@ class TestLoneOneDimensionalLane:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 3.0, -3.0]),
-                 min_size=1, max_size=3),
+                 min_size=1, max_size=10),
         st.sampled_from(["riccati", "nan-above", "zero-sign"]),
         st.sampled_from([1e-9, 1e-3]),
     )
     def test_lone_rhs_lane_equals_the_stacked_lane(self, seeds, form, rtol):
-        # The float kernel (float_rhs given) against the stacked kernel at
-        # k = 1 (float_rhs None), each lane alone and among partners.
+        # The float kernel (float_rhs given) against the stacked kernel
+        # (float_rhs None), each lane alone and among up to nine partners:
+        # above eight lanes the batch steps stacked until lanes retire.
         def lone(t, y):
             if form == "riccati":
                 return 1.0 + y * y

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlift import lifting
@@ -195,10 +195,13 @@ _term = st.fixed_dictionaries({
 })
 
 
+_MEMBERS = ("fig1", "power-growth", "scalar-linear", "flat", "sphere-stereographic",
+            "christoffel", "custom")
+
+
 @st.composite
-def _batch_cases(draw):
-    name = draw(st.sampled_from(["fig1", "power-growth", "scalar-linear", "flat",
-                                 "sphere-stereographic", "christoffel", "custom"]))
+def _batch_cases(draw, members=_MEMBERS, max_seeds=8):
+    name = draw(st.sampled_from(members))
     if name == "power-growth":
         conn = gallery(ConnectionSpec(name, {"alpha": draw(_floats(0.0, 3.0))}))
     elif name == "scalar-linear":
@@ -226,7 +229,8 @@ def _batch_cases(draw):
         if kind == "reversed":
             path = path_reverse(path)
     coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))  # signed zeros too
-    seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=8))
+    seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1,
+                          max_size=max_seeds))
     opts = IntegratorOptions(rtol=draw(st.sampled_from([1e-9, 1e-6, 1e-3])),
                              escape_norm=draw(st.sampled_from([1e8, 1e300])),
                              max_steps=draw(st.sampled_from([10**6, 60])))
@@ -339,6 +343,8 @@ class TestHorizontalLifts:
 
 _REVERSED = path_reverse(path_segment([-0.25], [1.0]))
 _POLYLINE = path_polyline([[0.0], [0.6], [1.2]], [0.0, 0.3, 1.0])
+# Nine fig1 seeds that complete along _POLYLINE, then three that do not.
+_TWELVE = [[v] for v in (-2.0, -1.0, -0.5, -0.0, 0.0, 0.2, 0.3, 0.35, 0.38, 0.5, 1.0, 5.0)]
 
 
 class TestFloatFormLifts:
@@ -369,14 +375,29 @@ class TestFloatFormLifts:
 
     @pytest.mark.parametrize("path", [UNIT, _REVERSED, _POLYLINE], ids=["segment", "reversed",
                                                                        "polyline"])
-    def test_lanes_left_alone_use_the_float_form(self, path):
-        # Lanes retire one by one; the last steps alone through the float form.
+    def test_batch_of_up_to_eight_lanes_uses_the_float_form(self, path):
+        # Five lanes step through the float form, lane after lane, until they
+        # retire; the member without it steps them stacked.
         seeds = [[0.0], [0.5], [-0.8], [1.0], [5.0]]
         opts = IntegratorOptions(escape_norm=1e10)
         plain = ConnectionField(1, FIG1.gamma, broadcasts=True, uses_base=False)
         for traj, ref in zip(horizontal_lifts(FIG1, path, seeds, opts),
                              horizontal_lifts(plain, path, seeds, opts)):
             _assert_same_lift(traj, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_batch_cases(("fig1", "power-growth", "scalar-linear", "flat"), max_seeds=12)
+           .filter(lambda case: case[0].dimension == 1))
+    @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(), None))  # escape-norm
+    @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(escape_norm=1e300), None))  # min-step
+    @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(max_steps=400), None))  # max-steps
+    def test_batch_equals_lone_lifts_across_the_lane_limit(self, case):
+        # Batches of up to 12 lanes: above eight they step stacked, and once
+        # enough lanes retire the rest step in floats.  The escape norm 1e300
+        # stops escaping lanes at the min_step floor, max_steps=60 others.
+        conn, path, seeds, opts, _ = case
+        for v, traj in zip(seeds, horizontal_lifts(conn, path, seeds, opts)):
+            _assert_same_lift(traj, horizontal_lift(conn, path, v, opts))
 
 
 @st.composite

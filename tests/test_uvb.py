@@ -212,6 +212,13 @@ class TestFiberScan:
         with pytest.raises(ValueError):
             fiber_scan(FIG1, [0.0], radii=[1.0, 1.0, 2.0, 4.0])
 
+    @pytest.mark.parametrize("directions", [None, [[1.0]]], ids=["axes", "given"])
+    def test_point_of_the_wrong_length_is_refused_first(self, directions):
+        # Before the directions, the radii or any sample: the axes of a
+        # connection of dimension n take n^2 floats.
+        with pytest.raises(ValueError, match=r"^base point has length 2, connection n=1$"):
+            fiber_scan(FIG1, [0.0, 0.0], directions=directions, radii=[np.nan])
+
     @pytest.mark.parametrize("grid, message", [
         ({"radii": [1.0, np.nan, 4.0, 8.0]}, "radii must be"),
         ({"radii": [1.0, 2.0, 4.0, np.inf]}, "radii must be"),
@@ -433,9 +440,8 @@ class TestStackedScanErrors:
         (_fails_beyond(3.0, lambda v: np.array([[np.nan]])), [0.0], EUCLIDEAN),
         (_fails_beyond(3.0, lambda v: np.array([[-np.inf]])), [0.0], CUSTOM),
         (FIG1, [0.0], FiberWeight("custom", lambda v: 0.0 if v[0] <= -3.0 else 1.0)),
-        (FIG1, [0.0, 0.0], NORMALIZED),
     ], ids=["wrong-shape", "wrong-rank", "wrong-shape-everywhere", "raises", "nan", "inf",
-            "zero-weight", "point-length"])
+            "zero-weight"])
     def test_same_error_as_per_sample_reference(self, conn, p, weight):
         # The stacked pass fails as a whole; the message must still name the
         # first failing (direction, radius) exactly as the per-sample loop does.
