@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as e:  # a ValueError is a configuration error
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's error names the array it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -37,18 +37,22 @@ __all__ = [
 class ConnectionField:
     """A connection given by its coefficient map Gamma(p, v).
 
-    ``coeff`` is the validated entry point.  A lift validates through it
-    once, at the seed, and then calls ``gamma`` raw in every rhs evaluation,
-    or contracts the tensors of ``christoffel`` (below): ``gamma`` must
-    return an (n, n) float array; non-finite entries (an overflow during a
-    blow-up) make the integrator reject the trial step.
+    ``coeff`` is the validated entry point: ``row``, the one shape check of
+    a call on one point and one fiber vector, plus dimension and finiteness
+    checks.  A lift validates through it once, at the seed, and then calls
+    ``gamma`` raw in every rhs evaluation, or contracts the tensors of
+    ``christoffel`` (below): ``gamma`` must return an (n, n) float array;
+    non-finite entries (an overflow during a blow-up) make the integrator
+    reject the trial step.
 
     When ``broadcasts`` is true, ``gamma`` also evaluates a stack: for v of
     shape (k, n) and p of shape (n,) or (k, n) it returns the (k, n, n)
     matrices of the rows, each bit for bit the matrix of a single call.
-    ``stack`` is the one reader of the flag: lifts of many seeds and fiber
-    scans get their (k, n, n) stacks from it, one ``gamma`` call per stack
-    when the flag is set, else one per row.  The built-in members broadcast.
+    ``stack`` is the one reader of the flag: lifts and fiber scans get their
+    (k, n, n) stacks from it, one ``gamma`` call per stack when the flag is
+    set, else one ``row`` per row.  A stack of one row is one ``row`` call
+    either way, so a map that claims the flag but takes one row only still
+    lifts a lone seed.  The built-in members broadcast.
 
     When ``uses_base`` is false, ``gamma`` must not read p: lifts then pass
     the path's starting point instead of its position at each stage.
@@ -102,20 +106,25 @@ class ConnectionField:
                 f"connection has dimension {n}, got point of length {pc.size} "
                 f"and vector of length {vc.size}"
             )
-        mat = np.asarray(self.gamma(pc, vc), dtype=float)
-        if mat.shape != (n, n):
-            raise ValueError(f"coefficient map returned shape {mat.shape}, expected ({n}, {n})")
+        mat = self.row(pc, vc)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"coefficient matrix is not finite at p={pc}, v={vc}")
         return mat
 
+    def row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Float (n, n) Gamma at one point p and fiber vector v, both (n,); entries unchecked."""
+        mat, n = np.asarray(self.gamma(p, v), dtype=float), self.dimension
+        if mat.shape != (n, n):
+            raise ValueError(f"coefficient map returned shape {mat.shape}, expected ({n}, {n})")
+        return mat
+
     def stack(self, p: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Float (k, n, n) Gamma at p (n,) or (k, n) and the rows of V (k, n); entries unchecked."""
-        if self.broadcasts:
-            G = self.gamma(p, V)
-        else:
-            G = [self.gamma(q, v) for q, v in zip(np.broadcast_to(p, V.shape), V)]
-        G, shape = np.asarray(G, dtype=float), V.shape + (self.dimension,)
+        if len(V) == 1:
+            return self.row(p if p.ndim == 1 else p[0], V[0])[None]
+        if not self.broadcasts:
+            return np.array([self.row(q, v) for q, v in zip(np.broadcast_to(p, V.shape), V)])
+        G, shape = np.asarray(self.gamma(p, V), dtype=float), V.shape + (self.dimension,)
         if G.shape != shape:
             raise ValueError(f"coefficient map returned shape {G.shape}, expected {shape}")
         return G

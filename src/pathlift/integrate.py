@@ -213,13 +213,14 @@ class _Lane:
 def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions) -> list[float]:
     # Hairer-style two-phase guess per lane: balance state and derivative
     # scales, then probe the local curvature with one Euler step.
-    scale = opts.atol + opts.rtol * np.abs(Y0)
-    d0 = np.sqrt(np.mean((Y0 / scale) ** 2, axis=1)).tolist()
-    d1 = np.sqrt(np.mean((F0 / scale) ** 2, axis=1)).tolist()
+    # Root mean squares over each row; add.reduce / n is np.mean without its wrapper.
+    scale, n = opts.atol + opts.rtol * np.abs(Y0), Y0.shape[1]
+    d0 = np.sqrt(np.add.reduce((Y0 / scale) ** 2, axis=1) / n).tolist()
+    d1 = np.sqrt(np.add.reduce((F0 / scale) ** 2, axis=1) / n).tolist()
     h0 = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
     H0 = np.array(h0)
     F1 = np.asarray(rhs(H0, Y0 + H0[:, None] * F0), dtype=float)
-    d2 = (np.sqrt(np.mean(((F1 - F0) / scale) ** 2, axis=1)) / H0).tolist()
+    d2 = (np.sqrt(np.add.reduce(((F1 - F0) / scale) ** 2, axis=1) / n) / H0).tolist()
     steps = []
     for h, b, c in zip(h0, d1, d2):
         h1 = max(1e-6, h * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
@@ -418,8 +419,6 @@ def integrate_adaptive(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0,
     opts: IntegratorOptions | None = None,
-    float_rhs: Callable[[float, float], float] | None = None,
-    stages: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
 
@@ -427,12 +426,7 @@ def integrate_adaptive(
     stops early with status ``escaped`` once ||y|| reaches opts.escape_norm
     (the escape time is the last accepted t), or with ``step-collapse`` when
     the controller would drop below opts.min_step or the step budget is
-    exhausted; ``stop_reason`` says which.  ``float_rhs`` is rhs's float
-    form in 1-d, and ``stages`` the stage hook of integrate_lanes, on the
-    lane as a stack of one row.
+    exhausted; ``stop_reason`` says which.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    if stages is None:  # rhs itself, not through the lambda below: one call less per stage
-        def stages(stage_t):
-            return lambda i, Y: rhs(stage_t[i, 0], Y[0])
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts, float_rhs, stages)[0]
+    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts)[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .connections import ConnectionField, _contract
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
-from .integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive, integrate_lanes
+from .integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_lanes
 
 __all__ = [
     "LiftTrajectory",
@@ -102,23 +102,20 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
                      opts: IntegratorOptions | None = None) -> list[LiftTrajectory]:
     """Lifts of ``path`` through each fiber value in ``seeds``, in order.
 
-    The seeds run as lanes of one integration.  Each step reads the path
-    once, at the five distinct stage times of the live lanes (one
-    ``position`` and one ``velocity`` call when the path broadcasts, else
-    one per time), and a member with Christoffel tensors
+    The seeds, a lone seed too, run as lanes of one integration.  Each step
+    reads the path once, at the five distinct stage times of the live lanes
+    (one ``position`` and one ``velocity`` call when the path broadcasts,
+    else one per time), and a member with Christoffel tensors
     (``conn.christoffel``) builds them there in one call; a stage then only
-    contracts them with its fiber rows.  Other members take one ``gamma``
-    call per stage when the connection broadcasts, else one per row.  A
-    lone seed of a member without tensors is lifted stage by stage on one
-    row.  In 1-d a lone seed steps in Python floats (through
-    ``conn.scalar_gamma``, or else ``gamma``), and so do the lanes of a
-    member with ``conn.scalar_gamma`` while at most eight are live; the
-    float form built on ``gamma`` is slower than the stacked kernel on a
-    batch, so other members' batches step stacked.  When ``gamma`` ignores
-    the base point (``conn.uses_base`` false), every call gets the path's
-    starting point.  Each trajectory equals the seed's lift alone bit for
-    bit.  If the batch raises, the error is the one the first failing seed
-    raises alone.
+    contracts them with its fiber rows.  Other members take one
+    ``conn.stack`` per stage.  In 1-d the lanes of a member with
+    ``conn.scalar_gamma`` step in Python floats while at most eight are
+    live, and so does a lone seed of any member, through a float form built
+    on ``gamma``, which is slower than the stacked kernel on a batch.  When
+    ``gamma`` ignores the base point (``conn.uses_base`` false), every call
+    gets the path's starting point.  Each trajectory equals the seed's lift
+    alone bit for bit.  If the batch raises, the error is the one the first
+    failing seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -154,38 +151,19 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for v in vs:
             conn.coeff(p0, v)
-    g, pos, vel, n = conn.gamma, path.position, path.velocity, conn.dimension
-    uses_base = conn.uses_base
-
-    def coeffs(t: float, c: np.ndarray) -> np.ndarray:
-        m = np.asarray(g(pos(t) if uses_base else p0, c), dtype=float)
-        if m.shape != (n, n):
-            raise ValueError(f"coefficient map returned shape {m.shape}, expected ({n}, {n})")
-        return m
-
-    def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        return -coeffs(t, c) @ vel(t)
-
-    # rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
-    scalar, float_rhs = conn.scalar_gamma, None
+    # The rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
+    # The form built on gamma is slower than the stacked kernel on a batch: lone seeds only.
+    scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
     if scalar is not None:
         def float_rhs(t: float, y: float) -> float:
             return 0.0 + (-scalar(y)) * vel(t).item()
-    elif n == 1:
-        def float_rhs(t: float, y: float) -> float:
-            return 0.0 + (-coeffs(t, np.array([y])).item()) * vel(t).item()
+    elif conn.dimension == 1 and len(vs) == 1:
+        row, pos, uses_base = conn.row, path.position, conn.uses_base
 
+        def float_rhs(t: float, y: float) -> float:
+            return 0.0 + (-row(pos(t) if uses_base else p0, np.array([y])).item()) * vel(t).item()
     stack_rhs, stages = _stack_rhs(conn, path, p0)
-    if len(vs) == 1:
-        # A lone lift calls gamma on one row; its steps take the stage hook
-        # only when the member has tensors.
-        hook = stages if conn.christoffel is not None else None
-        results = [integrate_adaptive(rhs, vs[0], opts, float_rhs, hook)]
-    else:
-        # Batches step in floats only through the member's own float form:
-        # the one built on gamma is slower than the stacked kernel on them.
-        batch_float = float_rhs if scalar is not None else None
-        results = integrate_lanes(stack_rhs, vs, opts, batch_float, stages)
+    results = integrate_lanes(stack_rhs, vs, opts, float_rhs, stages)
     return [
         LiftTrajectory(
             t=res.t,
@@ -309,9 +287,9 @@ def transport_jacobian(conn: ConnectionField, path: PathCurve, v0,
     """Centered finite-difference Jacobian of v -> transport(v) at v0.
 
     Probes 2n transports with step h (default 1e-5 * (1 + ||v0||)), lifted
-    together; h must be positive and finite.  Raises the
-    TransportEscapedError of the first probe, in the order (j, +h), (j, -h),
-    that fails to complete.
+    together; h must be positive and finite, and must move every probe off
+    v0.  Raises the TransportEscapedError of the first probe, in the order
+    (j, +h), (j, -h), that fails to complete.
     """
     v = as_coords(v0, "initial fiber vector")
     n = v.size
@@ -321,6 +299,8 @@ def transport_jacobian(conn: ConnectionField, path: PathCurve, v0,
         raise ValueError(f"step h must be positive and finite, got {h}")
     probes = []  # (j, +h), (j, -h) for j = 0 .. n-1
     for j in range(n):
+        if v[j] + h == v[j] or v[j] - h == v[j]:
+            raise ValueError(f"step h={h:g} does not move coordinate {j} of v0 ({v[j]:g})")
         e = np.zeros(n)
         e[j] = h
         probes += [v + e, v - e]

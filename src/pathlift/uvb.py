@@ -218,9 +218,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
 
     Defaults: signed coordinate-axis directions and the geometric radius
     grid from default_radii().  The point must have the connection's
-    dimension n (checked first), directions must be finite unit vectors,
-    radii a strictly increasing, positive and finite grid of at least two,
-    and eps positive and finite.
+    dimension n (checked first), directions a nonempty (m, n) array of
+    finite unit vectors, radii a strictly increasing, positive and finite
+    grid of at least two, and eps positive and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid/
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
@@ -233,9 +233,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     pc = as_coords(p, "base point")
     if pc.size != conn.dimension:  # before anything of size n is built
         raise ValueError(f"base point has length {pc.size}, connection n={conn.dimension}")
-    dirs = axis_directions(conn.dimension) if directions is None else np.atleast_2d(
-        np.asarray(directions, dtype=float)
-    )
+    dirs = (axis_directions(conn.dimension) if directions is None
+            else np.asarray(directions, dtype=float))
+    if dirs.ndim != 2 or dirs.shape[0] == 0:
+        raise ValueError(f"directions must be a nonempty (m, n) array, got shape {dirs.shape}")
     if dirs.shape[1] != conn.dimension:
         raise ValueError(f"directions have length {dirs.shape[1]}, connection n={conn.dimension}")
     # Checks in positive form, so that a NaN fails them.

@@ -393,6 +393,19 @@ class TestConfigErrors:
     ], ids=["lift", "uvb-scan"])
     def test_dimension_mismatch_is_found_before_anything_of_size_n(self, tmp_path, argv,
                                                                    message):
+        run = self._run_limited(tmp_path, [argv[0], "--connection", "flat:1e9", *argv[1:]])
+        assert (run.returncode, run.stderr) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("dimension, size", [("100000", "149."), ("20000", "5.96")])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, dimension, size):
+        # The default scan directions of flat:n take 2 n^2 floats.
+        run = self._run_limited(tmp_path, ["uvb-scan", "--connection", f"flat:{dimension}"])
+        assert run.returncode == 1
+        assert run.stderr.startswith(f"error: Unable to allocate {size} GiB for an array")
+        assert run.stderr.count("\n") == 1
+
+    @staticmethod
+    def _run_limited(tmp_path, argv):
         # Under a 2 GB address-space limit, so that building anything of the
         # connection's size fails at once instead of filling the memory.
         def limit_memory():
@@ -401,11 +414,9 @@ class TestConfigErrors:
         src = str(Path(pathlift.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-m", "pathlift", argv[0], "--connection", "flat:1e9", *argv[1:],
-             "--out", str(tmp_path)],
+        return subprocess.run(
+            [sys.executable, "-m", "pathlift", *argv, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120)
-        assert (run.returncode, run.stderr) == (1, f"error: {message}\n")
 
     def test_missing_path(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--v", "0",

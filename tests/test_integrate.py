@@ -308,7 +308,7 @@ class TestLanes:
         with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 2"):
             integrate_lanes(never, [[1.0, 2.0]], float_rhs=never)
         with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 3"):
-            integrate_adaptive(never, [1.0, 2.0, 3.0], float_rhs=never)
+            integrate_lanes(never, [[1.0, 2.0, 3.0]], float_rhs=never)
 
     @pytest.mark.parametrize("m", [1, 8, 9])
     def test_float_kernel_steps_up_to_eight_lanes(self, m):
@@ -408,5 +408,5 @@ class TestLoneOneDimensionalLane:
         stacked = integrate_lanes(stack, y0, opts)
         for a, b in zip(floats, stacked):
             _assert_same_result(a, b)
-        alone = integrate_adaptive(lone, seeds[0], opts, float_rhs=_float_form(lone))
+        alone = integrate_lanes(stack, [[seeds[0]]], opts, float_rhs=_float_form(lone))[0]
         _assert_same_result(alone, stacked[0])

@@ -6,9 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlift import lifting
-from pathlift.connections import ConnectionField, ConnectionSpec, _inline_spec, gallery
+from pathlift.connections import ConnectionField, ConnectionSpec, _inline_spec, _with_scalar, gallery
 from pathlift.geometry import PathCurve, path_circle, path_polyline, path_reverse, path_segment
-from pathlift.integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_adaptive
+from pathlift.integrate import (
+    COMPLETE,
+    ESCAPED,
+    IntegratorOptions,
+    integrate_adaptive,
+    integrate_lanes,
+)
 from pathlift.lifting import (
     TransportEscapedError,
     completion_threshold,
@@ -89,22 +95,57 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _custom_gamma(p, v):
+    # A 2-d map that only takes one point and one fiber vector at a time.
+    assert p.shape == v.shape == (2,)
+    return np.array([[0.3 * v[0] * v[1], np.sin(p[0])], [-0.2 * v[1], 0.1 * v[0] ** 2]])
+
+
+_CUSTOM = ConnectionField(2, _custom_gamma, name="custom-2d")
+
+_term = st.fixed_dictionaries({
+    "coeff": _floats(-2.0, 2.0),
+    "monomial": st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    "k": st.integers(0, 2), "i": st.integers(0, 2), "j": st.integers(0, 2),
+})
+
+
+def _one_matrix_gamma(p, v):
+    # Claims to broadcast, but makes one matrix of whatever it is given.
+    return 0.5 * np.outer(np.sin(v), np.cos(p)) - np.eye(2)
+
+
+_ONE_MATRIX = ConnectionField(2, _one_matrix_gamma, name="one-matrix", broadcasts=True)
+
+
 @st.composite
 def _lift_cases(draw):
     name = draw(st.sampled_from(
-        ["fig1", "power-growth", "scalar-linear", "sphere-stereographic", "flat"]))
+        ["fig1", "power-growth", "scalar-linear", "sphere-stereographic", "flat",
+         "custom", "one-matrix", "christoffel"]))
     if name == "power-growth":
         conn = gallery(ConnectionSpec(name, {"alpha": draw(_floats(0.0, 3.0))}))
     elif name == "scalar-linear":
         conn = _scalar(draw(_floats(-3.0, 3.0)))
     elif name == "flat":
         conn = _flat(draw(st.integers(1, 3)))
+    elif name == "custom":
+        conn = _CUSTOM
+    elif name == "one-matrix":
+        conn = _ONE_MATRIX
+    elif name == "christoffel":  # 1-d, without a float form of its own
+        terms = [{**t, "k": 0, "i": 0, "j": 0, "monomial": t["monomial"][:1]}
+                 for t in draw(st.lists(_term, max_size=3))]
+        conn = gallery(ConnectionSpec(name, {"dimension": 1, "terms": terms}))
     else:
         conn = gallery(name)
     n = conn.dimension
     point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
-    if n == 2 and draw(st.booleans()):
+    kind = draw(st.sampled_from(["segment", "polyline"] + ["circle"] * (n == 2)))
+    if kind == "circle":
         path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
+    elif kind == "polyline":
+        path = path_polyline([draw(point) for _ in range(3)], [0.0, draw(_floats(0.2, 0.8)), 1.0])
     else:
         path = path_segment(draw(point), draw(point))
     coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))  # signed zeros too
@@ -113,7 +154,7 @@ def _lift_cases(draw):
 
 
 class TestRawRhsEquivalence:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(_lift_cases())
     def test_lift_matches_validated_rhs_bitwise(self, case):
         # The lift validates Gamma once and calls it raw; driving the
@@ -143,32 +184,71 @@ class TestRawRhsEquivalence:
 
 @np.errstate(all="ignore")
 def test_one_dimensional_rhs_rounds_as_the_product(monkeypatch):
-    # A 1-d lift's rhs returns 0.0 + (-m) * v for -m @ vel(t): bit for bit
-    # the one-term product, which adds to +0.0, where the bare -(m * v)
-    # differs in the sign of zero.  The lift is run once to capture its rhs,
-    # which is then fed every pair of special values.
+    # A 1-d lift's float rhs returns 0.0 + (-m) * v for -m @ vel(t): bit for
+    # bit the one-term product, which adds to +0.0, where the bare -(m * v)
+    # differs in the sign of zero.  The lift is run once for each float form,
+    # the one built on gamma and the member's scalar_gamma, to capture it;
+    # each is then fed every pair of special values.
     captured = []
 
-    def spy(rhs, *args):
-        captured.append(rhs)
-        return integrate_adaptive(rhs, *args)
+    def spy(rhs, Y0, opts, float_rhs, stages):
+        captured.append(float_rhs)
+        return integrate_lanes(rhs, Y0, opts, float_rhs, stages)
 
-    monkeypatch.setattr(lifting, "integrate_adaptive", spy)
+    monkeypatch.setattr(lifting, "integrate_lanes", spy)
     box = {"m": 1.0, "v": 1.0}
     conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
     path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
     horizontal_lift(conn, path, [0.0])
+    horizontal_lift(_with_scalar(dataclasses.replace(conn), lambda v: box["m"]), path, [0.0])
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.7, -1e300, 1e300,
                np.inf, -np.inf, np.nan]
+    assert len(captured) == 2 and None not in captured
+    for float_rhs in captured:
+        for m in special:
+            for v in special:
+                box.update(m=m, v=v)
+                got = float_rhs(0.5, 0.0)
+                want = (-np.array([[m]]) @ np.array([v])).item()
+                if np.isnan(want):
+                    assert np.isnan(got), (m, v)
+                else:
+                    assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
+
+
+@np.errstate(all="ignore")
+def test_stacked_rhs_rounds_as_the_product(monkeypatch):
+    # The lane rhs and every stage of the stage hook return (-M) @ V,
+    # negation first, bit for bit as the float forms: with m = 0.0 the
+    # product -0.0 adds to +0.0, where -(M @ V) gives -0.0.  A batch of a
+    # 1-d map without a float form of its own runs the hook; it is fed
+    # every pair of special values on one row and on two.
+    captured = []
+
+    def spy(rhs, Y0, opts, float_rhs, stages):
+        captured.append((rhs, stages))
+        return integrate_lanes(rhs, Y0, opts, float_rhs, stages)
+
+    monkeypatch.setattr(lifting, "integrate_lanes", spy)
+    box = {"m": 1.0, "v": 1.0}
+    conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
+    path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
+    horizontal_lifts(conn, path, [[0.0], [0.5]])
+    (rhs, stages), = captured
+    special = [0.0, -0.0, 5e-324, -1.0, 3.7, -1e300, 1e300, np.inf, -np.inf, np.nan]
     for m in special:
         for v in special:
             box.update(m=m, v=v)
-            got = captured[0](0.5, np.array([0.0]))
             want = (-np.array([[m]]) @ np.array([v])).item()
-            if np.isnan(want):
-                assert np.isnan(got), (m, v)
-            else:
-                assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
+            for k in (1, 2):
+                f, C = stages(np.full((7, k), 0.5)), np.zeros((k, 1))
+                for got in [rhs(np.full(k, 0.5), C)] + [f(i, C) for i in range(1, 7)]:
+                    assert np.shape(got) == (k, 1)
+                    for x in np.ravel(got):
+                        if np.isnan(want):
+                            assert np.isnan(x), (m, v)
+                        else:
+                            assert (x, np.signbit(x)) == (want, np.signbit(want)), (m, v)
 
 
 def _assert_same_lift(a, b):
@@ -178,21 +258,6 @@ def _assert_same_lift(a, b):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
         else:
             assert (type(x), repr(x)) == (type(y), repr(y)), f.name
-
-
-def _custom_gamma(p, v):
-    # A 2-d map that only takes one point and one fiber vector at a time.
-    assert p.shape == v.shape == (2,)
-    return np.array([[0.3 * v[0] * v[1], np.sin(p[0])], [-0.2 * v[1], 0.1 * v[0] ** 2]])
-
-
-_CUSTOM = ConnectionField(2, _custom_gamma, name="custom-2d")
-
-_term = st.fixed_dictionaries({
-    "coeff": _floats(-2.0, 2.0),
-    "monomial": st.lists(st.integers(0, 2), min_size=3, max_size=3),
-    "k": st.integers(0, 2), "i": st.integers(0, 2), "j": st.integers(0, 2),
-})
 
 
 _MEMBERS = ("fig1", "power-growth", "scalar-linear", "flat", "sphere-stereographic",
@@ -551,6 +616,15 @@ class TestTransportJacobian:
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
         with pytest.raises(ValueError, match="step h must be positive and finite"):
             transport_jacobian(_scalar(1.0), UNIT, [1.3], h=h)
+
+    @pytest.mark.parametrize("conn, path, v0, h", [
+        (FIG1, path_segment([0.0], [0.6]), [0.3], 1e-17),
+        (gallery("sphere-stereographic"), path_segment([0.0, 0.0], [1.0, 0.0]), [1e6, 1.0], 1e-11),
+    ], ids=["fig1", "sphere"])
+    def test_rejects_a_step_that_moves_no_probe(self, conn, path, v0, h):
+        # v0[0] + h == v0[0]: the column would be 0 instead of an error.
+        with pytest.raises(ValueError, match=r"step h=1e-\d+ does not move coordinate 0 of v0"):
+            transport_jacobian(conn, path, v0, h=h)
 
     def _stop(self, call):
         with pytest.raises(TransportEscapedError) as info:

@@ -224,12 +224,22 @@ class TestFiberScan:
         ({"radii": [1.0, 2.0, 4.0, np.inf]}, "radii must be"),
         ({"directions": [[np.nan]]}, "directions must be"),
         ({"radii": [[1.0, 2.0, 4.0, 8.0]]}, "radii must be"),
-    ], ids=["nan-radius", "inf-radius", "nan-direction", "2-d-radii"])
+        ({"directions": np.empty((0, 1))}, r"nonempty \(m, n\) array, got shape \(0, 1\)$"),
+        ({"directions": np.empty((0, 1)), "conn": ConnectionField(1, lambda p, v: np.eye(1))},
+         r"nonempty \(m, n\) array, got shape \(0, 1\)$"),
+        ({"directions": [[[1.0]]]}, r"nonempty \(m, n\) array, got shape \(1, 1, 1\)$"),
+        ({"directions": [[[1.0, 0.0]]], "conn": gallery("sphere-stereographic")},
+         r"nonempty \(m, n\) array, got shape \(1, 1, 2\)$"),
+    ], ids=["nan-radius", "inf-radius", "nan-direction", "2-d-radii", "no-direction",
+            "no-direction-row-by-row", "3-d-directions", "3-d-directions-sphere"])
     def test_malformed_grid_is_a_grid_error(self, grid, message):
         # Every comparison with NaN is false, so the grid checks must be
         # written in positive form to reject it before any sample runs.
+        # The shape is checked before any sample too.
+        grid = dict(grid)
+        conn = grid.pop("conn", FIG1)
         with pytest.raises(ValueError, match=message):
-            fiber_scan(FIG1, [0.0], **grid)
+            fiber_scan(conn, np.zeros(conn.dimension), **grid)
 
     def test_failure_carries_location(self):
         bad = ConnectionField(1, lambda p, v: np.array([[np.inf if abs(v[0]) > 3 else 1.0]]))
