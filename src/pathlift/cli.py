@@ -175,11 +175,10 @@ def cmd_transport(args) -> int:
 
 
 def cmd_uvb_scan(args) -> int:
-    path = _resolve_path(args.path) if args.path is not None else None
-    if args.point:
+    if args.point:  # --point and --path exclude each other
         points = [_parse_floats(p, "--point") for p in args.point]
-    elif path is not None:
-        points = [path.position(0.0), path.position(0.5), path.position(1.0)]
+    elif args.path is not None:
+        points = [_resolve_path(args.path).position(t) for t in (0.0, 0.5, 1.0)]
     else:
         points = None  # origin of the connection's dimension, resolved below
     conn = _resolve_connection(args.connection, len(points[0]) if points else None)
@@ -317,8 +316,9 @@ def _build_parser() -> _Parser:
     p_tr.set_defaults(func=cmd_transport)
     p_scan = sub.add_parser("uvb-scan", parents=[conn, out], allow_abbrev=False,
                             help="scan fiber rays for boundedness")
-    p_scan.add_argument("--path", help="scan the path's start, midpoint and end")
-    p_scan.add_argument("--point", action="append", help="scan base point, comma-separated")
+    where = p_scan.add_mutually_exclusive_group()
+    where.add_argument("--path", help="scan the path's start, midpoint and end")
+    where.add_argument("--point", action="append", help="scan base point, comma-separated")
     p_scan.add_argument("--format", choices=("csv", "json"), default="json")
     p_scan.add_argument("--weight", choices=("euclidean", "normalized"), default="normalized")
     p_scan.add_argument("--eps", type=float, default=1e-3, help="angle margin in radians")

@@ -164,7 +164,7 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     ``christoffel`` must be a pure function of the bytes of p: ``gamma``
     keeps the tensors of its last call and reuses them when the next call
     passes the same p, bytes and rank alike (a point scanned or validated
-    again, both DOPRI stages at t + h of a 1-d lane stepping alone).
+    again).
     ``gamma`` broadcasts; on a (k, n) stack of base points it calls
     ``christoffel`` once per row, as lifts do on the stack of a step's stage
     base points (see ConnectionField).

@@ -1,5 +1,8 @@
 """Deterministic CSV/JSON emission: fixed float formatting, sorted keys, no clocks.
 
+JSON writes a non-finite float as the string of its CSV text ("inf", "-inf",
+"nan"), so every file parses as strict JSON.
+
 CSV is written by columns (arrays or lists, each converted once with
 ``.tolist()``), every row with one ``%``-format for the whole file.  Its
 ``%.17g`` equals ``fmt_float`` on every double: NaN, +-inf, +-0 and subnormals.
@@ -8,6 +11,7 @@ CSV is written by columns (arrays or lists, each converted once with
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return fmt_float(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

@@ -8,6 +8,7 @@ parameter interval rescale it affinely on ingestion.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -112,12 +113,15 @@ class PathCurve:
 
 
 def path_segment(a, b) -> PathCurve:
-    """Straight segment from a to b: gamma(t) = (1-t) a + t b."""
+    """Straight segment from a to b: gamma(t) = (1-t) a + t b; b - a must be finite."""
     pa = as_coords(a, "segment start")
     pb = as_coords(b, "segment end")
     if pa.size != pb.size:
         raise ValueError(f"segment endpoints have dimensions {pa.size} and {pb.size}")
-    d = pb - pa
+    with np.errstate(over="ignore"):
+        d = pb - pa
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"segment span b - a must be finite, got {d}")
 
     def position(t: float) -> np.ndarray:
         return pa + t * d
@@ -132,8 +136,9 @@ def path_polyline(points, times) -> PathCurve:
     """C1 cubic Hermite interpolant through the given knots.
 
     Knot tangents come from centered finite differences at interior knots
-    and one-sided differences at the ends.  ``times`` must be strictly
-    increasing and finite; any interval is affinely rescaled to [0, 1].
+    and one-sided differences at the ends, and must be finite.  ``times``
+    must be strictly increasing and finite; any interval is affinely
+    rescaled to [0, 1].
 
     Args:
         points: sequence of at least two points, all of one dimension.
@@ -163,10 +168,13 @@ def path_polyline(points, times) -> PathCurve:
 
     m, n = pts.shape
     tang = np.empty_like(pts)
-    tang[0] = (pts[1] - pts[0]) / (tau[1] - tau[0])
-    tang[-1] = (pts[-1] - pts[-2]) / (tau[-1] - tau[-2])
-    if m > 2:
-        tang[1:-1] = (pts[2:] - pts[:-2]) / (tau[2:] - tau[:-2])[:, None]
+    with np.errstate(over="ignore"):
+        tang[0] = (pts[1] - pts[0]) / (tau[1] - tau[0])
+        tang[-1] = (pts[-1] - pts[-2]) / (tau[-1] - tau[-2])
+        if m > 2:
+            tang[1:-1] = (pts[2:] - pts[:-2]) / (tau[2:] - tau[:-2])[:, None]
+    if not np.all(np.isfinite(tang)):
+        raise ValueError(f"polyline knot tangents must be finite, got {tang.tolist()}")
 
     # A float t is evaluated in numpy scalars, a (k, 1) column of times row by row.
     def position(t: float) -> np.ndarray:
@@ -217,7 +225,8 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
     """Closed circular loop of the given chart radius, traversed once.
 
     The loop lies in the coordinate plane spanned by axes ``plane``, starts
-    at center + radius * e_i, and runs counterclockwise in (i, j).
+    at center + radius * e_i, and runs counterclockwise in (i, j).  Its
+    length 2 pi radius must be finite.
     """
     c = as_coords(center, "circle center")
     try:
@@ -226,6 +235,9 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
         r = np.nan
     if r <= 0 or not np.isfinite(r):
         raise ValueError(f"circle radius must be positive and finite, got {radius!r}")
+    tau = 2 * np.pi
+    if not math.isfinite(tau * r):
+        raise ValueError(f"circle length 2 pi r must be finite, got radius {radius!r}")
     try:
         i, j = plane
         axes = i == int(i) and j == int(j)  # two whole numbers
@@ -234,7 +246,6 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
     if not axes or i == j or not (0 <= i < c.size and 0 <= j < c.size):
         raise ValueError(f"circle plane {plane!r} invalid for dimension {c.size}")
     i, j = int(i), int(j)
-    tau = 2 * np.pi
 
     # Coordinates i and j as one-wide slices, so that a (k, 1) column of times
     # fills a (k, n) block as a float t fills one row.

@@ -16,26 +16,30 @@ overflowed during a blow-up, or returned NaN) counts as a rejected step and
 is retried with a tenth of the step, silently: no RuntimeWarning.
 
 ``integrate_lanes`` integrates one system from many initial states at once:
-the states are *lanes* of a stack, evaluated by one rhs call per stage, and
-each lane keeps its own t, step size, controller state and status, so its
-result is bit for bit the one it gets integrated alone.  A lane retires
-when it completes, escapes or collapses.  ``integrate_adaptive`` is the
-one-lane case.  A step runs one of two kernels: the stacked kernel, for any
-lanes, or, when the caller gives the float form ``float_rhs`` of a 1-d rhs
-and at most eight lanes are live, the float kernel, which steps the lanes
-one after another in Python floats.  A stacked step costs about a hundred
+the states are *lanes* of a stack, evaluated together, and each lane keeps
+its own t, step size, controller state and status, so its result is bit
+for bit the one it gets integrated alone.  A lane retires when it
+completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
+case.  A step runs one of two kernels: the stacked kernel, for any lanes,
+or, when the caller gives the float form ``float_rhs`` of a 1-d system and
+at most eight lanes are live, the float kernel, which steps the lanes one
+after another in Python floats.  A stacked step costs about a hundred
 numpy calls whatever the lane count, a float lane-step six rhs calls and
 seven dots, and the two cost about the same at eight lanes; a batch that
 starts above eight switches to floats once enough lanes retire.  The float
-kernel's stage sums are dots on a lane's column of stage derivatives, which round as the
-stacked products do, except stage 1's single term, which the stacked
-product adds to +0.0 (a dot keeps the -0.0 of ``(1/5) * -0.0``).  The bits
-are the stacked kernel's, signed zeros included.
+kernel's stage sums are dots on a lane's column of stage derivatives,
+which round as the stacked products do, except stage 1's single term,
+which the stacked product adds to +0.0 (a dot keeps the -0.0 of
+``(1/5) * -0.0``).  The bits are the stacked kernel's, signed zeros
+included.
 
-The stacked kernel hands the stage times t + c_i h of a step, all known
-before its first stage, to a per-step hook ``stages`` that returns the
-stage rhs: a caller evaluates there what depends on t alone (a lift's path
-and Christoffel tensors) once per step, not once per stage.
+Outside the float kernel every evaluation goes through one hook,
+``field``, which is given the times of the evaluations to come as rows of
+a table and returns the derivative at each row.  The seed derivative and
+the first step's probe pass one row; a stacked step passes the five
+distinct stage times t + c_i h (c_5 = c_6 = 1), all known before its first
+stage, so a caller evaluates what depends on t alone (a lift's path and
+Christoffel tensors) once per step, not once per stage.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -79,7 +83,6 @@ _STATUS = {
 # Dormand-Prince 5(4) tableau. B5 propagates; E = B5 - B4 weights the
 # embedded error estimate. FSAL: the 7th stage is f at the new point.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_C_COL = _C[:, None]
 _C_LIST = _C.tolist()
 _A = (
     np.array([]),
@@ -94,6 +97,11 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = _B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# A stacked step's field rows are its five distinct stage times t + c_i h,
+# i = 1..5, and stage i reads row _STAGE_ROW[i]: c_5 = c_6 = 1.  Stage 0 is
+# the FSAL derivative and reads none.
+_C_ROWS = _C[1:6, None]
+_STAGE_ROW = (0, 0, 1, 2, 3, 4, 4)
 
 # The float kernel steps up to this many lanes: above it the stacked
 # kernel's fixed per-step cost is the smaller one (the crossover sweep is in
@@ -210,7 +218,7 @@ class _Lane:
         )
 
 
-def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions) -> list[float]:
+def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions) -> list[float]:
     # Hairer-style two-phase guess per lane: balance state and derivative
     # scales, then probe the local curvature with one Euler step.
     # Root mean squares over each row; add.reduce / n is np.mean without its wrapper.
@@ -219,7 +227,7 @@ def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions)
     d1 = np.sqrt(np.add.reduce((F0 / scale) ** 2, axis=1) / n).tolist()
     h0 = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
     H0 = np.array(h0)
-    F1 = np.asarray(rhs(H0, Y0 + H0[:, None] * F0), dtype=float)
+    F1 = np.asarray(field(H0[None])(0, Y0 + H0[:, None] * F0), dtype=float)
     d2 = (np.sqrt(np.add.reduce(((F1 - F0) / scale) ** 2, axis=1) / n) / H0).tolist()
     steps = []
     for h, b, c in zip(h0, d1, d2):
@@ -230,29 +238,26 @@ def _initial_steps(rhs, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions)
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_lanes(
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    field: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]],
     Y0,
     opts: IntegratorOptions | None = None,
     float_rhs: Callable[[float, float], float] | None = None,
-    stages: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]] | None = None,
 ) -> list[IntegrationResult]:
-    """Integrate y' = rhs(t, y) over [0, 1] from every row of Y0, one lane each.
+    """Integrate y' = f(t, y) over [0, 1] from every row of Y0, one lane each.
 
-    ``rhs(t, Y)`` evaluates the live lanes at once: ``t`` holds their times,
-    shape (k,), and ``Y`` their states, shape (k, n), in the order of Y0's
-    rows; it returns their derivatives as anything that assigns into a
-    (k, n) array.  The first call is rhs(zeros(m), Y0).  In 1-d,
-    ``float_rhs(t, y)`` is rhs on one lane in Python floats, bit for bit;
-    when given, every step taken while at most eight lanes are live calls
-    it, lane after lane, instead of rhs or ``stages`` (and states that are
-    not 1-d are an error).
-
-    ``stages(stage_t)`` is called once per step of the stacked kernel, with
-    the live lanes' stage times as a (7, k) array (row i: t + c_i h), and
-    returns ``f(i, Y)``: the derivatives at stage i = 1..6 for the stage
-    states Y, bit for bit rhs(stage_t[i], Y).  It lets the caller evaluate
-    what depends on t alone once per step.  Without it, f(i, Y) is
-    rhs(stage_t[i], Y).
+    ``field(T)`` is the one evaluation hook.  T is an (s, k) array of times,
+    column j for the j-th live lane in the order of Y0's rows, and the
+    returned ``f(r, Y)`` gives the derivatives at the times T[r] for the
+    states Y, shape (k, n), as anything that assigns into a (k, n) array;
+    f(r, Y) must not depend on T's other rows.  The seed derivative is
+    field(zeros((1, m)))(0, Y0), and the first step's Euler probe is one
+    more call on one row.  Each step of the stacked kernel calls field once,
+    on the live lanes' five distinct stage times (row r: t + c_(r+1) h;
+    stages 5 and 6 both read row 4), so the caller evaluates what depends
+    on t alone once per step.  In 1-d, ``float_rhs(t, y)`` is f on one lane
+    in Python floats, bit for bit; when given, every step taken while at
+    most eight lanes are live calls it, lane after lane, instead of field
+    (and states that are not 1-d are an error).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -269,15 +274,12 @@ def integrate_lanes(
     m, n = Y.shape
     if float_rhs is not None and n != 1:
         raise ValueError(f"float_rhs needs 1-d states, got dimension {n}")
-    if stages is None:
-        def stages(stage_t):
-            return lambda i, Y: rhs(stage_t[i], Y)
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
     A, B5, E, C = _A, _B5, _E, _C_LIST
 
     F = np.empty((m, n))
-    F[:] = rhs(np.zeros(m), Y)
+    F[:] = field(np.zeros((1, m)))(0, Y)
     # Accepted nodes are rows of these stacks; lane j starts at row j.
     ys, fs = [Y], [F]
     lanes = [_Lane(j) for j in range(m)]
@@ -289,7 +291,7 @@ def integrate_lanes(
     lv = [lanes[j] for j in live]
     if lv:
         Y, F = Y[live], F[live]
-        for lane, h in zip(lv, _initial_steps(rhs, F, Y, opts)):
+        for lane, h in zip(lv, _initial_steps(field, F, Y, opts)):
             lane.h = h
     base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
@@ -399,10 +401,10 @@ def integrate_lanes(
             continue
         h_row = np.array(hs)
         H = h_row[:, None]
-        f = stages(np.array(ts) + _C_COL * h_row)  # row i: t + c_i h
+        f = field(np.array(ts) + _C_ROWS * h_row)
         stage[0][...] = F
         for i in range(1, 7):
-            stage[i][...] = f(i, Y + H * (A[i] @ head[i]))
+            stage[i][...] = f(_STAGE_ROW[i], Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
         Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
@@ -429,4 +431,4 @@ def integrate_adaptive(
     exhausted; ``stop_reason`` says which.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    return integrate_lanes(lambda t, Y: rhs(t[0], Y[0]), y[None], opts)[0]
+    return integrate_lanes(lambda T: lambda r, Y: rhs(T[r, 0], Y[0]), y[None], opts)[0]

@@ -11,7 +11,7 @@ lift that blows up before t = 1 is reported as escaped; parallel transport
 exists exactly when the lift completes.
 
 ``horizontal_lifts`` lifts many seeds along one path as lanes of a single
-integration (see integrate.integrate_lanes): one rhs evaluation covers all
+integration (see integrate.integrate_lanes): one evaluation covers all
 live seeds, and each seed's trajectory is bit for bit the one it gets
 alone.  The seed sweeps (completion_threshold, the probes of
 transport_jacobian) run through it.
@@ -102,18 +102,18 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
                      opts: IntegratorOptions | None = None) -> list[LiftTrajectory]:
     """Lifts of ``path`` through each fiber value in ``seeds``, in order.
 
-    The seeds, a lone seed too, run as lanes of one integration.  Each step
-    reads the path once, at the five distinct stage times of the live lanes
-    (one ``position`` and one ``velocity`` call when the path broadcasts,
-    else one per time), and a member with Christoffel tensors
-    (``conn.christoffel``) builds them there in one call; a stage then only
-    contracts them with its fiber rows.  Other members take one
+    The seeds, a lone seed too, run as lanes of one integration.  Each
+    evaluation reads the path once for all its times: the seed derivatives,
+    the first step's probe, and each step at the five distinct stage times
+    of the live lanes (one ``position`` and one ``velocity`` call when the
+    path broadcasts, else one per time).  A member with Christoffel tensors
+    (``conn.christoffel``) builds them there in one call, and a stage then
+    only contracts them with its fiber rows; other members take one
     ``conn.stack`` per stage.  In 1-d the lanes of a member with
-    ``conn.scalar_gamma`` step in Python floats while at most eight are
-    live, and so does a lone seed of any member, through a float form built
-    on ``gamma``, which is slower than the stacked kernel on a batch.  When
-    ``gamma`` ignores the base point (``conn.uses_base`` false), every call
-    gets the path's starting point.  Each trajectory equals the seed's lift
+    ``conn.scalar_gamma``, lone or batched, step in Python floats while at
+    most eight are live; all other lanes step stacked.  When ``gamma``
+    ignores the base point (``conn.uses_base`` false), every call gets the
+    path's starting point.  Each trajectory equals the seed's lift
     alone bit for bit.  If the batch raises, the error is the one the first
     failing seed raises alone.
     """
@@ -152,18 +152,11 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
         for v in vs:
             conn.coeff(p0, v)
     # The rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
-    # The form built on gamma is slower than the stacked kernel on a batch: lone seeds only.
     scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
     if scalar is not None:
         def float_rhs(t: float, y: float) -> float:
             return 0.0 + (-scalar(y)) * vel(t).item()
-    elif conn.dimension == 1 and len(vs) == 1:
-        row, pos, uses_base = conn.row, path.position, conn.uses_base
-
-        def float_rhs(t: float, y: float) -> float:
-            return 0.0 + (-row(pos(t) if uses_base else p0, np.array([y])).item()) * vel(t).item()
-    stack_rhs, stages = _stack_rhs(conn, path, p0)
-    results = integrate_lanes(stack_rhs, vs, opts, float_rhs, stages)
+    results = integrate_lanes(_field(conn, path, p0), vs, opts, float_rhs)
     return [
         LiftTrajectory(
             t=res.t,
@@ -181,8 +174,8 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     ]
 
 
-def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
-    """Lane rhs and its stage hook (see integrate_lanes and horizontal_lifts).
+def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
+    """The lift's evaluation hook for integrate_lanes (see horizontal_lifts).
 
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
@@ -190,43 +183,30 @@ def _stack_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
     stack, christoffel, pos, vel = conn.stack, conn.christoffel, path.position, path.velocity
     path_broadcasts, uses_base, n = path.broadcasts, conn.uses_base, conn.dimension
 
-    def base(T: np.ndarray):
-        # Positions and velocities at the times T, as arrays that broadcast to (T.size, n).
+    def field(T: np.ndarray):
+        (s, k), times = T.shape, T.ravel()
+        # Positions and velocities at all the times, as arrays that broadcast to (s * k, n).
         if path_broadcasts:
-            return (pos(T[:, None]) if uses_base else p0), vel(T[:, None])
-        P = np.array([pos(t) for t in T]) if uses_base else p0
-        return P, np.array([vel(t) for t in T])
-
-    def rhs(T: np.ndarray, C: np.ndarray) -> np.ndarray:
-        P, V = base(T)
-        # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
-        return ((-stack(P, C)) @ V[..., None])[..., 0]
-
-    def stages(stage_t: np.ndarray):
-        k = stage_t.shape[1]
-        P, V = base(stage_t[1:6].ravel())
+            P, V = (pos(times[:, None]) if uses_base else p0), vel(times[:, None])
+        else:
+            P = np.array([pos(t) for t in times]) if uses_base else p0
+            V = np.array([vel(t) for t in times])
         G = None
         if christoffel is not None:
-            P = P if P.shape == (5 * k, n) else np.broadcast_to(P, (5 * k, n))
-            G = christoffel(P).reshape(5, k, n, n, n)
-        P, V = _stage_rows(P, k), _stage_rows(V, k)
+            P = P if P.shape == (s * k, n) else np.broadcast_to(P, (s * k, n))
+            G = christoffel(P).reshape(s, k, n, n, n)
+        # The (k, ...) rows of each time row, or the array itself for all of them.
+        P, V = [X.reshape(s, k, -1) if X.ndim == 2 and X.shape[0] == s * k else (X,) * s
+                for X in (P, V)]
 
-        def f(i: int, C: np.ndarray) -> np.ndarray:
-            j = _STAGE_ROW[i]
-            M = stack(P[j], C) if G is None else _contract(G[j], C)
-            return ((-M) @ V[j][..., None])[..., 0]
+        def f(r: int, C: np.ndarray) -> np.ndarray:
+            M = stack(P[r], C) if G is None else _contract(G[r], C)
+            # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
+            return ((-M) @ V[r][..., None])[..., 0]
 
         return f
 
-    return rhs, stages
-
-
-def _stage_rows(X: np.ndarray, k: int):
-    # The (k, ...) rows of each of the five stage times, or X itself for all of them.
-    return X.reshape(5, k, -1) if X.ndim == 2 and X.shape[0] == 5 * k else (X,) * 5
-
-
-_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)  # c_5 = c_6 = 1
+    return field
 
 
 def _endpoint(traj: LiftTrajectory) -> TangentVector:

@@ -447,6 +447,14 @@ class TestConfigErrors:
     def test_bad_flag_maps_to_config_error(self, tmp_path):
         assert main(["lift", "--no-such-flag"]) == 1
 
+    def test_scan_takes_a_point_or_a_path_not_both(self, tmp_path, capsys):
+        code = main(["uvb-scan", "--connection", "flat:1", "--point", "0",
+                     "--path", "segment:0,0:1,1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --path: not allowed with argument --point\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_vector_text(self, tmp_path):
         assert main(["lift", "--connection", "fig1", "--path", "segment:0:1",
                      "--v", "zero", "--out", str(tmp_path)]) == 1
@@ -664,6 +672,13 @@ class TestSpecFiles:
         ({"kind": "segment", "form": [0], "to": [1]},
          "path of kind 'segment' takes no field 'form'"),
         ({"kind": ["segment"], "from": [0], "to": [1]}, "unknown path kind ['segment']"),
+        # A span or speed that overflows.
+        ({"kind": "segment", "from": [-1e308], "to": [1e308]},
+         "segment span b - a must be finite, got [inf]"),
+        ({"kind": "polyline", "points": [[-1e308], [0], [1e308]], "times": [0, 1, 2]},
+         "polyline knot tangents must be finite, got [[inf], [inf], [inf]]"),
+        ({"kind": "circle", "center": [0, 0], "radius": 1e308},
+         "circle length 2 pi r must be finite, got radius 1e+308"),
     ])
     def test_bad_path_file_is_one_error_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "path.json"

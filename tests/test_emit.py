@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pathlift.cli import main
 from pathlift.connections import connection_from_json, gallery
-from pathlift.emit import fmt_float, write_csv
+from pathlift.emit import dumps_json, fmt_float, write_csv
 from pathlift.geometry import path_segment
 from pathlift.lifting import horizontal_lifts
 
@@ -119,3 +119,38 @@ def test_lift_run_with_two_dense_grids_matches_per_cell_reference(tmp_path):
         rows = ([t, *b, *f] for t, b, f in zip(traj.t, traj.base, traj.fiber))
         got = (out / f"lift_{idx:03d}.csv").read_text(encoding="utf-8")
         assert got == _reference_csv(["t", "base_0", "fiber_0"], rows)
+
+
+def _strict_json(text: str, **kwargs):
+    def refuse(constant):
+        raise ValueError(f"bare {constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse, **kwargs)
+
+
+def test_json_writes_non_finite_floats_as_their_csv_text():
+    # Finite floats are JSON numbers that read back bit for bit (-0.0 is
+    # written "-0", an integer to json); inf, -inf and nan are the strings
+    # the CSV writer prints for them.
+    got = _strict_json(dumps_json({"x": _EDGE_FLOATS, "y": np.array(_EDGE_FLOATS)}),
+                       parse_int=float)
+    for x in _EDGE_FLOATS:
+        assert "%.17g" % x == fmt_float(x)
+    for values in (got["x"], got["y"]):
+        assert len(values) == len(_EDGE_FLOATS)
+        for x, back in zip(_EDGE_FLOATS, values):
+            if np.isfinite(x):
+                assert np.array([back]).tobytes() == np.array([x]).tobytes()
+            else:
+                assert back == fmt_float(x)
+
+
+def test_lift_json_with_an_infinite_speed_is_strict_json(tmp_path):
+    # scalar-linear:-3 from 1e154 overflows to inf before the escape norm 1e300.
+    out = tmp_path / "out"
+    argv = ["lift", "--connection", "scalar-linear:-3", "--path", "segment:0:1", "--v", "1e154",
+            "--escape-norm", "1e300", "--out", str(out)]
+    assert main(argv) == 2
+    summary = _strict_json((out / "lift_000.json").read_text(encoding="utf-8"))
+    assert summary["max_vertical_speed"] == summary["norm_at_escape"] == "inf"
+    assert summary["status"] == "escaped"

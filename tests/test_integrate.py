@@ -234,6 +234,11 @@ def _float_form(rhs):
     return lambda t, y: rhs(t, np.array([y])).item()
 
 
+def _lanes(rhs):
+    """The field of integrate_lanes for ``rhs(t, Y)``, t the (k,) times of the live lanes."""
+    return lambda T: lambda r, Y: rhs(T[r], Y)
+
+
 class TestLanes:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -254,7 +259,7 @@ class TestLanes:
             return np.stack([1.0 + Y[:, 0] * Y[:, 0], np.sin(3.0 * t) - Y[:, 1]], axis=1)
 
         y0 = np.array([[s, 2.0 * s] for s in seeds])
-        got = integrate_lanes(stack, y0, opts)
+        got = integrate_lanes(_lanes(stack), y0, opts)
         assert len(got) == len(seeds)
         for row, res in zip(y0, got):
             _assert_same_result(res, integrate_adaptive(lone, row, opts))
@@ -267,7 +272,7 @@ class TestLanes:
             assert Y.shape == (len(t), 1)
             return 1.0 + Y * Y
 
-        res = integrate_lanes(rhs, [[0.0], [1.0], [2e8]])
+        res = integrate_lanes(_lanes(rhs), [[0.0], [1.0], [2e8]])
         assert [r.stop_reason for r in res] == ["complete", "escape-norm", "escape-norm"]
         assert sizes[0] == 3 and max(sizes[1:]) == 2 and min(sizes) == 1  # start, then live only
 
@@ -289,7 +294,7 @@ class TestLanes:
 
         lone = integrate_adaptive(rhs, [10.0])
         assert lone.rejected > 0 and any(nonfinite)
-        lanes = integrate_lanes(rhs, [[10.0]] + [[p] for p in partners],
+        lanes = integrate_lanes(_lanes(rhs), [[10.0]] + [[p] for p in partners],
                                 float_rhs=_float_form(rhs))
         _assert_same_result(lanes[0], lone)
 
@@ -299,7 +304,7 @@ class TestLanes:
     ])
     def test_rejects_bad_initial_states(self, y0, error):
         with pytest.raises(ValueError, match=error):
-            integrate_lanes(lambda t, Y: Y, y0)
+            integrate_lanes(_lanes(lambda t, Y: Y), y0)
 
     def test_rejects_a_float_rhs_on_states_that_are_not_1d(self):
         def never(*args):
@@ -313,38 +318,35 @@ class TestLanes:
     @pytest.mark.parametrize("m", [1, 8, 9])
     def test_float_kernel_steps_up_to_eight_lanes(self, m):
         # y' = 1 + y^2: the lane from 5 escapes at t = pi/2 - atan(5), the
-        # others complete.  The stage hook runs while more than eight lanes
-        # are live, every later step is in floats, and the stacked rhs makes
-        # only the first evaluation and the step-size probe besides the hook.
-        rhs_lanes, hook_lanes, float_calls = [], [], []
+        # others complete.  The field's five stage rows run while more than
+        # eight lanes are live, every later step is in floats, and besides
+        # them the field makes only the first evaluation and the step-size
+        # probe, one row each.
+        rows, float_calls = [], []
 
         def rhs(t, Y):
-            rhs_lanes.append(len(t))
             return 1.0 + Y * Y
 
-        def stages(stage_t):
-            hook_lanes.append(stage_t.shape[1])
-            return lambda i, Y: rhs(stage_t[i], Y)
+        def field(T):
+            rows.append(T.shape)
+            return lambda r, Y: rhs(T[r], Y)
 
         def float_rhs(t, y):
             float_calls.append(t)
             return 1.0 + y * y
 
         y0 = [[5.0]] + [[v] for v in np.linspace(-0.5, 0.5, m - 1)]
-        got = integrate_lanes(rhs, y0, float_rhs=float_rhs, stages=stages)
+        got = integrate_lanes(field, y0, float_rhs=float_rhs)
         assert [r.status for r in got] == [ESCAPED] + [COMPLETE] * (m - 1)
         assert float_calls
-        if m <= 8:
-            assert rhs_lanes == [m, m] and hook_lanes == []
-        else:
-            # Until the first lane retires, then never again.
-            assert hook_lanes == [m] * min(r.steps + r.rejected for r in got)
-            assert set(rhs_lanes) == {m}
-        for res, ref in zip(got, integrate_lanes(rhs, y0)):
+        assert rows[:2] == [(1, m), (1, m)]
+        # Until the first lane retires, then never again.
+        assert rows[2:] == [(5, m)] * (min(r.steps + r.rejected for r in got) if m > 8 else 0)
+        for res, ref in zip(got, integrate_lanes(_lanes(rhs), y0)):
             _assert_same_result(res, ref)
 
     def test_no_lanes(self):
-        assert integrate_lanes(lambda t, Y: Y, np.empty((0, 2))) == []
+        assert integrate_lanes(_lanes(lambda t, Y: Y), np.empty((0, 2))) == []
 
 
 # Signed zeros, subnormals, infinities, NaN and values across the range.
@@ -404,9 +406,9 @@ class TestLoneOneDimensionalLane:
 
         opts = IntegratorOptions(rtol=rtol)
         y0 = [[s] for s in seeds]
-        floats = integrate_lanes(stack, y0, opts, float_rhs=_float_form(lone))
-        stacked = integrate_lanes(stack, y0, opts)
+        floats = integrate_lanes(_lanes(stack), y0, opts, float_rhs=_float_form(lone))
+        stacked = integrate_lanes(_lanes(stack), y0, opts)
         for a, b in zip(floats, stacked):
             _assert_same_result(a, b)
-        alone = integrate_lanes(stack, [[seeds[0]]], opts, float_rhs=_float_form(lone))[0]
+        alone = integrate_lanes(_lanes(stack), [[seeds[0]]], opts, float_rhs=_float_form(lone))[0]
         _assert_same_result(alone, stacked[0])

@@ -182,73 +182,91 @@ class TestRawRhsEquivalence:
         assert traj.max_vertical_speed == ref.max_rhs_norm
 
 
+def _spy_on_integrate_lanes(monkeypatch):
+    """The (field, float_rhs) of each call lifting makes to integrate_lanes, in a list."""
+    captured = []
+
+    def spy(field, Y0, opts, float_rhs):
+        captured.append((field, float_rhs))
+        return integrate_lanes(field, Y0, opts, float_rhs)
+
+    monkeypatch.setattr(lifting, "integrate_lanes", spy)
+    return captured
+
+
 @np.errstate(all="ignore")
 def test_one_dimensional_rhs_rounds_as_the_product(monkeypatch):
     # A 1-d lift's float rhs returns 0.0 + (-m) * v for -m @ vel(t): bit for
     # bit the one-term product, which adds to +0.0, where the bare -(m * v)
-    # differs in the sign of zero.  The lift is run once for each float form,
-    # the one built on gamma and the member's scalar_gamma, to capture it;
-    # each is then fed every pair of special values.
-    captured = []
-
-    def spy(rhs, Y0, opts, float_rhs, stages):
-        captured.append(float_rhs)
-        return integrate_lanes(rhs, Y0, opts, float_rhs, stages)
-
-    monkeypatch.setattr(lifting, "integrate_lanes", spy)
+    # differs in the sign of zero.  The lift of a member with scalar_gamma
+    # is run to capture it; it is then fed every pair of special values.
+    captured = _spy_on_integrate_lanes(monkeypatch)
     box = {"m": 1.0, "v": 1.0}
     conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
     path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
-    horizontal_lift(conn, path, [0.0])
-    horizontal_lift(_with_scalar(dataclasses.replace(conn), lambda v: box["m"]), path, [0.0])
+    horizontal_lift(_with_scalar(conn, lambda v: box["m"]), path, [0.0])
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.7, -1e300, 1e300,
                np.inf, -np.inf, np.nan]
-    assert len(captured) == 2 and None not in captured
-    for float_rhs in captured:
-        for m in special:
-            for v in special:
-                box.update(m=m, v=v)
-                got = float_rhs(0.5, 0.0)
-                want = (-np.array([[m]]) @ np.array([v])).item()
-                if np.isnan(want):
-                    assert np.isnan(got), (m, v)
-                else:
-                    assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
+    (_, float_rhs), = captured
+    assert float_rhs is not None
+    for m in special:
+        for v in special:
+            box.update(m=m, v=v)
+            got = float_rhs(0.5, 0.0)
+            want = (-np.array([[m]]) @ np.array([v])).item()
+            if np.isnan(want):
+                assert np.isnan(got), (m, v)
+            else:
+                assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
 
 
 @np.errstate(all="ignore")
 def test_stacked_rhs_rounds_as_the_product(monkeypatch):
-    # The lane rhs and every stage of the stage hook return (-M) @ V,
-    # negation first, bit for bit as the float forms: with m = 0.0 the
-    # product -0.0 adds to +0.0, where -(M @ V) gives -0.0.  A batch of a
-    # 1-d map without a float form of its own runs the hook; it is fed
-    # every pair of special values on one row and on two.
-    captured = []
-
-    def spy(rhs, Y0, opts, float_rhs, stages):
-        captured.append((rhs, stages))
-        return integrate_lanes(rhs, Y0, opts, float_rhs, stages)
-
-    monkeypatch.setattr(lifting, "integrate_lanes", spy)
+    # Every row of the lift's field returns (-M) @ V, negation first, bit
+    # for bit as the float forms: with m = 0.0 the product -0.0 adds to
+    # +0.0, where -(M @ V) gives -0.0.  A batch of a 1-d map without a float
+    # form of its own runs the field; it is fed every pair of special values
+    # on one row of times and on five, for one lane and for two.
+    captured = _spy_on_integrate_lanes(monkeypatch)
     box = {"m": 1.0, "v": 1.0}
     conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
     path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
     horizontal_lifts(conn, path, [[0.0], [0.5]])
-    (rhs, stages), = captured
+    (field, _), = captured
     special = [0.0, -0.0, 5e-324, -1.0, 3.7, -1e300, 1e300, np.inf, -np.inf, np.nan]
     for m in special:
         for v in special:
             box.update(m=m, v=v)
             want = (-np.array([[m]]) @ np.array([v])).item()
-            for k in (1, 2):
-                f, C = stages(np.full((7, k), 0.5)), np.zeros((k, 1))
-                for got in [rhs(np.full(k, 0.5), C)] + [f(i, C) for i in range(1, 7)]:
+            for s, k in [(1, 1), (1, 2), (5, 1), (5, 2)]:
+                f, C = field(np.full((s, k), 0.5)), np.zeros((k, 1))
+                for got in [f(r, C) for r in range(s)]:
                     assert np.shape(got) == (k, 1)
                     for x in np.ravel(got):
                         if np.isnan(want):
                             assert np.isnan(x), (m, v)
                         else:
                             assert (x, np.signbit(x)) == (want, np.signbit(want)), (m, v)
+
+
+_CHRISTOFFEL1 = gallery(ConnectionSpec("christoffel", {"dimension": 1, "terms": [
+    {"k": 0, "i": 0, "j": 0, "coeff": 0.8, "monomial": [1]}]}))
+
+
+@pytest.mark.parametrize("conn, floats", [
+    (FIG1, True),
+    (gallery(_inline_spec("power-growth:3", 1)), True),
+    (_CHRISTOFFEL1, False),
+    (ConnectionField(1, FIG1.gamma), False),
+], ids=["fig1", "power-growth", "christoffel", "own-map"])
+@pytest.mark.parametrize("seeds", [[[0.5]], [[0.5], [-0.25], [0.0]]], ids=["lone", "three"])
+def test_float_form_exactly_when_the_member_has_scalar_gamma(monkeypatch, conn, floats, seeds):
+    # A 1-d lift steps in floats through scalar_gamma alone; without it,
+    # a lone seed steps stacked as a batch does.
+    captured = _spy_on_integrate_lanes(monkeypatch)
+    horizontal_lifts(conn, path_segment([0.2], [1.1]), seeds)
+    (_, float_rhs), = captured
+    assert (float_rhs is not None) == floats == (conn.scalar_gamma is not None)
 
 
 def _assert_same_lift(a, b):
