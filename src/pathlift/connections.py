@@ -159,24 +159,20 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
 
     ``christoffel`` maps a base point to an (n, n, n) array indexed [k, i, j];
     the coefficient matrix is (Gamma(p, v) u)^k = sum_ij G^k_ij(p) u^i v^j, so
-    the induced lift equation is the classical transport equation.
+    the induced lift equation is the classical transport equation.  ``n``
+    must be a positive integer.
 
-    ``christoffel`` must be a pure function of the bytes of p: ``gamma``
-    keeps the tensors of its last call and reuses them when the next call
-    passes the same p, bytes and rank alike (a point scanned or validated
-    again).
-    ``gamma`` broadcasts; on a (k, n) stack of base points it calls
-    ``christoffel`` once per row, as lifts do on the stack of a step's stage
-    base points (see ConnectionField).
+    ``gamma`` broadcasts; each call builds the tensors anew, calling
+    ``christoffel`` once per row of a (k, n) stack of base points, as lifts
+    do on the stack of a step's stage base points (see ConnectionField).
     """
-    return _linear(int(n), lambda p: christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
+    return _linear(_dimension(name, n),
+                   lambda p: christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
                    name, params)
 
 
 def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
     # tensors maps p of shape (n,) or (k, n) to the (n, n, n) or (k, n, n, n) tensors.
-    last = [b"", None]  # key and tensors of the last call; a failed build is not kept
-
     def christoffel(p: np.ndarray) -> np.ndarray:
         G = np.asarray(tensors(p), dtype=float)
         shape = p.shape[:-1] + (n, n, n)
@@ -184,15 +180,9 @@ def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
             raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
         return G
 
-    def gamma(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        key = p.tobytes() + bytes(p.ndim)
-        if key != last[0]:
-            last[:] = key, christoffel(p)
-        return _contract(last[1], v)
-
     conn = ConnectionField(
         dimension=n,
-        gamma=gamma,
+        gamma=lambda p, v: _contract(christoffel(p), v),
         is_linear_in_fiber=True,
         growth_hint=1.0,
         name=name,

@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON emission: fixed float formatting, sorted keys, no clocks.
 
 JSON writes a non-finite float as the string of its CSV text ("inf", "-inf",
-"nan"), so every file parses as strict JSON.
+"nan"), so every file parses as strict JSON, and -0.0 as ``-0.0``, which a
+JSON reader takes for a float where it would read ``-0`` as the integer 0.
 
 CSV is written by columns (arrays or lists, each converted once with
 ``.tolist()``), every row with one ``%``-format for the whole file.  Its
@@ -38,7 +39,8 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
+        text = fmt_float(obj)
+        return ("-0.0" if text == "-0" else text) if math.isfinite(obj) else f'"{text}"'
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

@@ -226,7 +226,8 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
 
     The loop lies in the coordinate plane spanned by axes ``plane``, starts
     at center + radius * e_i, and runs counterclockwise in (i, j).  Its
-    length 2 pi radius must be finite.
+    length 2 pi radius, and |center_i| + radius and |center_j| + radius,
+    must be finite.
     """
     c = as_coords(center, "circle center")
     try:
@@ -246,6 +247,10 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
     if not axes or i == j or not (0 <= i < c.size and 0 <= j < c.size):
         raise ValueError(f"circle plane {plane!r} invalid for dimension {c.size}")
     i, j = int(i), int(j)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(c[[i, j]]) + r).all():
+            raise ValueError(f"circle |center| + radius must be finite in its plane, "
+                             f"got center {center!r} and radius {radius!r}")
 
     # Coordinates i and j as one-wide slices, so that a (k, 1) column of times
     # fills a (k, n) block as a float t fills one row.

@@ -679,6 +679,9 @@ class TestSpecFiles:
          "polyline knot tangents must be finite, got [[inf], [inf], [inf]]"),
         ({"kind": "circle", "center": [0, 0], "radius": 1e308},
          "circle length 2 pi r must be finite, got radius 1e+308"),
+        ({"kind": "circle", "center": [1.7e308, 0], "radius": 2e307},
+         "circle |center| + radius must be finite in its plane, "
+         "got center [1.7e+308, 0] and radius 2e+307"),
     ])
     def test_bad_path_file_is_one_error_line(self, tmp_path, capsys, spec, message):
         path = tmp_path / "path.json"

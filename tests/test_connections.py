@@ -17,7 +17,7 @@ from pathlift.connections import (
 from pathlift import connections
 from pathlift.connections import _polynomial_christoffels, _stereographic_christoffels
 from pathlift.geometry import path_segment
-from pathlift.lifting import horizontal_lift, parallel_transport
+from pathlift.lifting import parallel_transport
 from pathlift.uvb import EUCLIDEAN, NORMALIZED, fiber_scan, principal_angles
 
 
@@ -206,10 +206,13 @@ class TestGallery:
             _member("flat", dimension=dimension)
         with pytest.raises(ValueError, match="christoffel dimension must be a positive integer"):
             _member("christoffel", dimension=dimension, terms=[])
+        with pytest.raises(ValueError, match="mine dimension must be a positive integer"):
+            make_linear_connection(dimension, lambda p: np.zeros((2, 2, 2)), name="mine")
 
     def test_integral_dimension_is_accepted(self):
         assert _member("flat", dimension=2.0).dimension == 2
         assert _member("christoffel", dimension=3, terms=[]).dimension == 3
+        assert make_linear_connection(2.0, lambda p: np.zeros((2, 2, 2))).dimension == 2
 
     def test_listing_contents(self):
         rows = {r["name"]: r for r in gallery_members()}
@@ -292,7 +295,7 @@ def _counting(christoffel):
 
 
 def _sign_sensitive(p):
-    # A pure function of the bytes of p that tells 0.0 from -0.0.
+    # Tensors that tell 0.0 from -0.0 in p.
     return np.copysign(1.0, p)[:, None, None] * np.arange(1.0, 1.0 + p.size**3).reshape(
         p.size, p.size, p.size)
 
@@ -302,6 +305,10 @@ def _fresh_gamma(christoffel, n, p, v):
 
 
 class TestChristoffelMemo:
+    """Calls a memo of the tensors would get wrong: points that repeat, signed
+    zeros, failed builds, a caller that writes into its matrix, a map that
+    reads a parameter.  A linear connection keeps no tensors between calls."""
+
     def test_one_evaluation_per_fiber_scan(self):
         chris, calls = _counting(_sign_sensitive)
         conn = make_linear_connection(3, chris)
@@ -310,21 +317,6 @@ class TestChristoffelMemo:
             fiber_scan(conn, p)  # 2n x 21 = 126 samples at one base point
             assert len(calls) == expected
             assert np.array_equal(calls[-1], p)
-
-    def test_lift_evaluates_once_per_change_of_base_point(self):
-        chris, calls = _counting(_sign_sensitive)
-        conn = make_linear_connection(2, chris)
-        points = []
-
-        def gamma(p, v):
-            points.append(p.tobytes())
-            return conn.gamma(p, v)
-
-        traced = dataclasses.replace(conn, gamma=gamma)
-        traj = horizontal_lift(traced, path_segment([0.1, 0.2], [0.9, -0.4]), [1.0, 0.5])
-        assert traj.status == "complete"
-        changes = 1 + sum(a != b for a, b in zip(points, points[1:]))
-        assert len(calls) == changes < len(points)
 
     def test_alternating_points_and_signed_zeros(self):
         chris, calls = _counting(_sign_sensitive)
@@ -335,7 +327,7 @@ class TestChristoffelMemo:
         for p in sequence:
             got = conn.gamma(np.array(p), v)
             assert got.tobytes() == _fresh_gamma(_sign_sensitive, 2, p, v).tobytes()
-        assert len(calls) == len(sequence) - 1  # only the back-to-back [0, 1] is reused
+        assert len(calls) == len(sequence)  # the back-to-back [0, 1] is built twice
 
     @pytest.mark.parametrize("bad, error", [
         (ZeroDivisionError("map fails"), "map fails"),
@@ -367,6 +359,13 @@ class TestChristoffelMemo:
         first = conn.gamma(p, v)
         first[:] = np.nan
         assert conn.gamma(p, v).tobytes() == _fresh_gamma(_sign_sensitive, 2, p, v).tobytes()
+
+    def test_a_map_that_reads_a_parameter_is_read_at_every_call(self):
+        scale = [1.0]
+        conn = make_linear_connection(1, lambda p: np.full((1, 1, 1), scale[0]))
+        assert conn.coeff([0.0], [1.0])[0, 0] == 1.0
+        scale[0] = 2.0
+        assert conn.coeff([0.0], [1.0])[0, 0] == 2.0
 
 
 _coord = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -450,7 +449,7 @@ class TestBroadcasting:
         assert stacked.tobytes() == rows.tobytes()
         assert one_point.tobytes() == at_first.tobytes()
 
-    def test_linear_memo_keeps_the_last_call_only(self):
+    def test_linear_gamma_builds_every_row_of_every_call(self):
         results = []  # what the christoffel map returns next, when set
 
         def christoffel(p):
@@ -463,26 +462,26 @@ class TestBroadcasting:
         first = conn.gamma(p, v)
         assert len(calls) == 5  # every row of the stack, repeated points included
         assert conn.gamma(p, v[::-1]).tobytes() == first.tobytes()  # v is all ones
-        assert len(calls) == 5  # the same stack again builds nothing
+        assert len(calls) == 10  # the same stack again is built again
         assert conn.gamma(p[::-1], v).tobytes() == first[::-1].tobytes()
-        assert len(calls) == 10  # a changed stack is rebuilt in full
+        assert len(calls) == 15
 
         row = np.array([[0.3, 0.4]])
         conn.gamma(row, v[:1])
-        assert len(calls) == 11
+        assert len(calls) == 16
         single = conn.gamma(row[0], v[0])  # the same bytes at rank 1
-        assert len(calls) == 12 and single.shape == (2, 2)
+        assert len(calls) == 17 and single.shape == (2, 2)
         assert single.tobytes() == _fresh_gamma(_sign_sensitive, 2, row[0], v[0]).tobytes()
 
         q = row[0] + 1.0
         results.append(np.ones((2, 2)))  # the next build fails its shape check
         with pytest.raises(ValueError, match=r"returned shape \(2, 2\), expected \(2, 2, 2\)"):
             conn.gamma(q, v[0])
-        assert len(calls) == 13
+        assert len(calls) == 18
         assert conn.gamma(row[0], v[0]).tobytes() == single.tobytes()
-        assert len(calls) == 13  # the entry before the failure is kept
+        assert len(calls) == 19
         assert conn.gamma(q, v[0]).tobytes() == _fresh_gamma(_sign_sensitive, 2, q, v[0]).tobytes()
-        assert len(calls) == 14  # the failed build was not stored
+        assert len(calls) == 20
 
     def test_custom_fields_do_not_broadcast_by_default(self):
         assert not ConnectionField(1, lambda p, v: np.eye(1)).broadcasts

@@ -6,6 +6,7 @@ writer took columns, and the two must give the same bytes.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,9 +130,10 @@ def _strict_json(text: str, **kwargs):
 
 
 def test_json_writes_non_finite_floats_as_their_csv_text():
-    # Finite floats are JSON numbers that read back bit for bit (-0.0 is
-    # written "-0", an integer to json); inf, -inf and nan are the strings
-    # the CSV writer prints for them.
+    # Finite floats are JSON numbers that read back bit for bit (whole
+    # numbers such as 0.0 are written as integers, hence parse_int=float;
+    # -0.0 is written "-0.0"); inf, -inf and nan are the strings the CSV
+    # writer prints for them.
     got = _strict_json(dumps_json({"x": _EDGE_FLOATS, "y": np.array(_EDGE_FLOATS)}),
                        parse_int=float)
     for x in _EDGE_FLOATS:
@@ -143,6 +145,22 @@ def test_json_writes_non_finite_floats_as_their_csv_text():
                 assert np.array([back]).tobytes() == np.array([x]).tobytes()
             else:
                 assert back == fmt_float(x)
+
+
+def test_json_negative_zero_reads_back_as_a_negative_float():
+    (back,) = json.loads(dumps_json([-0.0]))
+    assert isinstance(back, float) and back == 0.0 and math.copysign(1.0, back) < 0.0
+    assert dumps_json([0.0, np.float64(-0.0), -0.5]) == "[0,-0.0,-0.5]\n"
+
+
+def test_transport_json_keeps_the_sign_of_a_zero_vector(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["transport", "--connection", "flat", "--path", "segment:0:1", "--v=-0",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "transport: complete\n"
+    (v,) = json.loads((out / "transport.json").read_text(encoding="utf-8"))["vector_in"]
+    assert isinstance(v, float) and math.copysign(1.0, v) < 0.0
 
 
 def test_lift_json_with_an_infinite_speed_is_strict_json(tmp_path):
