@@ -20,18 +20,18 @@ the states are *lanes* of a stack, evaluated together, and each lane keeps
 its own t, step size, controller state and status, so its result is bit
 for bit the one it gets integrated alone.  A lane retires when it
 completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
-case.  A step runs one of two kernels: the stacked kernel, for any lanes,
-or, when the caller gives the float form ``float_rhs`` of a 1-d system and
-at most eight lanes are live, the float kernel, which steps the lanes one
-after another in Python floats.  A stacked step costs about a hundred
-numpy calls whatever the lane count, a float lane-step six rhs calls and
-seven dots, and the two cost about the same at eight lanes; a batch that
-starts above eight switches to floats once enough lanes retire.  The float
-kernel's stage sums are dots on a lane's column of stage derivatives,
-which round as the stacked products do, except stage 1's single term,
-which the stacked product adds to +0.0 (a dot keeps the -0.0 of
-``(1/5) * -0.0``).  The bits are the stacked kernel's, signed zeros
-included.
+case.  Lanes step in one of two kernels, both settling each step they try
+through one controller, ``_Lane``: the stacked kernel, for any lanes, and,
+when the caller gives the float form ``float_rhs`` of a 1-d system and at
+most eight lanes are live, the float kernel, which steps each lane in turn,
+to its end, in Python floats.  A stacked step costs about a hundred numpy
+calls whatever the lane count, a float lane-step six rhs calls and seven
+dots, and the two cost about the same at eight lanes; a batch that starts
+above eight steps stacked until enough lanes retire.  The float kernel's
+stage sums are dots on a lane's column of stage derivatives, which round
+as the stacked products do, except stage 1's single term, which the
+stacked product adds to +0.0 (a dot keeps the -0.0 of ``(1/5) * -0.0``).
+The bits are the stacked kernel's, signed zeros included.
 
 Outside the float kernel every evaluation goes through one hook,
 ``field``, which is given the times of the evaluations to come as rows of
@@ -104,8 +104,8 @@ _C_ROWS = _C[1:6, None]
 _STAGE_ROW = (0, 0, 1, 2, 3, 4, 4)
 
 # The float kernel steps up to this many lanes: above it the stacked
-# kernel's fixed per-step cost is the smaller one (the crossover sweep is in
-# ROADMAP item 6).
+# kernel's fixed per-step cost is the smaller one (the crossover sweep in
+# ROADMAP item 8 predates the float kernel taking one lane to its end).
 _FLOAT_LANES = 8
 
 _SAFETY = 0.9
@@ -167,10 +167,10 @@ class IntegrationResult:
 
 
 class _Lane:
-    """Step control of one lane, in Python floats, and the rows of its accepted nodes."""
+    """Step control of one lane, in Python floats, and its accepted nodes."""
 
-    __slots__ = ("t", "h", "facold", "steps", "rejected", "stop", "t_escape",
-                 "norm_at_escape", "nodes_t", "rows")
+    __slots__ = ("t", "h", "step", "last", "facold", "steps", "rejected", "stop", "t_escape",
+                 "norm_at_escape", "nodes_t", "rows", "yf", "ff")
 
     def __init__(self, row: int):
         self.t = 0.0
@@ -182,22 +182,60 @@ class _Lane:
         self.t_escape = None
         self.norm_at_escape = None
         self.nodes_t = array("d", [0.0])
-        self.rows = array("q", [row])  # rows of the stacked node states
+        self.rows = array("q", [row])  # rows of the stacked kernel's node states
+        self.yf, self.ff = array("d"), array("d")  # then the float kernel's nodes
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
         self.t_escape = self.t
         self.norm_at_escape = ynorm
 
+    def plan(self, max_steps: int, min_step: float) -> bool:
+        """Stop at max-steps or min-step, or set the next step; whether the lane goes on."""
+        if self.stop is None:
+            if self.steps + self.rejected >= max_steps:
+                self.stop = "max-steps"
+            elif self.h < min_step:
+                self.stop = "min-step"
+            else:
+                self.last = self.h >= 1.0 - self.t
+                self.step = (1.0 - self.t) if self.last else self.h
+                return True
+        return False
+
+    def settle(self, err: float, ynorm: float, escape_norm: float) -> bool:
+        """Accept or reject the step tried, from its scaled error norm and the
+        norm of its new state; whether it was accepted."""
+        h = self.step
+        if not err <= 1.0:
+            self.rejected += 1
+            self.h = h * max(_FAC_MIN, _SAFETY / err**_EXPO) if math.isfinite(err) else 0.1 * h
+            return False
+        self.steps += 1
+        self.t = 1.0 if self.last else self.t + h
+        self.nodes_t.append(self.t)
+        if not math.isfinite(ynorm) or ynorm >= escape_norm:
+            self.escape(ynorm)
+            return True
+        fac11 = err**_EXPO if err > 0 else 0.0
+        fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * self.facold**_BETA / fac11)) if fac11 else _FAC_MAX
+        self.h = h * fac
+        self.facold = max(err, 1e-4)
+        if not self.t < 1.0:
+            self.stop = "complete"
+        return True
+
     def result(self, ys: np.ndarray, fs: np.ndarray, opts: IntegratorOptions) -> IntegrationResult:
         rows = np.frombuffer(self.rows, dtype=np.int64)
         nodes_y, nodes_f = ys[rows], fs[rows]
+        if self.yf:
+            nodes_y = np.concatenate((nodes_y, np.frombuffer(self.yf)[:, None]))
+            nodes_f = np.concatenate((nodes_f, np.frombuffer(self.ff)[:, None]))
         # Accepted derivatives are finite, so the max over the nodes is the
-        # running max over the steps (NaN only from the first).  vecdot rounds
-        # like f @ f.
-        max_rhs = float(np.sqrt(np.vecdot(nodes_f, nodes_f)).max())
+        # running max over the steps (NaN only from the first).
+        max_rhs = float(np.max(_norms(nodes_f)))
         t_end = self.t
-        if rows.size == 1 or t_end <= 0.0:
+        if len(self.nodes_t) == 1 or t_end <= 0.0:
             dense_t = np.array([0.0])
             dense_y = nodes_y[:1]
         else:
@@ -218,6 +256,14 @@ class _Lane:
         )
 
 
+def _norms(X: np.ndarray) -> list[float]:
+    """Each row's sqrt(x @ x), or hypot when a finite row's square overflows."""
+    norms = np.sqrt(np.vecdot(X, X)).tolist()
+    if math.inf in norms:
+        norms = [math.hypot(*x) if r == math.inf else r for r, x in zip(norms, X.tolist())]
+    return norms
+
+
 def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOptions) -> list[float]:
     # Hairer-style two-phase guess per lane: balance state and derivative
     # scales, then probe the local curvature with one Euler step.
@@ -234,6 +280,32 @@ def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOption
         h1 = max(1e-6, h * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         steps.append(min(100 * h, h1, 1.0))
     return steps
+
+
+def _float_lane(lane: _Lane, y: float, f: float, float_rhs, opts: IntegratorOptions) -> None:
+    """The float kernel: step a planned 1-d lane from state y, FSAL derivative f, to its end."""
+    rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
+    A, B5, E, C = _A, _B5, _E, _C_LIST
+    kv = np.empty(7)  # the stage derivatives, and the heads each stage sums
+    heads = [kv[:i] for i in range(7)]
+    while True:
+        # Stage times round as in the stacked kernel; the scale's max keeps a
+        # NaN operand, as np.maximum does.
+        t, H = lane.t, lane.step
+        kv[0] = f
+        kv[1] = float_rhs(t + C[1] * H, y + H * (0.0 + 0.2 * f))
+        for i in range(2, 7):
+            kv[i] = float_rhs(t + C[i] * H, y + H * float(A[i].dot(heads[i])))
+        y1 = y + H * float(B5.dot(kv))
+        a, b = abs(y), abs(y1)
+        q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
+        y2 = y1 * y1
+        if lane.settle(math.sqrt(q * q), math.sqrt(y2) if y2 != math.inf else b, escape_norm):
+            y, f = y1, kv.item(6)  # FSAL
+            lane.yf.append(y)
+            lane.ff.append(f)
+        if not lane.plan(opts.max_steps, opts.min_step):
+            return
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -255,9 +327,9 @@ def integrate_lanes(
     on the live lanes' five distinct stage times (row r: t + c_(r+1) h;
     stages 5 and 6 both read row 4), so the caller evaluates what depends
     on t alone once per step.  In 1-d, ``float_rhs(t, y)`` is f on one lane
-    in Python floats, bit for bit; when given, every step taken while at
-    most eight lanes are live calls it, lane after lane, instead of field
-    (and states that are not 1-d are an error).
+    in Python floats, bit for bit; when given, once at most eight lanes are
+    live, each lane in turn, to its end, steps in the float kernel, which
+    calls it instead of field (and states that are not 1-d are an error).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -276,15 +348,14 @@ def integrate_lanes(
         raise ValueError(f"float_rhs needs 1-d states, got dimension {n}")
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
-    A, B5, E, C = _A, _B5, _E, _C_LIST
+    A, B5, E = _A, _B5, _E
 
     F = np.empty((m, n))
     F[:] = field(np.zeros((1, m)))(0, Y)
     # Accepted nodes are rows of these stacks; lane j starts at row j.
     ys, fs = [Y], [F]
     lanes = [_Lane(j) for j in range(m)]
-    for lane, y2 in zip(lanes, np.vecdot(Y, Y).tolist()):
-        ynorm = math.sqrt(y2)
+    for lane, ynorm in zip(lanes, _norms(Y)):
         if ynorm >= escape_norm:
             lane.escape(ynorm)
     live = [j for j, lane in enumerate(lanes) if lane.stop is None]
@@ -293,126 +364,51 @@ def integrate_lanes(
         Y, F = Y[live], F[live]
         for lane, h in zip(lv, _initial_steps(field, F, Y, opts)):
             lane.h = h
+    keep = [j for j, lane in enumerate(lv) if lane.plan(max_steps, min_step)]
     base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
-    sq = None  # squared error norms of the step just taken; none before the first
-    floats = False  # whether the live lanes step in the float kernel, from now on
-    yf, ff = array("d"), array("d")  # its node states and derivatives, rows after the stacks
 
-    # One pass over the lanes per step: settle each lane's step, then plan
-    # its next one (or retire it); then take the next step for all of them.
-    while True:
-        accepted, keep, ts, hs_next, last_next = [], [], [], [], []
-        for j, lane in enumerate(lv):
-            if sq is not None:
-                err, h_use = math.sqrt(sq[j] / n), hs[j]
-                if not math.isfinite(err):
-                    lane.rejected += 1
-                    lane.h = 0.1 * h_use
-                elif err <= 1.0:
-                    accepted.append(j)
-                    lane.steps += 1
-                    lane.t = 1.0 if last[j] else lane.t + h_use
-                    lane.nodes_t.append(lane.t)
-                    lane.rows.append(base + j)
-                    ynorm = math.sqrt(yy[j])
-                    if not math.isfinite(ynorm) or ynorm >= escape_norm:
-                        lane.escape(ynorm)
-                        continue
-                    fac11 = err**_EXPO if err > 0 else 0.0
-                    if fac11 == 0.0:
-                        fac = _FAC_MAX
-                    else:
-                        fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * lane.facold**_BETA / fac11))
-                    lane.h = h_use * fac
-                    lane.facold = max(err, 1e-4)
-                    if not lane.t < 1.0:
-                        lane.stop = "complete"
-                        continue
-                else:
-                    lane.rejected += 1
-                    lane.h = h_use * max(_FAC_MIN, _SAFETY / err**_EXPO)
-            if lane.steps + lane.rejected >= max_steps:
-                lane.stop = "max-steps"
-            elif lane.h < min_step:
-                lane.stop = "min-step"
-            else:
-                keep.append(j)
-                t = lane.t
-                ts.append(t)
-                last_next.append(lane.h >= 1.0 - t)
-                hs_next.append((1.0 - t) if last_next[-1] else lane.h)
-        if accepted:
-            base += k
-            if floats:
-                f_new = k6.tolist()  # FSAL
-                yf.extend(y_new)
-                ff.extend(f_new)
-                for j in accepted:
-                    yv[j], fv[j] = y_new[j], f_new[j]
-            else:
-                F_new = stage[6].copy()  # FSAL
-                ys.append(Y_new)
-                fs.append(F_new)
-                if len(accepted) == k:
-                    Y, F = Y_new, F_new
-                else:
-                    took = np.zeros((k, 1), dtype=bool)
-                    took[accepted] = True
-                    Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
-        if not keep:
-            break
+    while keep:
         if len(keep) < len(lv):
-            lv = [lv[j] for j in keep]
-            if floats:
-                yv, fv = [yv[j] for j in keep], [fv[j] for j in keep]
-            else:
-                Y, F = Y[keep], F[keep]
-        hs, last = hs_next, last_next
-
+            lv, Y, F = [lv[j] for j in keep], Y[keep], F[keep]
         k = len(lv)
+        if float_rhs is not None and k <= _FLOAT_LANES:
+            for lane, y, f in zip(lv, Y[:, 0].tolist(), F[:, 0].tolist()):
+                _float_lane(lane, y, f, float_rhs, opts)
+            break
         if K.shape[0] != k:
             K = np.empty((k, 7, n))
-            if float_rhs is not None and k <= _FLOAT_LANES:
-                if not floats:
-                    floats = True
-                    yv, fv = Y[:, 0].tolist(), F[:, 0].tolist()
-                # Each lane's stage column and its heads, views made once per lane count.
-                cols = [(K[j, :, 0], [K[j, :i, 0] for i in range(7)]) for j in range(k)]
-                k6 = K[:, 6, 0]
-                y_new, sq, yy = [0.0] * k, [0.0] * k, [0.0] * k
-            else:
-                stage = [K[:, i] for i in range(7)]  # views, made once per lane count
-                head = [K[:, :i] for i in range(7)]
-        if floats:
-            # The float kernel (see the module docstring), lane after lane.
-            # Stage times t + c_i h round as in the stacked kernel; the
-            # scale's max keeps a NaN operand, as np.maximum does.
-            for j, (kv, kv_head) in enumerate(cols):
-                t, H, y, f0 = ts[j], hs[j], yv[j], fv[j]
-                kv[0] = f0
-                kv[1] = float_rhs(t + C[1] * H, y + H * (0.0 + 0.2 * f0))
-                for i in range(2, 7):
-                    kv[i] = float_rhs(t + C[i] * H, y + H * float(A[i].dot(kv_head[i])))
-                y1 = y + H * float(B5.dot(kv))
-                a, b = abs(y), abs(y1)
-                q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
-                y_new[j], sq[j], yy[j] = y1, q * q, y1 * y1
-            continue
-        h_row = np.array(hs)
+            stage = [K[:, i] for i in range(7)]  # views, made once per lane count
+            head = [K[:, :i] for i in range(7)]
+        h_row = np.array([lane.step for lane in lv])
         H = h_row[:, None]
-        f = field(np.array(ts) + _C_ROWS * h_row)
+        f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
         stage[0][...] = F
         for i in range(1, 7):
             stage[i][...] = f(_STAGE_ROW[i], Y + H * (A[i] @ head[i]))
         Y_new = Y + H * (B5 @ K)
         Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
-        yy = np.vecdot(Y_new, Y_new).tolist()
+        # One pass over the lanes: settle each lane's step, then plan its next one.
+        accepted, keep = [], []
+        for j, (lane, s, ynorm) in enumerate(zip(lv, sq, _norms(Y_new))):
+            if lane.settle(math.sqrt(s / n), ynorm, escape_norm):
+                accepted.append(j)
+                lane.rows.append(base + j)
+            if lane.plan(max_steps, min_step):
+                keep.append(j)
+        if accepted:
+            base += k
+            F_new = stage[6].copy()  # FSAL
+            ys.append(Y_new)
+            fs.append(F_new)
+            if len(accepted) == k:
+                Y, F = Y_new, F_new
+            else:
+                took = np.zeros((k, 1), dtype=bool)
+                took[accepted] = True
+                Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
 
-    if floats:
-        ys.append(np.frombuffer(yf).reshape(-1, 1))
-        fs.append(np.frombuffer(ff).reshape(-1, 1))
     ys, fs = np.concatenate(ys), np.concatenate(fs)
     return [lane.result(ys, fs, opts) for lane in lanes]
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .connections import ConnectionField, _contract
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
-from .integrate import COMPLETE, ESCAPED, IntegratorOptions, integrate_lanes
+from .integrate import COMPLETE, ESCAPED, IntegratorOptions, _norms, integrate_lanes
 
 __all__ = [
     "LiftTrajectory",
@@ -110,12 +110,12 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     (``conn.christoffel``) builds them there in one call, and a stage then
     only contracts them with its fiber rows; other members take one
     ``conn.stack`` per stage.  In 1-d the lanes of a member with
-    ``conn.scalar_gamma``, lone or batched, step in Python floats while at
-    most eight are live; all other lanes step stacked.  When ``gamma``
-    ignores the base point (``conn.uses_base`` false), every call gets the
-    path's starting point.  Each trajectory equals the seed's lift
-    alone bit for bit.  If the batch raises, the error is the one the first
-    failing seed raises alone.
+    ``conn.scalar_gamma``, lone or batched, step in Python floats, each lane
+    in turn, to its end, once at most eight are live; all other lanes step
+    stacked.  When ``gamma`` ignores the base point (``conn.uses_base``
+    false), every call gets the path's starting point.  Each trajectory
+    equals the seed's lift alone bit for bit.  If the batch raises, the
+    error is the one the first failing seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -143,14 +143,16 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
     vs = [as_coords(v, "initial fiber vector") for v in seeds]
     for v in vs:
         _check_dims(conn, path, v)
-    # Validate Gamma once at each seed; inside the lift it is called raw, so a
-    # trial stage that overflows during a blow-up reaches the integrator as a
-    # non-finite value (a rejected step) instead of a configuration error.
-    # An overflow at a seed is reported by coeff's finiteness check alone.
-    p0 = path.position(0.0)
+    # Validate Gamma once at each seed below the escape norm (one at or above
+    # it escapes at t = 0, whatever Gamma is there); inside the lift it is called
+    # raw, so a trial stage that overflows during a blow-up reaches the
+    # integrator as a non-finite value (a rejected step) instead of a
+    # configuration error.  An overflow at a seed is reported by coeff alone.
+    p0, escape_norm = path.position(0.0), (opts or IntegratorOptions()).escape_norm
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for v in vs:
-            conn.coeff(p0, v)
+        for v, norm in zip(vs, _norms(np.array(vs))):
+            if norm < escape_norm:
+                conn.coeff(p0, v)
     # The rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
     scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
     if scalar is not None:

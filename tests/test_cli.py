@@ -148,6 +148,21 @@ class TestBlowupIsNotConfigError:
             "error: coefficient matrix is not finite at p=[0.], v=[10.]\n"
         )
 
+    def test_seed_at_the_escape_norm_escapes_whatever_gamma_is(self, tmp_path, capsys):
+        # Gamma = -(1 + v^2) overflows at 1e300 but not at 1e150: both seeds
+        # reach the escape norm 1e8, so both escape at t = 0.
+        code = main(["lift", "--connection", "fig1", "--path", "segment:0:1",
+                     "--v", "1e150", "--v", "1e300", "--out", str(tmp_path / "lift")])
+        assert code == 2
+        assert capsys.readouterr() == ("lift_000: escaped\nlift_001: escaped\n", "")
+        for name in ("lift_000", "lift_001"):
+            status = _read_json(tmp_path / "lift" / f"{name}.json")
+            assert (status["status"], status["t_escape"], status["steps"]) == ("escaped", 0, 0)
+        code = main(["transport", "--connection", "fig1", "--path", "segment:0:1",
+                     "--v", "1e300", "--jacobian", "--out", str(tmp_path / "transport")])
+        assert code == 2
+        assert capsys.readouterr() == ("transport: escaped at t=0\n", "")
+
     @pytest.mark.parametrize("command, args, message", [
         ("lift", ["--path", "segment:0,0:1,0", "--v", "1,0"], ""),
         ("transport", ["--path", "segment:0,0:1,0", "--v", "1,0"], ""),

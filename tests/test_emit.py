@@ -164,11 +164,12 @@ def test_transport_json_keeps_the_sign_of_a_zero_vector(tmp_path, capsys):
 
 
 def test_lift_json_with_an_infinite_speed_is_strict_json(tmp_path):
-    # scalar-linear:-3 from 1e154 overflows to inf before the escape norm 1e300.
+    # The fig1 seed 1e300 escapes at t = 0, where Gamma = -(1 + v^2) overflows.
     out = tmp_path / "out"
-    argv = ["lift", "--connection", "scalar-linear:-3", "--path", "segment:0:1", "--v", "1e154",
-            "--escape-norm", "1e300", "--out", str(out)]
+    argv = ["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "1e300",
+            "--out", str(out)]
     assert main(argv) == 2
     summary = _strict_json((out / "lift_000.json").read_text(encoding="utf-8"))
-    assert summary["max_vertical_speed"] == summary["norm_at_escape"] == "inf"
-    assert summary["status"] == "escaped"
+    assert summary["max_vertical_speed"] == "inf"
+    assert (summary["status"], summary["t_escape"], summary["norm_at_escape"]) == ("escaped", 0,
+                                                                                  1e300)

@@ -204,10 +204,34 @@ class TestStopReason:
         assert (res.stop_reason, res.t_escape, res.steps) == ("escape-norm", 0.0, 0)
 
     def test_non_finite(self):
-        # ||y||^2 overflows on an accepted step, far below the escape norm.
-        res = integrate_adaptive(lambda t, y: y, [1e154], IntegratorOptions(escape_norm=1e300))
+        # y' = 1e308 from 1e308: the accepted state at t = 1 overflows to inf,
+        # just below the escape norm.
+        res = integrate_adaptive(lambda t, y: np.full_like(y, 1e308), [1e308],
+                                 IntegratorOptions(escape_norm=1.79e308))
         assert (res.status, res.stop_reason) == (ESCAPED, "non-finite")
-        assert res.norm_at_escape == np.inf and 0.0 < res.t_escape < 1.0
+        assert res.norm_at_escape == np.inf and res.t_escape == 1.0
+
+    @pytest.mark.parametrize("float_rhs", [None, lambda t, y: y], ids=["stacked", "floats"])
+    def test_a_state_whose_square_overflows_is_finite(self, float_rhs):
+        # ||y||^2 overflows from y = 1e154 on, far below the escape norm 1e300:
+        # the norm is finite, so y' = y completes at 1e154 e.
+        opts = IntegratorOptions(escape_norm=1e300)
+        (res,) = integrate_lanes(_lanes(lambda t, Y: Y), [[1e154]], opts, float_rhs=float_rhs)
+        assert (res.status, res.stop_reason) == (COMPLETE, "complete")
+        assert abs(res.y_final[0] / (1e154 * math.e) - 1.0) < 1e-8
+        assert res.max_rhs_norm == res.y_final[0]
+
+    def test_a_seed_whose_square_overflows_is_measured_as_it_is(self):
+        # The seed [1e200, 1e200] has norm 1.414e200: below 1e300 it steps,
+        # at or above 1e200 it escapes at t = 0 with that finite norm.
+        seed = [[1e200, 1e200]]
+        (res,) = integrate_lanes(_lanes(lambda t, Y: 0.0 * Y), seed,
+                                 IntegratorOptions(escape_norm=1e300))
+        assert res.stop_reason == "complete" and res.max_rhs_norm == 0.0
+        (res,) = integrate_lanes(_lanes(lambda t, Y: Y), seed, IntegratorOptions(escape_norm=1e200))
+        assert (res.stop_reason, res.t_escape) == ("escape-norm", 0.0)
+        assert res.norm_at_escape == math.hypot(1e200, 1e200)
+        assert res.max_rhs_norm == math.hypot(1e200, 1e200)
 
     def test_min_step(self):
         res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0], IntegratorOptions(escape_norm=1e300))

@@ -52,6 +52,15 @@ class TestHorizontalLift:
         assert traj.complete
         assert abs(traj.final_fiber[0] - TAN1) < 1e-8
 
+    def test_a_fiber_whose_square_overflows_lifts_as_a_scaled_unit_fiber(self):
+        # |v|^2 overflows from v = (1e200, 0) on: the sphere's lift is linear
+        # in v, so it completes as 1e200 times the lift of (1, 0).
+        sphere, path = gallery("sphere-stereographic"), path_segment([0.0, 0.0], [1.0, 0.5])
+        big = horizontal_lift(sphere, path, [1e200, 0.0], IntegratorOptions(escape_norm=1e300))
+        unit = horizontal_lift(sphere, path, [1.0, 0.0]).final_fiber * 1e200
+        assert big.stop_reason == "complete"
+        assert np.hypot(*(big.final_fiber - unit)) < 1e-9 * np.hypot(*unit)
+
     def test_fig1_escaping_lift(self):
         traj = horizontal_lift(FIG1, UNIT, [1.0])
         assert traj.status == ESCAPED
@@ -442,7 +451,7 @@ class TestFloatFormLifts:
         ("power-growth:8", UNIT, 10.0, IntegratorOptions(escape_norm=1e300), "min-step"),
         ("power-growth:3", _REVERSED, 2.0, IntegratorOptions(), "complete"),
         ("power-growth:0.5", _POLYLINE, -3.0, IntegratorOptions(rtol=1e-3), "complete"),
-        ("scalar-linear:-3", UNIT, 1e154, IntegratorOptions(escape_norm=1e300), "non-finite"),
+        ("scalar-linear:-3", UNIT, 1e154, IntegratorOptions(escape_norm=1e300), "complete"),
         ("scalar-linear:2", _POLYLINE, -0.0, IntegratorOptions(), "complete"),
         ("flat", _REVERSED, -1.5, IntegratorOptions(), "complete"),
     ])
