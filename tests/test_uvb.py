@@ -395,6 +395,16 @@ class TestStackedScan:
         assert report.beta.tobytes() == beta.tobytes()
         assert report.verdict == verdict
 
+    def test_rank_deficient_decade_fit_warns(self):
+        # Two radii one ulp apart: the fit's scaled Vandermonde matrix has rank 1.
+        radii = [1e6, np.nextafter(1e6, 2e6)]
+        with pytest.warns(np.exceptions.RankWarning,
+                          match="Polyfit may be poorly conditioned") as record:
+            report = fiber_scan(FIG1, [0.0], radii=radii)
+        assert len(record) == 2  # one per direction
+        assert report.beta == pytest.approx([-0.5, -0.5], abs=1e-12)
+        assert report.verdict == INCONCLUSIVE
+
     def test_principal_angles_match_scalar_formula_bitwise(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
