@@ -113,6 +113,7 @@ _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 _BETA = 0.04          # PI controller integral gain
 _EXPO = 0.2 - 0.75 * _BETA
+_TINY = 2.0**-511     # a norm below it has a subnormal or zero square
 
 
 @dataclass(frozen=True)
@@ -257,10 +258,12 @@ class _Lane:
 
 
 def _norms(X: np.ndarray) -> list[float]:
-    """Each row's sqrt(x @ x), or hypot when a finite row's square overflows."""
-    norms = np.sqrt(np.vecdot(X, X)).tolist()
-    if math.inf in norms:
-        norms = [math.hypot(*x) if r == math.inf else r for r, x in zip(norms, X.tolist())]
+    """Each row's sqrt(x @ x), or hypot where a nonzero row's square leaves the normal range."""
+    r = np.sqrt(np.vecdot(X, X))
+    norms = r.tolist()
+    if (math.inf in norms or norms and not min(norms) >= _TINY) and X.any():
+        for i in np.flatnonzero((r == math.inf) | (r < _TINY) & X.any(axis=1)).tolist():
+            norms[i] = math.hypot(*X[i].tolist())
     return norms
 
 
@@ -299,8 +302,8 @@ def _float_lane(lane: _Lane, y: float, f: float, float_rhs, opts: IntegratorOpti
         y1 = y + H * float(B5.dot(kv))
         a, b = abs(y), abs(y1)
         q = H * float(E.dot(kv)) / (atol + rtol * (b if b > a or b != b else a))
-        y2 = y1 * y1
-        if lane.settle(math.sqrt(q * q), math.sqrt(y2) if y2 != math.inf else b, escape_norm):
+        # b is _norms' norm of [y1] bit for bit, but a NaN's sign (a NaN y1 is rejected).
+        if lane.settle(math.sqrt(q * q), b, escape_norm):
             y, f = y1, kv.item(6)  # FSAL
             lane.yf.append(y)
             lane.ff.append(f)

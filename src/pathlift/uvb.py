@@ -16,6 +16,7 @@ the fitted decay exponent of theta_m.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -202,12 +203,20 @@ def axis_directions(n: int) -> np.ndarray:
     return dirs
 
 
-def _decade_fit(radii: np.ndarray, thetas: np.ndarray) -> float:
-    # Least-squares slope of log theta vs log r over the largest decade.
+def _decade_fits(radii: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # np.polyfit's slope of log theta vs log r over the largest decade for each row,
+    # one solve per row: one solve with the rows as columns rounds differently.
     window = radii >= radii[-1] / 10.0
     if window.sum() < 2:
         window[-2:] = True
-    return float(np.polyfit(np.log(radii[window]), np.log(thetas[window]), 1)[0])
+    lhs = np.vander(np.log(radii[window]), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(lhs) * np.finfo(float).eps
+    fits = [np.linalg.lstsq(lhs, y, rcond) for y in np.log(theta[:, window])]
+    if min(fit[2] for fit in fits) < 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return np.array([fit[0][0] for fit in fits]) / scale[0]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -227,7 +236,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     modify an array it returned earlier), then coeff's checks once over the
     stack and one batched SVD.  On failure the samples are rerun in
     (direction, radius) order through principal_angles, and the first to
-    fail raises a RuntimeError naming its direction and radius.
+    fail raises a RuntimeError naming its direction and radius.  The decade
+    fits share one scaled Vandermonde matrix, with one least-squares solve per
+    direction (np.polyfit's bits), and the verdict reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
@@ -241,21 +252,21 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
         raise ValueError(f"directions have length {dirs.shape[1]}, connection n={conn.dimension}")
     # Checks in positive form, so that a NaN fails them.
     norms = np.linalg.norm(dirs, axis=1)
-    if not (np.all(np.isfinite(dirs)) and np.all(np.abs(norms - 1.0) <= 1e-12)):
+    if not (np.isfinite(dirs).all() and (np.abs(norms - 1.0) <= 1e-12).all()):
         raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
     rads = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if not (rads.ndim == 1 and rads.size >= 2 and np.all(np.isfinite(rads))
-            and np.all(rads > 0) and np.all(np.diff(rads) > 0)):
+    if not (rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
+            and (rads > 0).all() and (np.diff(rads) > 0).all()):
         raise ValueError("radii must be a strictly increasing, positive and finite grid")
 
     n = conn.dimension
     vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
     try:
-        if not np.all(np.isfinite(vs)):
+        if not np.isfinite(vs).all():
             raise ValueError("fiber points are not finite")
         w = weight.stack(vs)
         G = conn.stack(pc, vs)
-        if not np.all(np.isfinite(G)):
+        if not np.isfinite(G).all():
             raise ValueError("coefficient stack is not finite")
         theta = _angle_stack(w, G)[:, 0].reshape(dirs.shape[0], rads.size)
     except Exception as e:
@@ -268,7 +279,7 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                         f"angle computation failed at direction {i} ({d}), radius {r}: {e_i}"
                     ) from e_i
         raise RuntimeError(f"angle computation failed: {e}") from e
-    beta = np.array([_decade_fit(rads, theta[i]) for i in range(dirs.shape[0])])
+    beta = _decade_fits(rads, theta)
     verdict = _classify(rads, theta, beta, eps)
     return FiberScanReport(
         point=pc,
@@ -292,10 +303,9 @@ def _classify(radii: np.ndarray, theta: np.ndarray, beta: np.ndarray, eps: float
     if radii.size < _MIN_RADII:
         return INCONCLUSIVE
     top_two = radii >= radii[-1] / 100.0
-    for i in range(theta.shape[0]):
-        decreasing = bool(np.all(np.diff(theta[i, top_two]) < 0))
-        if decreasing and theta[i, -1] < eps and beta[i] <= BETA_DECAY:
-            return NOT_UVB
+    decreasing = (np.diff(theta[:, top_two], axis=1) < 0).all(axis=1)
+    if (decreasing & (theta[:, -1] < eps) & (beta <= BETA_DECAY)).any():
+        return NOT_UVB
     if float(theta.min()) >= eps and bool(np.all(beta >= BETA_FLAT)):
         return UVB
     return INCONCLUSIVE

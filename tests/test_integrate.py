@@ -15,6 +15,7 @@ from pathlift.integrate import (
     STEP_COLLAPSE,
     IntegratorOptions,
     _hermite_dense,
+    _norms,
     integrate_adaptive,
     integrate_lanes,
 )
@@ -233,6 +234,19 @@ class TestStopReason:
         assert res.norm_at_escape == math.hypot(1e200, 1e200)
         assert res.max_rhs_norm == math.hypot(1e200, 1e200)
 
+    @pytest.mark.parametrize("seed", [[1e-170], [1e-170, -1e-170]])
+    def test_a_state_whose_square_underflows_is_measured_as_it_is(self, seed):
+        # ||y||^2 underflows to 0 below about 1.5e-154: the norm is hypot's,
+        # so y' = y from 1e-170 escapes at t = 0 under the escape norm 1e-200,
+        # and completes with its largest derivative measured, not read as 0.
+        norm = math.hypot(*seed)
+        res = integrate_adaptive(lambda t, y: y, seed, IntegratorOptions(escape_norm=1e-200))
+        assert (res.stop_reason, res.t_escape, res.steps) == ("escape-norm", 0.0, 0)
+        assert res.norm_at_escape == res.max_rhs_norm == norm
+        res = integrate_adaptive(lambda t, y: y, seed)
+        assert res.stop_reason == "complete"
+        assert res.max_rhs_norm == math.hypot(*res.y_final) > 2.7 * norm
+
     def test_min_step(self):
         res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0], IntegratorOptions(escape_norm=1e300))
         assert (res.status, res.stop_reason) == (STEP_COLLAPSE, "min-step")
@@ -436,3 +450,24 @@ class TestLoneOneDimensionalLane:
             _assert_same_result(a, b)
         alone = integrate_lanes(_lanes(stack), [[seeds[0]]], opts, float_rhs=_float_form(lone))[0]
         _assert_same_result(alone, stacked[0])
+
+    @pytest.mark.parametrize("seed", [5e-324, -5e-324, 2.2e-308, 1e-170, -1e-170])
+    @pytest.mark.parametrize("escape_factor", [None, 100.0])
+    def test_tiny_states_are_measured_alike_in_both_kernels(self, seed, escape_factor):
+        # y' = 20 y grows e^20 times over [0, 1], from states whose square
+        # underflows: under an escape norm 100 times the seed's, both kernels
+        # see the norm cross it at the same step.
+        opts = IntegratorOptions(escape_norm=1e8 if escape_factor is None else escape_factor * abs(seed))
+        floats = integrate_lanes(_lanes(lambda t, Y: 20.0 * Y), [[seed]], opts,
+                                 float_rhs=lambda t, y: 20.0 * y)[0]
+        stacked = integrate_lanes(_lanes(lambda t, Y: 20.0 * Y), [[seed]], opts)[0]
+        _assert_same_result(floats, stacked)
+        assert floats.stop_reason == ("complete" if escape_factor is None else "escape-norm")
+        assert 0.0 < floats.max_rhs_norm
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(), st.sampled_from(_SPECIAL + [1e-170, -1.5e-154, 1.4e154])))
+    def test_the_float_kernel_norm_is_the_norm_of_a_one_element_row(self, y):
+        # The float kernel measures a state by abs(y); the stacked kernel by _norms.
+        with np.errstate(over="ignore"):
+            assert _same_float(abs(y), _norms(np.array([[y]]))[0])

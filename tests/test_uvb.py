@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -23,7 +23,7 @@ from pathlift.uvb import (
     principal_angles,
     uvb_classify,
 )
-from pathlift.uvb import DEFAULT_EPS, _classify, _decade_fit
+from pathlift.uvb import BETA_DECAY, BETA_FLAT, DEFAULT_EPS
 
 FIG1 = gallery("fig1")
 
@@ -324,7 +324,8 @@ class TestReportSerialization:
 
 
 def _reference_scan(conn, p, directions, radii, weight=NORMALIZED, eps=DEFAULT_EPS):
-    """The per-sample scan: one principal_angles call per (direction, radius)."""
+    """The per-sample scan: one principal_angles call per (direction, radius),
+    then one np.polyfit and one verdict test per direction."""
     theta = np.empty((directions.shape[0], radii.size))
     for i, d in enumerate(directions):
         for k, r in enumerate(radii):
@@ -334,8 +335,29 @@ def _reference_scan(conn, p, directions, radii, weight=NORMALIZED, eps=DEFAULT_E
                 raise RuntimeError(
                     f"angle computation failed at direction {i} ({d}), radius {r}: {e}"
                 ) from e
-    beta = np.array([_decade_fit(radii, theta[i]) for i in range(directions.shape[0])])
-    return theta, beta, _classify(radii, theta, beta, eps)
+    beta = np.array([_reference_decade_fit(radii, theta[i]) for i in range(directions.shape[0])])
+    return theta, beta, _reference_classify(radii, theta, beta, eps)
+
+
+def _reference_decade_fit(radii, thetas):
+    # Least-squares slope of log theta vs log r over the largest decade.
+    window = radii >= radii[-1] / 10.0
+    if window.sum() < 2:
+        window[-2:] = True
+    return float(np.polyfit(np.log(radii[window]), np.log(thetas[window]), 1)[0])
+
+
+def _reference_classify(radii, theta, beta, eps):
+    if radii.size < 4:
+        return INCONCLUSIVE
+    top_two = radii >= radii[-1] / 100.0
+    for i in range(theta.shape[0]):
+        decreasing = bool(np.all(np.diff(theta[i, top_two]) < 0))
+        if decreasing and theta[i, -1] < eps and beta[i] <= BETA_DECAY:
+            return NOT_UVB
+    if float(theta.min()) >= eps and bool(np.all(beta >= BETA_FLAT)):
+        return UVB
+    return INCONCLUSIVE
 
 
 def _floats(lo, hi):
@@ -384,9 +406,23 @@ def _scan_cases(draw):
     return conn, p, dirs, radii, weight
 
 
+# The 3-d christoffel member of the CI reruns.
+_CHRISTOFFEL3 = _member("christoffel", dimension=3, terms=[
+    {"k": 0, "i": 0, "j": 1, "coeff": 0.5, "monomial": [1, 0, 0]},
+    {"k": 1, "i": 2, "j": 1, "coeff": 0.75, "monomial": [1, 1, 0]},
+    {"k": 2, "i": 1, "j": 1, "coeff": 1.1, "monomial": [2, 0, 1]},
+])
+
+
 class TestStackedScan:
+    # Twelve radii, a decade fit over ten points: one np.polyfit over all
+    # directions as columns moves beta on both, per-direction fits do not.
     @settings(max_examples=60, deadline=None)
     @given(_scan_cases())
+    @example((gallery("sphere-stereographic"), np.array([0.3, 0.1]), axis_directions(2),
+              10.0 * np.arange(1, 13), NORMALIZED))
+    @example((_CHRISTOFFEL3, np.array([0.2, -0.5, 0.7]), axis_directions(3),
+              10.0 * np.arange(1, 13), NORMALIZED))
     def test_matches_per_sample_reference_bitwise(self, case):
         conn, p, dirs, radii, weight = case
         report = fiber_scan(conn, p, dirs, radii, weight)
@@ -401,7 +437,7 @@ class TestStackedScan:
         with pytest.warns(np.exceptions.RankWarning,
                           match="Polyfit may be poorly conditioned") as record:
             report = fiber_scan(FIG1, [0.0], radii=radii)
-        assert len(record) == 2  # one per direction
+        assert len(record) == 1  # one per scan, whatever the number of directions
         assert report.beta == pytest.approx([-0.5, -0.5], abs=1e-12)
         assert report.verdict == INCONCLUSIVE
 
