@@ -13,8 +13,10 @@ exists exactly when the lift completes.
 ``horizontal_lifts`` lifts many seeds along one path as lanes of a single
 integration (see integrate.integrate_lanes): one evaluation covers all
 live seeds, and each seed's trajectory is bit for bit the one it gets
-alone.  The seed sweeps (completion_threshold, the probes of
-transport_jacobian) run through it.
+alone.  The probes of transport_jacobian run through it.
+completion_threshold instead bisects its sorted grid one seed at a time,
+since in 1-d the completing seeds form an interval, and lifts the rest of
+the grid as one batch only when a lift breaks that order.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _lifts_in_seed_order(conn: ConnectionField, path: PathCurve, seeds: list,
     if not seeds:
         return
     try:
-        lifts = _lift_lanes(conn, path, seeds, opts)
+        lifts = _lift_lanes(conn, path, *_checked_seeds(conn, path, seeds, opts), opts)
     except Exception:
         if len(seeds) < 2:
             raise
@@ -138,21 +140,30 @@ def _lifts_in_seed_order(conn: ConnectionField, path: PathCurve, seeds: list,
     yield from lifts
 
 
-def _lift_lanes(conn: ConnectionField, path: PathCurve, seeds: list,
-                opts: IntegratorOptions | None) -> list[LiftTrajectory]:
-    vs = [as_coords(v, "initial fiber vector") for v in seeds]
-    for v in vs:
-        _check_dims(conn, path, v)
+def _checked_seeds(conn: ConnectionField, path: PathCurve, seeds,
+                   opts: IntegratorOptions | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The seeds as fiber vectors, each checked in turn as its lone lift checks
+    it, and the path's starting point."""
     # Validate Gamma once at each seed below the escape norm (one at or above
     # it escapes at t = 0, whatever Gamma is there); inside the lift it is called
     # raw, so a trial stage that overflows during a blow-up reaches the
     # integrator as a non-finite value (a rejected step) instead of a
     # configuration error.  An overflow at a seed is reported by coeff alone.
     p0, escape_norm = path.position(0.0), (opts or IntegratorOptions()).escape_norm
+    vs = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for v, norm in zip(vs, _norms(np.array(vs))):
-            if norm < escape_norm:
+        for seed in seeds:
+            v = as_coords(seed, "initial fiber vector")
+            _check_dims(conn, path, v)
+            if _norms(v[None])[0] < escape_norm:
                 conn.coeff(p0, v)
+            vs.append(v)
+    return vs, p0
+
+
+def _lift_lanes(conn: ConnectionField, path: PathCurve, vs: list[np.ndarray], p0: np.ndarray,
+                opts: IntegratorOptions | None) -> list[LiftTrajectory]:
+    """The lifts of checked seeds vs (see _checked_seeds), as lanes of one integration."""
     # The rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
     scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
     if scalar is not None:
@@ -306,23 +317,86 @@ def completion_threshold(conn: ConnectionField, path: PathCurve, grid,
                          opts: IntegratorOptions | None = None):
     """Scan scalar initial values for the completion/escape boundary.
 
-    Works on 1-d connections.  Returns (v_star, lo, hi): lo < hi are the
-    adjacent sorted grid values between which completion flips, and v_star
-    is their midpoint.  The completing seeds may lie below the escaping
-    ones or, on a path run backwards, above them; completion that flips more
-    than once is an error.  The bracket width is the grid spacing, so the
-    estimate is first-order in the grid.  The whole grid is lifted as one
-    batch.
+    Works on 1-d connections and a 1-d grid.  Returns (v_star, lo, hi): lo <
+    hi are the adjacent sorted grid values between which completion flips,
+    and v_star is their midpoint.  The completing seeds may lie below the
+    escaping ones or, on a path run backwards, above them; completion that
+    flips more than once is an error.  The bracket width is the grid
+    spacing, so the estimate is first-order in the grid.
+
+    Every grid value is checked first, in sorted order, as its lone lift
+    checks it.  In 1-d, lifts through ordered seeds stay ordered while they
+    exist (the comparison theorem), so the completing seeds form an
+    interval, and a search bisects the sorted grid for its end, lifting one
+    seed at a time with its lone lift's bits.  A lift against that order (an
+    end other than completion or the escape norm, or an escape on the wrong
+    side of a completing seed) stops the search: the seeds not yet lifted
+    are lifted as one batch and the flips are read off all of them.  A seed
+    the search does not need is checked but not lifted, so an error raised
+    in the middle of its lift does not surface.
     """
     if conn.dimension != 1:
         raise ValueError("completion threshold scan works on 1-d connections")
-    values = np.sort(np.asarray(grid, dtype=float))
-    lifts = horizontal_lifts(conn, path, [[v] for v in values], opts)
-    completed = np.array([traj.complete for traj in lifts])
-    flips = np.flatnonzero(completed[1:] != completed[:-1])
-    if flips.size == 0:
+    values = np.asarray(grid, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"grid must be a 1-d sequence of seed values, got shape {values.shape}")
+    values = np.sort(values)
+    seeds, p0 = _checked_seeds(conn, path, values[:, None], opts)
+    sides: list[str | None] = [None] * len(seeds)
+
+    def side(i: int) -> str:
+        if sides[i] is None:
+            sides[i] = _side(_lift_lanes(conn, path, [seeds[i]], p0, opts)[0])
+        return sides[i]
+
+    flips = _ordered_flips(side, len(seeds))
+    if flips is None:
+        rest = [i for i, s in enumerate(sides) if s is None]
+        for i, traj in zip(rest, horizontal_lifts(conn, path, [seeds[i] for i in rest], opts)):
+            sides[i] = _side(traj)
+        completed = np.array([s == "C" for s in sides])
+        flips = np.flatnonzero(completed[1:] != completed[:-1]).tolist()
+    if not flips:
         raise ValueError("grid does not straddle the completion threshold")
-    if flips.size > 1:
+    if len(flips) > 1:
         raise ValueError("completion is not monotone over the grid")
     lo, hi = float(values[flips[0]]), float(values[flips[0] + 1])
     return 0.5 * (lo + hi), lo, hi
+
+
+def _side(traj: LiftTrajectory) -> str:
+    """C for a complete lift, + or - for one that reached the escape norm
+    upward or downward, ? for any other end."""
+    if traj.complete:
+        return "C"
+    if traj.stop_reason == "escape-norm":
+        return "+" if traj.final_fiber[0] > 0 else "-"
+    return "?"
+
+
+def _ordered_flips(side, n: int) -> list[int] | None:
+    """Where completion flips over n sorted seeds, found by bisection.
+
+    ``side(i)`` lifts seed i (once) and classifies it (see _side).  Returns
+    [i] when completion flips between seeds i and i + 1, [] when no seed
+    can complete or all do, and None at the first lift against the order.
+    """
+    first = side(0) if n else "+"
+    if first == "+" or first == "-" and side(n - 1) == "-":
+        return []
+    if first == "C":  # completing below: a completes, b escapes upward (b = n: none seen yet)
+        a, b, below, above = 0, n, "C", "+"
+    elif first == "-" and side(n - 1) == "C":  # completing above
+        a, b, below, above = 0, n - 1, "-", "C"
+    else:
+        return None
+    while b - a > 1:
+        mid = (a + b) // 2
+        s = side(mid)
+        if s == below:
+            a = mid
+        elif s == above:
+            b = mid
+        else:
+            return None
+    return [a] if b < n else []

@@ -127,15 +127,20 @@ def principal_angles(conn: ConnectionField, p, v,
 
     Uses the graph form: theta_i = arccot(s_i) with s_i the singular values
     of w(v) Gamma(p, v).  Angles lie in (0, pi/2] and come out ascending.
+    Raises ValueError when w(v) Gamma(p, v) is not finite.
     """
     g = conn.coeff(p, v)
-    return AngleSpectrum(_angle_stack(np.array([weight(v)]), g[None])[0])
+    with np.errstate(over="ignore"):
+        wg = weight(v) * g
+    if not np.isfinite(wg).all():
+        raise ValueError(f"weighted coefficient matrix is not finite at v={as_coords(v)}")
+    return AngleSpectrum(_angle_stack(wg[None])[0])
 
 
-def _angle_stack(w: np.ndarray, G: np.ndarray) -> np.ndarray:
-    # Row j holds arccot of the singular values of w[j] G[j]; svd sorts them
-    # descending, so every row of angles comes out ascending.
-    return np.arctan2(1.0, np.linalg.svd(w[:, None, None] * G, compute_uv=False))
+def _angle_stack(WG: np.ndarray) -> np.ndarray:
+    # Row j holds arccot of the singular values of the weighted WG[j] = w_j G_j;
+    # svd sorts them descending, so every row of angles comes out ascending.
+    return np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
 
 
 def cross_gram_angles(conn: ConnectionField, p, v,
@@ -233,12 +238,13 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
 
     All samples are evaluated as one stack under np.errstate(over/invalid/
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
-    modify an array it returned earlier), then coeff's checks once over the
-    stack and one batched SVD.  On failure the samples are rerun in
-    (direction, radius) order through principal_angles, and the first to
-    fail raises a RuntimeError naming its direction and radius.  The decade
-    fits share one scaled Vandermonde matrix, with one least-squares solve per
-    direction (np.polyfit's bits), and the verdict reads the whole stack.
+    modify an array it returned earlier), then one finiteness check of the
+    weighted stack w * Gamma and one batched SVD of it.  On failure the
+    samples are rerun in (direction, radius) order through principal_angles,
+    and the first to fail raises a RuntimeError naming its direction and
+    radius.  The decade fits share one scaled Vandermonde matrix, with one
+    least-squares solve per direction (np.polyfit's bits), and the verdict
+    reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
@@ -264,11 +270,12 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     try:
         if not np.isfinite(vs).all():
             raise ValueError("fiber points are not finite")
-        w = weight.stack(vs)
-        G = conn.stack(pc, vs)
-        if not np.isfinite(G).all():
-            raise ValueError("coefficient stack is not finite")
-        theta = _angle_stack(w, G)[:, 0].reshape(dirs.shape[0], rads.size)
+        # w > 0 is finite, so the weighted stack is finite where Gamma is and
+        # w * Gamma does not overflow.
+        WG = weight.stack(vs)[:, None, None] * conn.stack(pc, vs)
+        if not np.isfinite(WG).all():
+            raise ValueError("weighted coefficient stack is not finite")
+        theta = _angle_stack(WG)[:, 0].reshape(dirs.shape[0], rads.size)
     except Exception as e:
         for i, d in enumerate(dirs):
             for r in rads:

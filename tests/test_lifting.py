@@ -827,6 +827,29 @@ class TestCompletionThreshold:
             completion_threshold(FIG1, UNIT, [0.0, 0.1, 0.2])
         with pytest.raises(ValueError, match="grid does not straddle the completion threshold"):
             completion_threshold(FIG1, UNIT, [0.7, 0.8])
+        with pytest.raises(ValueError, match="grid does not straddle the completion threshold"):
+            completion_threshold(FIG1, UNIT, [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_checks_every_grid_value_before_lifting(self, bad):
+        # The search would stop after lifting 0.0 and 0.7, below the sorted last value.
+        with pytest.raises(ValueError, match="initial fiber vector must have finite entries"):
+            completion_threshold(FIG1, UNIT, [0.0, 0.7, bad])
+
+    @pytest.mark.parametrize("path, grid, lifted", [
+        (UNIT, 0.6 + 1e-3 * np.arange(101), [0, 50, 25, 37, 43, 40, 41, 42]),
+        (path_segment([1.0], [0.0]), [-0.7, -0.65, -0.6], [0, 2, 1]),
+    ], ids=["101-point", "reversed"])
+    def test_bisects_one_seed_at_a_time(self, monkeypatch, path, grid, lifted):
+        batches = []
+
+        def counting(field, Y0, opts=None, float_rhs=None):
+            batches.append([float(v[0]) for v in Y0])
+            return integrate_lanes(field, Y0, opts, float_rhs)
+
+        monkeypatch.setattr(lifting, "integrate_lanes", counting)
+        completion_threshold(FIG1, path, grid)
+        assert batches == [[np.sort(grid)[i]] for i in lifted]
 
     def test_two_sided_blowup_is_not_monotone(self):
         # c' = c^3 blows up before t = 1 exactly when |c(0)| > 1/sqrt(2).
@@ -853,22 +876,28 @@ class TestCompletionThreshold:
     def test_needs_one_dimension(self):
         with pytest.raises(ValueError, match="works on 1-d connections"):
             completion_threshold(_flat(2), path_segment([0, 0], [1, 1]), [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"grid must be a 1-d sequence .*shape \(\)"):
+            completion_threshold(FIG1, UNIT, 0.5)
+        with pytest.raises(ValueError, match=r"grid must be a 1-d sequence .*shape \(1, 2\)"):
+            completion_threshold(FIG1, UNIT, [[0.5, 0.7]])
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.sampled_from([("fig1", {}), ("power-growth", {"alpha": 1.5}),
-                         ("power-growth", {"alpha": 2.0}), ("power-growth", {"alpha": 3.0}),
-                         ("scalar-linear", {"lambda": 1.0}), ("scalar-linear", {"lambda": -2.0})]),
+        st.sampled_from([FIG1, dataclasses.replace(FIG1)]  # the copy has no scalar_gamma
+                        + [gallery(ConnectionSpec(*member)) for member in [
+                            ("power-growth", {"alpha": 0.5}), ("power-growth", {"alpha": 1.2}),
+                            ("power-growth", {"alpha": 1.5}), ("power-growth", {"alpha": 2.0}),
+                            ("power-growth", {"alpha": 3.0}), ("scalar-linear", {"lambda": 1.0}),
+                            ("scalar-linear", {"lambda": -2.0})]]),
         _floats(-1.0, 1.0),
         st.one_of(_floats(-1.5, -0.3), _floats(0.3, 1.5)),
         st.lists(st.integers(-100, 100), min_size=4, max_size=8, unique=True),
     )
-    def test_completion_set_is_an_interval(self, member, start, length, ticks):
+    def test_completion_set_is_an_interval(self, conn, start, length, ticks):
         # In 1-d, lifts are ordered in their seed, so the seeds whose lone
         # lifts complete form an interval.  completion_threshold brackets its
         # upper end when it holds the lowest seed and not all, and its lower
         # end when it holds the top seed (a path run backwards).
-        conn = gallery(ConnectionSpec(*member))
         path = path_segment([start], [start + length])
         seeds = sorted(t / 20.0 for t in ticks)  # 0.05 apart at least
         done = [horizontal_lift(conn, path, [v]).complete for v in seeds]

@@ -472,6 +472,19 @@ class TestStackedScan:
         assert "direction 0" in message and "radius 2.0" in message
         assert "not finite" in message
 
+    def test_weighted_overflow_is_reported_as_not_finite_without_warning(self):
+        # Gamma is finite everywhere, but 1e300 * Gamma overflows from radius 2^14 on.
+        huge = FiberWeight("custom", lambda v: 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as info:
+                fiber_scan(FIG1, [0.0], weight=huge)
+            with pytest.raises(ValueError, match="weighted coefficient matrix is not finite"):
+                principal_angles(FIG1, [0.0], [2.0**14], huge)
+        message = str(info.value)
+        assert "direction 0" in message and "radius 16384.0" in message
+        assert "weighted coefficient matrix is not finite" in message
+
 
 def _fails_beyond(radius, bad):
     # Gamma equal to 1, replaced by ``bad(v)`` on the ray -e_1 (direction 1)
