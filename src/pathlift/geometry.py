@@ -88,6 +88,12 @@ class PathCurve:
     When ``broadcasts`` is true they also take a column of times, shape
     (k, 1), and return arrays that broadcast to (k, n), each row bit for bit
     the value at its time.  The built-in paths and their reversals broadcast.
+
+    ``fixed_velocity``, set on segments alone, is the constant velocity
+    ``velocity(t)`` returns at every t, bit for bit; 1-d lifts in floats read
+    it once instead of calling ``velocity`` at each stage.  It is no
+    ``__init__`` argument: ``dataclasses.replace`` and ``path_reverse`` drop
+    it, so a replaced ``velocity`` is never paired with the old constant.
     """
 
     dimension: int
@@ -95,6 +101,7 @@ class PathCurve:
     velocity: Callable[[float], np.ndarray] = field(repr=False)
     kind: str = "custom"
     broadcasts: bool = False
+    fixed_velocity: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def sample(self, ts) -> np.ndarray:
         """Positions at the given parameter values, stacked as an (m, n) array."""
@@ -129,7 +136,9 @@ def path_segment(a, b) -> PathCurve:
     def velocity(t: float) -> np.ndarray:
         return d
 
-    return PathCurve(pa.size, position, velocity, kind="segment", broadcasts=True)
+    path = PathCurve(pa.size, position, velocity, kind="segment", broadcasts=True)
+    object.__setattr__(path, "fixed_velocity", d)
+    return path
 
 
 def path_polyline(points, times) -> PathCurve:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .connections import ConnectionField, _contract
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
-from .integrate import COMPLETE, ESCAPED, IntegratorOptions, _norms, integrate_lanes
+from .integrate import (_DEFAULT_OPTIONS, COMPLETE, ESCAPED, IntegratorOptions, _norms,
+                        integrate_lanes)
 
 __all__ = [
     "LiftTrajectory",
@@ -113,30 +114,38 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     only contracts them with its fiber rows; other members take one
     ``conn.stack`` per stage.  In 1-d the lanes of a member with
     ``conn.scalar_gamma``, lone or batched, step in Python floats, each lane
-    in turn, to its end, once at most eight are live; all other lanes step
-    stacked.  When ``gamma`` ignores the base point (``conn.uses_base``
-    false), every call gets the path's starting point.  Each trajectory
-    equals the seed's lift alone bit for bit.  If the batch raises, the
-    error is the one the first failing seed raises alone.
+    in turn, to its end, once at most eight are live, and read a segment's
+    ``fixed_velocity`` once; all other lanes step stacked.  When ``gamma``
+    ignores the base point (``conn.uses_base`` false), every call gets the
+    path's starting point.  Each trajectory equals the seed's lift alone bit
+    for bit.  If the batch raises, the error is the one the first failing
+    seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
 
 def _lifts_in_seed_order(conn: ConnectionField, path: PathCurve, seeds: list,
-                         opts: IntegratorOptions | None):
+                         opts: IntegratorOptions | None, p0: np.ndarray | None = None):
     """Yield the lifts of ``seeds`` in order, as horizontal_lifts returns them.
 
-    If the batch raises, the seeds are rerun one at a time: the lifts before
-    the first failing seed are yielded, then that seed's own error is raised.
+    Given p0, the path's starting point, the seeds are fiber vectors already
+    checked (see _checked_seeds) and are lifted unchecked.  If the batch
+    raises, the seeds are rerun one at a time: the lifts before the first
+    failing seed are yielded, then that seed's own error is raised.
     """
+    def lanes(vs: list) -> list[LiftTrajectory]:
+        if p0 is None:
+            return _lift_lanes(conn, path, *_checked_seeds(conn, path, vs, opts), opts)
+        return _lift_lanes(conn, path, vs, p0, opts)
+
     if not seeds:
         return
     try:
-        lifts = _lift_lanes(conn, path, *_checked_seeds(conn, path, seeds, opts), opts)
+        lifts = lanes(seeds)
     except Exception:
         if len(seeds) < 2:
             raise
-        lifts = (horizontal_lift(conn, path, v, opts) for v in seeds)
+        lifts = (lanes([v])[0] for v in seeds)
     yield from lifts
 
 
@@ -149,7 +158,7 @@ def _checked_seeds(conn: ConnectionField, path: PathCurve, seeds,
     # raw, so a trial stage that overflows during a blow-up reaches the
     # integrator as a non-finite value (a rejected step) instead of a
     # configuration error.  An overflow at a seed is reported by coeff alone.
-    p0, escape_norm = path.position(0.0), (opts or IntegratorOptions()).escape_norm
+    p0, escape_norm = path.position(0.0), (opts or _DEFAULT_OPTIONS).escape_norm
     vs = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for seed in seeds:
@@ -164,9 +173,15 @@ def _checked_seeds(conn: ConnectionField, path: PathCurve, seeds,
 def _lift_lanes(conn: ConnectionField, path: PathCurve, vs: list[np.ndarray], p0: np.ndarray,
                 opts: IntegratorOptions | None) -> list[LiftTrajectory]:
     """The lifts of checked seeds vs (see _checked_seeds), as lanes of one integration."""
-    # The rhs on a 1-d float state, bit for bit: the product adds its one term to +0.0.
+    # The rhs on a 1-d float state, bit for bit: the product adds its one term
+    # to +0.0.  A segment's speed is read once.
     scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
-    if scalar is not None:
+    if scalar is not None and path.fixed_velocity is not None:
+        speed = path.fixed_velocity.item()
+
+        def float_rhs(t: float, y: float) -> float:
+            return 0.0 + (-scalar(y)) * speed
+    elif scalar is not None:
         def float_rhs(t: float, y: float) -> float:
             return 0.0 + (-scalar(y)) * vel(t).item()
     results = integrate_lanes(_field(conn, path, p0), vs, opts, float_rhs)
@@ -352,7 +367,8 @@ def completion_threshold(conn: ConnectionField, path: PathCurve, grid,
     flips = _ordered_flips(side, len(seeds))
     if flips is None:
         rest = [i for i, s in enumerate(sides) if s is None]
-        for i, traj in zip(rest, horizontal_lifts(conn, path, [seeds[i] for i in rest], opts)):
+        for i, traj in zip(rest, _lifts_in_seed_order(conn, path, [seeds[i] for i in rest],
+                                                      opts, p0)):
             sides[i] = _side(traj)
         completed = np.array([s == "C" for s in sides])
         flips = np.flatnonzero(completed[1:] != completed[:-1]).tolist()

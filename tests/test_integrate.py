@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -418,6 +419,34 @@ class TestLoneOneDimensionalLane:
                 assert _same_float(_A[i].dot(kv[:i]), (_A[i] @ K[:, :i]).item()), (i, kv)
             assert _same_float(_B5.dot(kv), (_B5 @ K).item()), kv
             assert _same_float(_E.dot(kv), (_E @ K).item()), kv
+
+    @np.errstate(all="ignore")
+    def test_the_new_state_is_stage_six_state(self):
+        # FSAL: both kernels take stage 6's state, A[6] . k[:6], as the new
+        # state in place of B5 . k, the same sum with a trailing zero weight.
+        # It holds bit for bit, sign of zero included, because numpy's dot
+        # sums its terms in order from +0.0; when k6 is not finite the error
+        # estimate E . k is not finite either, so the step is rejected
+        # whatever its new state.  A BLAS that sums in another order fails here.
+        rng = np.random.default_rng(20261019)
+        zeros = [list(signs) for signs in itertools.product([0.0, -0.0], repeat=7)]
+        draws = [rng.choice(_SPECIAL, size=7) * rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)],
+                                                           size=7) for _ in range(6000)]
+        for kv in map(np.array, zeros + draws):
+            if math.isfinite(kv[6]):
+                assert _same_float(_B5.dot(kv), _A[6].dot(kv[:6])), kv
+            else:
+                assert not math.isfinite(_E.dot(kv)), kv
+        for k in (1, 2, 3, 8, 9, 12):
+            for n in (1, 2, 3):
+                for _ in range(40):
+                    K = rng.choice(_SPECIAL, size=(k, 7, n))
+                    K *= rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=K.shape)
+                    finite = np.isfinite(K[:, 6])
+                    new, stage6 = _B5 @ K, _A[6] @ K[:, :6]
+                    for x, y in zip(new[finite], stage6[finite]):
+                        assert _same_float(x, y), (k, n, K)
+                    assert not np.isfinite((_E @ K)[~finite]).any(), (k, n, K)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -492,6 +492,53 @@ class TestFloatFormLifts:
             _assert_same_lift(traj, horizontal_lift(conn, path, v, opts))
 
 
+def _without_fixed_velocity(path: PathCurve) -> PathCurve:
+    return PathCurve(path.dimension, path.position, path.velocity, kind=path.kind,
+                     broadcasts=path.broadcasts)
+
+
+class TestSegmentSpeed:
+    """A segment's constant velocity is read once by a 1-d lift in floats."""
+
+    @pytest.mark.parametrize("member", ["fig1", "power-growth:1.5", "power-growth:3",
+                                        "scalar-linear:-2", "flat"])
+    @pytest.mark.parametrize("ends", [(0.2, 1.1), (1.1, 0.2)], ids=["forward", "backward"])
+    def test_segment_lifts_equal_the_lifts_through_velocity(self, member, ends):
+        # The same position and velocity without fixed_velocity call velocity
+        # at every stage.  Batches of 1, 8 and 12 lanes, completing and escaping.
+        conn = gallery(_inline_spec(member, 1))
+        seg = path_segment([ends[0]], [ends[1]])
+        plain = _without_fixed_velocity(seg)
+        assert seg.fixed_velocity is not None and plain.fixed_velocity is None
+        seeds = [[v] for v in (-8.0, -4.5, -2.0, -0.7, -0.3, -0.0, 0.0, 0.3, 0.7, 2.0, 4.5, 8.0)]
+        reasons = set()
+        for batch in ([[0.0]], [[8.0]], [[-8.0]], seeds[2:10], seeds):
+            for traj, ref in zip(horizontal_lifts(conn, seg, batch),
+                                 horizontal_lifts(conn, plain, batch)):
+                _assert_same_lift(traj, ref)
+                reasons.add(traj.stop_reason)
+        assert "complete" in reasons
+        if member not in ("scalar-linear:-2", "flat"):
+            assert reasons != {"complete"}
+
+    def test_the_speed_is_read_once(self):
+        # Beyond the seed derivative and the first step's probe, a lone fig1
+        # lift in floats never calls velocity.
+        path, calls = _counting_segment([0.0], [1.0])
+        object.__setattr__(path, "fixed_velocity", path_segment([0.0], [1.0]).fixed_velocity)
+        traj = horizontal_lift(FIG1, path, [0.5])
+        assert traj.steps > 5 and calls["velocity"] == 2
+
+    def test_only_segments_keep_it(self):
+        seg = path_segment([0.2, -1.0], [1.1, 0.5])
+        assert seg.fixed_velocity.tolist() == seg.velocity(0.3).tolist()
+        assert dataclasses.replace(seg).fixed_velocity is None
+        assert dataclasses.replace(seg, velocity=seg.velocity).fixed_velocity is None
+        assert path_reverse(seg).fixed_velocity is None
+        assert path_polyline([[0.0], [1.0]], [0.0, 1.0]).fixed_velocity is None
+        assert path_circle([0.0, 0.0], 1.0).fixed_velocity is None
+
+
 @st.composite
 def _hook_cases(draw):
     name = draw(st.sampled_from(["sphere-stereographic", "christoffel", "flat"]))
@@ -850,6 +897,21 @@ class TestCompletionThreshold:
         monkeypatch.setattr(lifting, "integrate_lanes", counting)
         completion_threshold(FIG1, path, grid)
         assert batches == [[np.sort(grid)[i]] for i in lifted]
+
+    def test_a_search_that_falls_back_checks_each_seed_once(self, monkeypatch):
+        # The escaping power-growth:3 lifts end at min-step, so the search
+        # falls back to lifting the rest of the grid as one batch.
+        conn = gallery(_inline_spec("power-growth:3", 1))
+        path = path_segment([-0.6610596154940225], [0.3389403845059775])
+        grid = [-0.040428013760535106, -0.011114410679005565, 0.018199192402523975,
+                0.047512795484053516, 0.07682639856558306]
+        checked, coeff = [], ConnectionField.coeff
+        monkeypatch.setattr(ConnectionField, "coeff",
+                            lambda self, p, v: checked.append(float(v[0])) or coeff(self, p, v))
+        v_star, lo, hi = completion_threshold(conn, path, grid)
+        assert (lo, hi) == (grid[1], grid[2])
+        assert checked == grid
+        assert "min-step" in {horizontal_lift(conn, path, [v]).stop_reason for v in grid}
 
     def test_two_sided_blowup_is_not_monotone(self):
         # c' = c^3 blows up before t = 1 exactly when |c(0)| > 1/sqrt(2).
