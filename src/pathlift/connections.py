@@ -59,9 +59,9 @@ class ConnectionField:
 
     ``scalar_gamma(v)``, the float form of a 1-d map that ignores p, is the
     entry of ``gamma(p, np.array([v]))`` as a float, bit for bit; 1-d lifts
-    call it instead of ``gamma`` while at most eight of their lanes are
-    live.  Only the 1-d gallery builders set it.  It is no ``__init__``
-    argument: ``dataclasses.replace`` drops it.
+    call it instead of ``gamma`` at every step of every lane.  Only the 1-d
+    gallery builders set it.  It is no ``__init__`` argument:
+    ``dataclasses.replace`` drops it.
 
     ``christoffel(P)``, set on the members built from Christoffel data, maps
     a (k, n) stack of base points to their (k, n, n, n) tensors G^k_ij;

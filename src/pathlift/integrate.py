@@ -21,13 +21,12 @@ its own t, step size, controller state and status, so its result is bit
 for bit the one it gets integrated alone.  A lane retires when it
 completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
 case.  Lanes step in one of two kernels, both settling each step they try
-through one controller, ``_Lane``: the stacked kernel, for any lanes, and,
-when the caller gives the float form ``float_rhs`` of a 1-d system and at
-most eight lanes are live, the float kernel, which steps each lane in turn,
-to its end, in Python floats.  A stacked step costs about a hundred numpy
-calls whatever the lane count, a float lane-step six rhs calls and six
-dots, and the two cost about the same at eight lanes; a batch that starts
-above eight steps stacked until enough lanes retire.  The float kernel's
+through one controller, ``_Lane``: the stacked kernel, and, when the
+caller gives the float form ``float_rhs`` of a 1-d system, the float
+kernel, which steps each lane in turn, to its end, in Python floats.  A
+stacked step costs about a hundred numpy calls whatever the lane count, a
+float lane-step six rhs calls and six dots; a lane's kernel depends on its
+system alone, not on how many lanes are live.  The float kernel's
 stage sums are dots on a lane's column of stage derivatives, which round
 as the stacked products do, except stage 1's single term, which the
 stacked product adds to +0.0 (a dot keeps the -0.0 of ``(1/5) * -0.0``).
@@ -108,11 +107,6 @@ _E = _B5 - np.array(
 _C_ROWS = _C[1:6, None]
 _STAGE_ROW = (0, 0, 1, 2, 3, 4, 4)
 
-# The float kernel steps up to this many lanes: above it the stacked
-# kernel's fixed per-step cost is the smaller one (the crossover sweep in
-# ROADMAP item 8 predates the float kernel taking one lane to its end).
-_FLOAT_LANES = 8
-
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
@@ -191,8 +185,8 @@ class _Lane:
         self.t_escape = None
         self.norm_at_escape = None
         self.nodes_t = array("d", [0.0])
-        self.rows = array("q", [row])  # rows of the stacked kernel's node states
-        self.yf, self.ff = array("d"), array("d")  # then the float kernel's nodes
+        self.rows = array("q", [row])  # rows of its node states in the stacks
+        self.yf, self.ff = array("d"), array("d")  # or the float kernel's nodes after the seed
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
@@ -344,9 +338,9 @@ def integrate_lanes(
     on the live lanes' five distinct stage times (row r: t + c_(r+1) h;
     stages 5 and 6 both read row 4), so the caller evaluates what depends
     on t alone once per step.  In 1-d, ``float_rhs(t, y)`` is f on one lane
-    in Python floats, bit for bit; when given, once at most eight lanes are
-    live, each lane in turn, to its end, steps in the float kernel, which
-    calls it instead of field (and states that are not 1-d are an error).
+    in Python floats, bit for bit; when given, after the probe each lane in
+    turn, to its end, steps in the float kernel, which calls it instead of
+    field (and states that are not 1-d are an error).
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
@@ -382,6 +376,10 @@ def integrate_lanes(
         for lane, h in zip(lv, _initial_steps(field, F, Y, opts)):
             lane.h = h
     keep = [j for j, lane in enumerate(lv) if lane.plan(max_steps, min_step)]
+    if float_rhs is not None:  # the float kernel: each lane in turn, to its end
+        for j in keep:
+            _float_lane(lv[j], Y.item(j, 0), F.item(j, 0), float_rhs, opts)
+        keep = []
     base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
 
@@ -389,10 +387,6 @@ def integrate_lanes(
         if len(keep) < len(lv):
             lv, Y, F = [lv[j] for j in keep], Y[keep], F[keep]
         k = len(lv)
-        if float_rhs is not None and k <= _FLOAT_LANES:
-            for lane, y, f in zip(lv, Y[:, 0].tolist(), F[:, 0].tolist()):
-                _float_lane(lane, y, f, float_rhs, opts)
-            break
         if K.shape[0] != k:
             K = np.empty((k, 7, n))
             stage = [K[:, i] for i in range(7)]  # views, made once per lane count

@@ -114,10 +114,9 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     only contracts them with its fiber rows; other members take one
     ``conn.stack`` per stage.  In 1-d the lanes of a member with
     ``conn.scalar_gamma``, lone or batched, step in Python floats, each lane
-    in turn, to its end, once at most eight are live, and read a segment's
-    ``fixed_velocity`` once; all other lanes step stacked.  When ``gamma``
-    ignores the base point (``conn.uses_base`` false), every call gets the
-    path's starting point.  Each trajectory equals the seed's lift alone bit
+    in turn, to its end, and read a segment's ``fixed_velocity`` once; all
+    other lanes step stacked.  When ``gamma`` ignores the base point
+    (``conn.uses_base`` false), every call gets the path's starting point.  Each trajectory equals the seed's lift alone bit
     for bit.  If the batch raises, the error is the one the first failing
     seed raises alone.
     """
@@ -321,9 +320,13 @@ def transport_jacobian(conn: ConnectionField, path: PathCurve, v0,
 
 def holonomy(conn: ConnectionField, loop: PathCurve, v0,
              opts: IntegratorOptions | None = None) -> TangentVector:
-    """Transport v0 once around a closed loop; result sits over the start point."""
+    """Transport v0 once around a closed loop; result sits over the start point.
+
+    The loop closes when |gamma(0) - gamma(1)| <= 1e-10 max(1, |gamma'(0)|):
+    the rounding of a long loop's end grows with its length.
+    """
     gap = float(np.linalg.norm(loop.position(0.0) - loop.position(1.0)))
-    if gap > 1e-10:
+    if gap > 1e-10 * max(1.0, float(np.linalg.norm(loop.velocity(0.0)))):
         raise ValueError(f"loop does not close: |gamma(0) - gamma(1)| = {gap:.3g}")
     return parallel_transport(conn, loop, v0, opts)
 

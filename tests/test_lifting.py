@@ -467,15 +467,18 @@ class TestFloatFormLifts:
 
     @pytest.mark.parametrize("path", [UNIT, _REVERSED, _POLYLINE], ids=["segment", "reversed",
                                                                        "polyline"])
-    def test_batch_of_up_to_eight_lanes_uses_the_float_form(self, path):
-        # Five lanes step through the float form, lane after lane, until they
-        # retire; the member without it steps them stacked.
-        seeds = [[0.0], [0.5], [-0.8], [1.0], [5.0]]
+    def test_batches_of_5_and_20_lanes_use_the_float_form(self, path):
+        # Every lane steps through the float form, lane after lane, until it
+        # retires, however many there are; the member without it steps them
+        # stacked.
+        five = [[0.0], [0.5], [-0.8], [1.0], [5.0]]
+        twenty = five + [[v] for v in np.linspace(-2.0, 3.0, 15)]
         opts = IntegratorOptions(escape_norm=1e10)
         plain = ConnectionField(1, FIG1.gamma, broadcasts=True, uses_base=False)
-        for traj, ref in zip(horizontal_lifts(FIG1, path, seeds, opts),
-                             horizontal_lifts(plain, path, seeds, opts)):
-            _assert_same_lift(traj, ref)
+        for seeds in (five, twenty):
+            for traj, ref in zip(horizontal_lifts(FIG1, path, seeds, opts),
+                                 horizontal_lifts(plain, path, seeds, opts)):
+                _assert_same_lift(traj, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(_batch_cases(("fig1", "power-growth", "scalar-linear", "flat"), max_seeds=12)
@@ -484,8 +487,8 @@ class TestFloatFormLifts:
     @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(escape_norm=1e300), None))  # min-step
     @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(max_steps=400), None))  # max-steps
     def test_batch_equals_lone_lifts_across_the_lane_limit(self, case):
-        # Batches of up to 12 lanes: above eight they step stacked, and once
-        # enough lanes retire the rest step in floats.  The escape norm 1e300
+        # Batches of up to 12 lanes, which step in floats, lane after lane,
+        # as each does alone.  The escape norm 1e300
         # stops escaping lanes at the min_step floor, max_steps=60 others.
         conn, path, seeds, opts, _ = case
         for v, traj in zip(seeds, horizontal_lifts(conn, path, seeds, opts)):
@@ -851,6 +854,25 @@ class TestHolonomy:
     def test_non_closed_loop_rejected(self):
         with pytest.raises(ValueError):
             holonomy(_flat(1), UNIT, [1.0])
+
+    @pytest.mark.parametrize("radius", [1e6, 1e8, 1e12])
+    def test_large_circles_close(self, radius):
+        # sin(2 pi) rounds to -2.4e-16, so the end of a circle of radius 1e6
+        # misses its start by 2.4e-10: the closure tolerance scales with the speed.
+        loop = path_circle([0.0, 0.0], radius)
+        assert np.linalg.norm(loop.position(0.0) - loop.position(1.0)) > 1e-10
+        out = holonomy(_flat(2), loop, [1.0, 0.0])
+        assert np.array_equal(out.vec, [1.0, 0.0])
+        if radius == 1e6:
+            assert np.all(np.isfinite(holonomy(gallery("sphere-stereographic"), loop,
+                                               [1.0, 0.0]).vec))
+
+    @pytest.mark.parametrize("start, end", [([1e9, 0.0], [1e9 + 0.01, 0.0]),
+                                            ([0.0, 0.0], [1e-9, 0.0])],
+                             ids=["far-short", "tiny"])
+    def test_open_segments_rejected(self, start, end):
+        with pytest.raises(ValueError, match="loop does not close"):
+            holonomy(_flat(2), path_segment(start, end), [1.0, 0.0])
 
 
 class TestIntegrationAccuracy:
