@@ -25,12 +25,13 @@ through one controller, ``_Lane``: the stacked kernel, and, when the
 caller gives the float form ``float_rhs`` of a 1-d system, the float
 kernel, which steps each lane in turn, to its end, in Python floats.  A
 stacked step costs about a hundred numpy calls whatever the lane count, a
-float lane-step six rhs calls and six dots; a lane's kernel depends on its
-system alone, not on how many lanes are live.  The float kernel's
-stage sums are dots on a lane's column of stage derivatives, which round
-as the stacked products do, except stage 1's single term, which the
-stacked product adds to +0.0 (a dot keeps the -0.0 of ``(1/5) * -0.0``).
-The bits are the stacked kernel's, signed zeros included.
+float lane-step six rhs calls and no numpy call; a lane's kernel depends on
+its system alone, not on how many lanes are live.  Every 1-d stage sum is
+plain float arithmetic, its terms weighted and added left to right in
+tableau order, zero weights included: the float kernel's on one lane, the
+stacked kernel's as a cumulative sum over a 1-d stack, so a 1-d lane has
+the same bits in either kernel, signed zeros included.  n-d lanes sum
+their stages by one matrix product per lane.
 
 Outside the float kernel every evaluation goes through one hook,
 ``field``, which is given the times of the evaluations to come as rows of
@@ -81,11 +82,11 @@ _STATUS = {
 
 # Dormand-Prince 5(4) tableau. B5 propagates; E = B5 - B4 weights the
 # embedded error estimate. FSAL: B5 is A[6] with a trailing zero, so the new
-# point is stage 6's state and the 7th stage is f there.  The kernels take
-# stage 6's state as the new state: numpy's dot sums two or more terms from
-# +0.0 in order, so A[6] . k[:6] is B5 . k bit for bit whenever k6 is finite
-# (test_integrate.py pins this), and when k6 is not, neither is E . k
-# (E[6] = -1/40), so the step is rejected whatever its new state.
+# point is stage 6's state and the 7th stage is f there; the kernels take
+# stage 6's state as the new state.  A step whose k6 is not finite is
+# rejected whatever its new state, as E . k is not finite (E[6] = -1/40).
+# The zero weights A[6][1] and E[1] stay in the sums: a non-finite k1 makes
+# them NaN, so the step is rejected however the later stages come out.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _C_LIST = _C.tolist()
 _A = (
@@ -287,32 +288,39 @@ def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOption
     return steps
 
 
+def _plain_sum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """w[0] K[:, 0] + w[1] K[:, 1] + ..., added left to right as the float kernel adds:
+    a cumulative sum adds in order, from its first term."""
+    return np.add.accumulate(w[:, None] * K, axis=1)[:, -1]
+
+
 def _float_lane(lane: _Lane, y: float, f: float, float_rhs, opts: IntegratorOptions) -> None:
     """The float kernel: step a planned 1-d lane from state y, FSAL derivative f, to its end."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
     _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
-    kv = np.empty(7)  # the stage derivatives, and the heads each stage sums
-    k2, k3, k4, k5, k6 = kv[:2], kv[:3], kv[:4], kv[:5], kv[:6]
-    a2, a3, a4, a5, a6, e = _A[2].dot, _A[3].dot, _A[4].dot, _A[5].dot, _A[6].dot, _E.dot
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = (r.tolist() for r in _A[1:5])
+    (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = (r.tolist() for r in _A[5:])
+    e0, e1, e2, e3, e4, e5, e6 = _E.tolist()
     settle, plan, append_y, append_f = lane.settle, lane.plan, lane.yf.append, lane.ff.append
     while True:
-        # Stage times round as in the stacked kernel; the scale's max keeps a
-        # NaN operand, as np.maximum does.
+        # Stage times round as in the stacked kernel, and each stage sum is
+        # _plain_sum's; the scale's max keeps a NaN operand, as np.maximum does.
         t, H = lane.t, lane.step
-        kv[0] = f
-        kv[1] = float_rhs(t + c1 * H, y + H * (0.0 + 0.2 * f))
-        kv[2] = float_rhs(t + c2 * H, y + H * float(a2(k2)))
-        kv[3] = float_rhs(t + c3 * H, y + H * float(a3(k3)))
-        kv[4] = float_rhs(t + c4 * H, y + H * float(a4(k4)))
-        kv[5] = float_rhs(t + H, y + H * float(a5(k5)))
-        y1 = y + H * float(a6(k6))  # stage 6's state is the new state (FSAL)
-        kv[6] = float_rhs(t + H, y1)
+        k1 = float_rhs(t + c1 * H, y + H * (a10 * f))
+        k2 = float_rhs(t + c2 * H, y + H * (a20 * f + a21 * k1))
+        k3 = float_rhs(t + c3 * H, y + H * (a30 * f + a31 * k1 + a32 * k2))
+        k4 = float_rhs(t + c4 * H, y + H * (a40 * f + a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = float_rhs(t + H, y + H * (a50 * f + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        # Stage 6's state is the new state (FSAL).
+        y1 = y + H * (a60 * f + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = float_rhs(t + H, y1)
         a, b = abs(y), abs(y1)
-        q = H * float(e(kv)) / (atol + rtol * (b if b > a or b != b else a))
+        q = (H * (e0 * f + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
+             / (atol + rtol * (b if b > a or b != b else a)))
         # b is _norms' norm of [y1] bit for bit, but a NaN's sign (a NaN y1 is rejected).
         if settle(math.sqrt(q * q), b, escape_norm):
-            y, f = y1, kv.item(6)  # FSAL
+            y, f = y1, k6  # FSAL
             append_y(y)
             append_f(f)
         if not plan(max_steps, min_step):
@@ -344,9 +352,10 @@ def integrate_lanes(
 
     Each lane keeps its own t, step, PI controller state, counters and
     status, and its stage values run through the same arithmetic as a lane
-    alone (A[i] @ K[:, :i] makes one (i, n) product per lane), so lane j's
-    result is the one Y0[j] gets alone, bit for bit.  A lane retires when it
-    completes, escapes or collapses (see integrate_adaptive).
+    alone (a stage sum is one (i, n) product per lane, in 1-d a sum term by
+    term), so lane j's result is the one Y0[j] gets alone, bit for bit.  A
+    lane retires when it completes, escapes or collapses (see
+    integrate_adaptive).
     """
     opts = opts or _DEFAULT_OPTIONS
     Y = np.array(Y0, dtype=float)
@@ -380,6 +389,7 @@ def integrate_lanes(
         for j in keep:
             _float_lane(lv[j], Y.item(j, 0), F.item(j, 0), float_rhs, opts)
         keep = []
+    weigh = _plain_sum if n == 1 else np.matmul  # a 1-d lane's bits are the float kernel's
     base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
 
@@ -396,10 +406,10 @@ def integrate_lanes(
         f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
         stage[0][...] = F
         for i in range(1, 6):
-            stage[i][...] = f(_STAGE_ROW[i], Y + H * (A[i] @ head[i]))
-        Y_new = Y + H * (A[6] @ head[6])  # stage 6's state is the new state (FSAL)
+            stage[i][...] = f(_STAGE_ROW[i], Y + H * weigh(A[i], head[i]))
+        Y_new = Y + H * weigh(A[6], head[6])  # stage 6's state is the new state (FSAL)
         stage[6][...] = f(_STAGE_ROW[6], Y_new)
-        Q = H * (E @ K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        Q = H * weigh(E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
         # One pass over the lanes: settle each lane's step, then plan its next one.
         accepted, keep = [], []

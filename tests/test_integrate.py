@@ -17,6 +17,7 @@ from pathlift.integrate import (
     IntegratorOptions,
     _hermite_dense,
     _norms,
+    _plain_sum,
     integrate_adaptive,
     integrate_lanes,
 )
@@ -399,43 +400,45 @@ def _same_float(a, b) -> bool:
 
 
 class TestLoneOneDimensionalLane:
-    """A lone 1-d lane steps in Python floats, with one dot per stage sum."""
+    """A 1-d lane steps in Python floats, each stage sum added left to right,
+    as the stacked kernel sums a 1-d stack."""
 
     @np.errstate(all="ignore")
-    def test_stage_sums_round_as_the_stacked_products(self):
-        # The forms integrate_lanes uses on the stage column kv = K[0, :, 0]
-        # against the stacked products of the k-lane path.  Stage 1 is
-        # 0.0 + (1/5) k0, not a dot: the one-term product adds to +0.0.
+    def test_stacked_sums_are_the_float_kernel_sums(self):
+        # The stacked kernel's 1-d stage, new-state and error sums, on 1 and 3
+        # lanes, against the float kernel's w0*k0 + w1*k1 + ... in Python
+        # floats, zero weights included: special values, and every sign
+        # pattern of zeros.
         rng = np.random.default_rng(20261018)
-        for _ in range(4000):
-            K = rng.choice(_SPECIAL, size=(1, 7, 1))
-            K *= rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=K.shape)
-            kv = K[0, :, 0]
-            assert _same_float(0.0 + 0.2 * kv[0], (_A[1] @ K[:, :1]).item()), kv
-            for i in range(2, 7):
-                assert _same_float(_A[i].dot(kv[:i]), (_A[i] @ K[:, :i]).item()), (i, kv)
-            assert _same_float(_B5.dot(kv), (_B5 @ K).item()), kv
-            assert _same_float(_E.dot(kv), (_E @ K).item()), kv
+        zeros = [np.array(signs)[None, :, None]
+                 for signs in itertools.product([0.0, -0.0], repeat=7)]
+        draws = [rng.choice(_SPECIAL, size=(k, 7, 1))
+                 * rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=(k, 7, 1))
+                 for k in (1, 3) for _ in range(2000)]
+        for K in zeros + draws:
+            for w, i in [(_A[i], i) for i in range(1, 7)] + [(_E, 7)]:
+                got = _plain_sum(w, K[:, :i])
+                assert got.shape == (len(K), 1)
+                ws = w.tolist()
+                for lane, g in zip(K[:, :i, 0].tolist(), got[:, 0].tolist()):
+                    want = ws[0] * lane[0]
+                    for wj, kj in zip(ws[1:], lane[1:]):
+                        want += wj * kj
+                    assert _same_float(g, want), (i, lane)
 
     @np.errstate(all="ignore")
     def test_the_new_state_is_stage_six_state(self):
-        # FSAL: both kernels take stage 6's state, A[6] . k[:6], as the new
-        # state in place of B5 . k, the same sum with a trailing zero weight.
-        # It holds bit for bit, sign of zero included, because numpy's dot
-        # sums its terms in order from +0.0; when k6 is not finite the error
-        # estimate E . k is not finite either, so the step is rejected
-        # whatever its new state.  A BLAS that sums in another order fails here.
+        # FSAL: the stacked kernel takes stage 6's state, A[6] @ K[:, :6], as
+        # the new state in place of B5 @ K, the same sum with a trailing zero
+        # weight.  n-d lanes sum by matrix products, which hold it bit for
+        # bit, sign of zero included, whenever k6 is finite; when k6 is not
+        # finite the error estimate E @ K is not finite either, so the step is
+        # rejected whatever its new state.  A BLAS that sums in another order
+        # fails here.  1-d lanes sum left to right (test_stacked_sums_are_the_
+        # float_kernel_sums), so only n >= 2 is checked.
         rng = np.random.default_rng(20261019)
-        zeros = [list(signs) for signs in itertools.product([0.0, -0.0], repeat=7)]
-        draws = [rng.choice(_SPECIAL, size=7) * rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)],
-                                                           size=7) for _ in range(6000)]
-        for kv in map(np.array, zeros + draws):
-            if math.isfinite(kv[6]):
-                assert _same_float(_B5.dot(kv), _A[6].dot(kv[:6])), kv
-            else:
-                assert not math.isfinite(_E.dot(kv)), kv
         for k in (1, 2, 3, 8, 9, 12):
-            for n in (1, 2, 3):
+            for n in (2, 3):
                 for _ in range(40):
                     K = rng.choice(_SPECIAL, size=(k, 7, n))
                     K *= rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=K.shape)
@@ -444,6 +447,53 @@ class TestLoneOneDimensionalLane:
                     for x, y in zip(new[finite], stage6[finite]):
                         assert _same_float(x, y), (k, n, K)
                     assert not np.isfinite((_E @ K)[~finite]).any(), (k, n, K)
+
+    @pytest.mark.parametrize("y0", [1.0, -2.5])
+    def test_an_infinite_first_stage_rejects_the_step(self, y0):
+        # y' = 1, but inf in a narrow band of y and finite outside it, at
+        # +-inf and NaN too: the first step's stage 1 lands in the band.
+        # Stages 2 to 5 weigh k1 by nonzero weights, so their states are not
+        # finite and their derivatives finite again; the zero weight A[6][1]
+        # still carries k1 into the new state, NaN, which makes the error
+        # scale NaN (as E[1] makes the error sum), and the step is rejected.
+        # Both kernels make the same evaluations and return the same bits.
+        def first_stage_state():
+            seen = []
+            integrate_lanes(_lanes(lambda t, Y: np.ones_like(Y)), [[y0]],
+                            float_rhs=lambda t, y: seen.append(y) or 1.0)
+            return seen[0]
+
+        s1 = first_stage_state()
+        lo, hi = s1 - 1e-3 * abs(s1 - y0), s1 + 1e-3 * abs(s1 - y0)
+
+        def band(y):
+            return 1e200 * 1e200 if lo < y < hi else 1.0
+
+        def run(in_floats):
+            seen = []  # the state of every evaluation, in order
+
+            def rhs(t, Y):
+                seen.extend(Y[:, 0].tolist())
+                return np.array([[band(y)] for y in Y[:, 0].tolist()])
+
+            def float_rhs(t, y):
+                seen.append(y)
+                return band(y)
+
+            (res,) = integrate_lanes(_lanes(rhs), [[y0]],
+                                     float_rhs=float_rhs if in_floats else None)
+            return res, seen
+
+        (floats, seen_f), (stacked, seen_s) = run(True), run(False)
+        _assert_same_result(floats, stacked)
+        assert len(seen_f) == len(seen_s) and all(map(_same_float, seen_f, seen_s))
+        # After the seed and the probe, the first step's six stage states.
+        first = seen_f[2:8]
+        assert first[0] == s1 and band(s1) == math.inf
+        assert all(not math.isfinite(y) for y in first[1:]), first
+        assert math.isnan(first[5]), first  # stage 6's state, through A[6][1]
+        assert floats.rejected >= 1 and floats.stop_reason == "complete"
+        assert floats.y_final[0] == pytest.approx(y0 + 1.0, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(

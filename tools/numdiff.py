@@ -1,0 +1,359 @@
+#!/usr/bin/env python3
+"""Compare what two checkouts of pathlift compute, before golden digests are regenerated.
+
+    python tools/numdiff.py PARENT CHANGE [--random N] [--seed S]
+
+Each checkout runs in a subprocess with its own ``src`` first on the path.
+Both run the same cases:
+- the CLI commands of the ``GOLDEN`` table in tests/test_golden.py;
+- its ``GOLDEN_SCANS``, ``GOLDEN_LIFTS`` and ``GOLDEN_BATCHES``;
+- N random 1-d lifts drawn from seed S: gallery members with a float form,
+  segments in both directions and 1-d polylines, seeds, and rtol from
+  1e-6 to 1e-11.
+
+The golden cases are read from this tool's own checkout.  The report gives:
+- schema differences: emitted files, keys, columns, fields, column lengths;
+- categorical differences, exactly: exit codes, status, stop_reason, steps,
+  rejected, verdict and every other value that is not a number;
+- the largest relative difference of each numeric column, and how many of
+  its values differ in their bits;
+- for every lift that completes, the distance of each endpoint to
+  ``scipy.integrate.solve_ivp(method="DOP853", rtol=1e-13, atol=1e-15)``
+  on the same rhs, relative to max(1, |ref|) and in units of the lift's
+  rtol.  A change endpoint farther than the parent's plus ``BOUND`` rtol
+  (1e-3, the gate a bit-changing regeneration must pass) breaks the bound.
+
+The exit status is 0 when the report finds no difference and no broken
+bound, 1 otherwise.  It is a developer script: it runs no test and
+changes no file in either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+# Compared exactly, whatever their type.
+CATEGORICAL = {"exit", "status", "stop_reason", "steps", "rejected", "verdict"}
+# Allowed growth of a complete endpoint's DOP853 distance, in units of its rtol.
+BOUND = 1e-3
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+# ---------------------------------------------------------------- the worker
+
+def _flatten(key: str, value, rec: dict) -> None:
+    """Put value in rec as ("num", [floats]) or ("cat", value), nested keys joined by '.'."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _flatten(f"{key}.{k}" if key else str(k), v, rec)
+        return
+    flat = _numbers(value)
+    if flat is None or key.rsplit(".", 1)[-1] in CATEGORICAL:
+        rec[key] = ("cat", value)
+    else:
+        rec[key] = ("num", flat)
+
+
+def _numbers(value) -> list[float] | None:
+    """value as a flat list of floats, or None if any leaf is not a number."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return None
+    if isinstance(value, (int, float)):
+        return [float(value)]
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        out = []
+        for v in value:
+            sub = _numbers(v)
+            if sub is None:
+                return None
+            out += sub
+        return out
+    return None
+
+
+def _text(key: str, text: str, rec: dict) -> None:
+    """Its numbers as one numeric column, the text around them as a category."""
+    numbers = [float(m) for m in _NUMBER.findall(text)]
+    rec[key + ":text"] = ("cat", _NUMBER.sub("#", text))
+    rec[key + ":numbers"] = ("num", numbers)
+
+
+def _emitted(out: Path, rec: dict) -> None:
+    files = sorted(out.iterdir()) if out.exists() else []
+    rec["files"] = ("cat", [f.name for f in files])
+    for f in files:
+        if f.suffix == ".json":
+            _flatten(f.name, json.loads(f.read_text(encoding="utf-8")), rec)
+        elif f.suffix == ".csv":
+            rows = list(csv.reader(io.StringIO(f.read_text(encoding="utf-8"))))
+            header, body = rows[0], rows[1:]
+            rec[f.name + ":header"] = ("cat", header)
+            for j, name in enumerate(header):
+                column = [row[j] for row in body]
+                try:
+                    values = [float(x) for x in column]
+                except ValueError:
+                    values = None
+                kind = "cat" if values is None or name in CATEGORICAL else "num"
+                rec[f"{f.name}:{name}"] = (kind, column if kind == "cat" else values)
+        else:
+            _text(f.name, f.read_text(encoding="utf-8"), rec)
+
+
+def _fields(result) -> dict:
+    """Every field of a dataclass result, flattened."""
+    import dataclasses
+
+    rec: dict = {}
+    for f in dataclasses.fields(result):
+        _flatten(f.name, getattr(result, f.name), rec)
+    return rec
+
+
+def _reference(conn, path, v0) -> list[float]:
+    """The lift's endpoint by DOP853 at rtol 1e-13 on c' = -Gamma(gamma(t), c) gamma'(t)."""
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        return -(conn.row(np.asarray(path.position(t), dtype=float), y) @ path.velocity(t))
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.asarray(v0, dtype=float), method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    return sol.y[:, -1].tolist()
+
+
+def _worker(checkout: str, plan_file: str, out_file: str, reference: bool) -> None:
+    import numpy as np
+
+    import pathlift
+    from pathlift.cli import main
+    from pathlift.connections import ConnectionSpec, gallery
+    from pathlift.integrate import IntegratorOptions
+    from pathlift.lifting import horizontal_lifts
+    from pathlift.uvb import fiber_scan
+
+    sys.path.append(str(TESTS))
+    import test_golden as golden
+
+    source = str(Path(pathlift.__file__).resolve())
+    if not source.startswith(str(Path(checkout, "src").resolve())):
+        raise SystemExit(f"numdiff: imported pathlift from {source}, not from {checkout}")
+    plan = json.loads(Path(plan_file).read_text())
+    cases: dict[str, dict] = {}
+
+    def lift(group, name, conn, path, seeds, opts, rtol):
+        for j, (v, traj) in enumerate(zip(seeds, horizontal_lifts(conn, path, seeds, opts))):
+            extra = {"group": group, "rtol": rtol}
+            if reference and traj.complete:
+                extra["ref"] = _reference(conn, path, v)
+            cases[name if len(seeds) == 1 else f"{name} #{j}"] = {
+                "fields": _fields(traj), **extra, "complete": traj.complete,
+                "end": traj.fiber[-1].tolist()}
+
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        for i, (argv, _) in enumerate(golden.GOLDEN):
+            out = Path(tmp, f"cli{i}")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv + (["--out", str(out)] if argv[0] != "gallery" else []))
+            rec = {"exit": ("cat", code)}
+            _text("stdout", stdout.getvalue(), rec)
+            _emitted(out, rec)
+            cases["pathlift " + " ".join(argv)] = {"fields": rec, "group": "cli " + argv[0]}
+        for spec, point, _ in golden.GOLDEN_SCANS:
+            cases[f"scan {spec.name} {point}"] = {
+                "fields": _fields(fiber_scan(gallery(spec), point)), "group": "golden scans"}
+        rtol = IntegratorOptions().rtol
+        for spec, path, seed, *_ in golden.GOLDEN_LIFTS:
+            lift("golden lifts", f"lift {spec.name} {spec.params} {path[0]} {seed}",
+                 gallery(spec), golden._path(path), [seed], None, rtol)
+        for spec, path, seeds, *_ in golden.GOLDEN_BATCHES:
+            lift("golden batches", f"batch {spec.name} {path[0]} {seeds}",
+                 gallery(spec), golden._path(path), seeds, None, rtol)
+        for i, case in enumerate(plan["random"]):
+            conn = gallery(ConnectionSpec(case["member"], case["params"]))
+            lift(f"random 1-d {case['path'][0]} lifts", f"random {i}", conn,
+                 golden._path(case["path"]),
+                 [case["seed"]], IntegratorOptions(rtol=case["rtol"]), case["rtol"])
+    Path(out_file).write_text(json.dumps({"pathlift": source, "cases": cases}))
+
+
+# ------------------------------------------------------------ the comparison
+
+def _random_plan(count: int, seed: int) -> list[dict]:
+    import random
+
+    rng = random.Random(seed)
+    members = [("fig1", {}), ("power-growth", {"alpha": 0.5}), ("power-growth", {"alpha": 1.5}),
+               ("power-growth", {"alpha": 2.0}), ("power-growth", {"alpha": 3.0}),
+               ("scalar-linear", None)]
+    plan = []
+    for _ in range(count):
+        name, params = rng.choice(members)
+        if params is None:
+            params = {"lambda": round(rng.uniform(-3.0, 3.0), 3)}
+        a, b = (round(rng.uniform(-1.5, 1.5), 3) for _ in range(2))
+        if rng.random() < 0.2:
+            mid = round(rng.uniform(-1.5, 1.5), 3)
+            path = ["polyline", [[a], [mid], [b]], [0.0, round(rng.uniform(0.2, 0.8), 3), 1.0]]
+        else:
+            path = ["segment", [a], [b]]
+        plan.append({"member": name, "params": params, "path": path,
+                     "seed": [round(rng.uniform(-3.0, 3.0), 4)],
+                     "rtol": 10.0 ** -rng.randint(6, 11)})
+    return plan
+
+
+def _run(checkout: Path, plan_file: Path, out_file: Path, reference: bool, tmp: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout),
+           str(plan_file), str(out_file)] + (["--reference"] if reference else [])
+    if subprocess.run(cmd, env=env, cwd=tmp).returncode:
+        sys.exit(f"numdiff: the cases failed to run in {checkout}")
+    return json.loads(out_file.read_text())
+
+
+def _same(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or _same(a, b):  # equal, or zeros of opposite sign
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _dist(end: list[float], ref: list[float]) -> float:
+    gap = math.hypot(*(x - r for x, r in zip(end, ref)))
+    return gap / max(1.0, math.hypot(*ref))
+
+
+def compare(parent: dict, change: dict) -> tuple[list[str], int]:
+    """The report's lines and its count of differences and broken bounds."""
+    lines, problems = [], 0
+    pc, cc = parent["cases"], change["cases"]
+    schema = [f"case only in {side}: {name}" for side, a, b in
+              (("parent", pc, cc), ("change", cc, pc)) for name in a if name not in b]
+    categorical, columns = [], {}  # (group, column) -> [max rel diff, values differing, values]
+    moved: dict[str, set] = {}
+    groups: dict[str, int] = {}  # group -> cases
+    for name in (n for n in cc if n in pc):
+        group = cc[name]["group"]
+        groups[group] = groups.get(group, 0) + 1
+        pf, cf = pc[name]["fields"], cc[name]["fields"]
+        for key in sorted(set(pf) | set(cf)):
+            if key not in pf or key not in cf:
+                schema.append(f"{name}: {key} only in {'change' if key in cf else 'parent'}")
+                continue
+            (pk, pv), (ck, cv) = pf[key], cf[key]
+            if pk != ck or (pk == "num" and len(pv) != len(cv)):
+                schema.append(f"{name}: {key} is {pk}[{_len(pv)}] in parent, "
+                              f"{ck}[{_len(cv)}] in change")
+            elif pk == "cat":
+                if pv != cv:
+                    categorical.append(f"{name}: {key}: {_short(pv)} -> {_short(cv)}")
+            else:
+                col = columns.setdefault((group, key), [0.0, 0, 0])
+                col[2] += len(pv)
+                differ = [(a, b) for a, b in zip(pv, cv) if not _same(a, b)]
+                if differ:
+                    col[0] = max([col[0]] + [_rel(a, b) for a, b in differ])
+                    col[1] += len(differ)
+                    moved.setdefault(group, set()).add(name)
+    lines.append(f"schema differences: {len(schema)}")
+    lines += ["  " + s for s in schema]
+    lines.append(f"categorical differences: {len(categorical)}")
+    lines += ["  " + s for s in categorical]
+    differing = {k: v for k, v in columns.items() if v[1]}
+    lines.append(f"numeric columns that differ: {len(differing)} of {len(columns)}")
+    for group, count in groups.items():
+        lines.append(f"  {group}: {len(moved.get(group, ()))} of {count} cases moved")
+        for (g, key), (worst, ndiff, nval) in sorted(differing.items()):
+            if g == group:
+                lines.append(f"    {key:<32} max rel {worst:.3g}, {ndiff} of {nval} values differ")
+    problems += len(schema) + len(categorical) + sum(v[1] for v in differing.values())
+
+    # Distance of each complete endpoint to the DOP853 reference, in rtol.
+    rows = []
+    for name in (n for n in cc if n in pc):
+        p, c = pc[name], cc[name]
+        if c.get("ref") is not None and p.get("complete") and c["complete"]:
+            rtol = c["rtol"]
+            rows.append((c["group"], name, _dist(p["end"], c["ref"]) / rtol,
+                         _dist(c["end"], c["ref"]) / rtol))
+    lines.append("DOP853 reference (rtol=1e-13, atol=1e-15), distance / max(1, |ref|) in units "
+                 f"of the lift's rtol; bound: change <= parent + {BOUND:g}")
+    broken = 0
+    for group in groups:
+        g = [r for r in rows if r[0] == group]
+        if not g:
+            continue
+        farther = sum(r[3] > r[2] for r in g)
+        nearer = sum(r[3] < r[2] for r in g)
+        over = [r for r in g if r[3] > r[2] + BOUND]
+        broken += len(over)
+        worst = max(r[3] - r[2] for r in g)
+        lines.append(f"  {group}: {len(g)} complete; parent max {max(r[2] for r in g):.3g}, "
+                     f"change max {max(r[3] for r in g):.3g}; farther in {farther}, nearer in "
+                     f"{nearer}; worst change - parent {worst:.3g}; over the bound: {len(over)}")
+        lines += [f"    over the bound: {r[1]}: {r[2]:.3g} -> {r[3]:.3g}" for r in over]
+    lines.append(f"differences: {problems}; broken bounds: {broken}")
+    return lines, problems + broken
+
+
+def _len(v) -> int:
+    return len(v) if isinstance(v, list) else 1
+
+
+def _short(v) -> str:
+    s = repr(v)
+    return s if len(s) <= 60 else s[:57] + "..."
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout whose results are the baseline")
+    ap.add_argument("change", type=Path, help="checkout whose results are compared with it")
+    ap.add_argument("--random", type=int, default=120, help="random 1-d lifts (default 120)")
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random lifts (default 0)")
+    args = ap.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if not (checkout / "src" / "pathlift").is_dir():
+            ap.error(f"{checkout} has no src/pathlift")
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_file = Path(tmp, "plan.json")
+        plan_file.write_text(json.dumps({"random": _random_plan(args.random, args.seed)}))
+        parent = _run(args.parent.resolve(), plan_file, Path(tmp, "parent.json"), False, tmp)
+        change = _run(args.change.resolve(), plan_file, Path(tmp, "change.json"), True, tmp)
+    lines, problems = compare(parent, change)
+    print(f"numdiff: parent {parent['pathlift']}\n         change {change['pathlift']}")
+    print(f"cases: {len(change['cases'])} ({args.random} random 1-d lifts, seed {args.seed})")
+    print("\n".join(lines))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        _worker(*sys.argv[2:5], reference="--reference" in sys.argv[5:])
+    else:
+        sys.exit(main())
