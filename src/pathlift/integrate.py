@@ -15,23 +15,25 @@ A trial step whose stages or error estimate are not finite (the rhs
 overflowed during a blow-up, or returned NaN) counts as a rejected step and
 is retried with a tenth of the step, silently: no RuntimeWarning.
 
-``integrate_lanes`` integrates one system from many initial states at once:
-the states are *lanes* of a stack, evaluated together, and each lane keeps
-its own t, step size, controller state and status, so its result is bit
-for bit the one it gets integrated alone.  A lane retires when it
-completes, escapes or collapses.  ``integrate_adaptive`` is the one-lane
-case.  Lanes step in one of two kernels, both settling each step they try
-through one controller, ``_Lane``: the stacked kernel, and, when the
-caller gives the float form ``float_rhs`` of a 1-d system, the float
-kernel, which steps each lane in turn, to its end, in Python floats.  A
-stacked step costs about a hundred numpy calls whatever the lane count, a
-float lane-step six rhs calls and no numpy call; a lane's kernel depends on
-its system alone, not on how many lanes are live.  Every 1-d stage sum is
-plain float arithmetic, its terms weighted and added left to right in
-tableau order, zero weights included: the float kernel's on one lane, the
-stacked kernel's as a cumulative sum over a 1-d stack, so a 1-d lane has
-the same bits in either kernel, signed zeros included.  n-d lanes sum
-their stages by one matrix product per lane.
+``integrate_lanes`` integrates one system from many initial states at once,
+one *lane* each.  A lane, ``_Lane``, keeps its own t, step size, controller
+state and status, and its accepted nodes (states and FSAL derivatives, from
+its seed on), so its result is bit for bit the one it gets integrated
+alone.  A lane retires when it completes, escapes or collapses.
+``integrate_adaptive`` is the one-lane case.  Lanes step in one of two
+kernels, both stepping a lane from its last node, appending the nodes they
+accept and settling each step they try through the lane's controller: the
+stacked kernel, which evaluates the live lanes together as the rows of a
+stack, and, when the caller gives the float form
+``float_rhs`` of a 1-d system, the float kernel, which steps each lane in
+turn, to its end, in Python floats.  A stacked step costs about a hundred
+numpy calls whatever the lane count, a float lane-step six rhs calls and no
+numpy call; a lane's kernel depends on its system alone, not on how many
+lanes are live.  Every 1-d stage sum is plain float arithmetic, its terms
+weighted and added left to right in tableau order, zero weights included:
+the float kernel's on one lane, the stacked kernel's as a cumulative sum
+over a 1-d stack, so a 1-d lane has the same bits in either kernel, signed
+zeros included.  n-d lanes sum their stages by one matrix product per lane.
 
 Outside the float kernel every evaluation goes through one hook,
 ``field``, which is given the times of the evaluations to come as rows of
@@ -171,12 +173,13 @@ class IntegrationResult:
 
 
 class _Lane:
-    """Step control of one lane, in Python floats, and its accepted nodes."""
+    """Step control of one lane, in Python floats, and its accepted nodes: the
+    states yf and FSAL derivatives ff, n floats a node, from the seed on."""
 
     __slots__ = ("t", "h", "step", "last", "facold", "steps", "rejected", "stop", "t_escape",
-                 "norm_at_escape", "nodes_t", "rows", "yf", "ff")
+                 "norm_at_escape", "nodes_t", "yf", "ff")
 
-    def __init__(self, row: int):
+    def __init__(self, y0: list[float], f0: list[float]):
         self.t = 0.0
         self.h = 0.0
         self.facold = 1e-4
@@ -186,8 +189,7 @@ class _Lane:
         self.t_escape = None
         self.norm_at_escape = None
         self.nodes_t = array("d", [0.0])
-        self.rows = array("q", [row])  # rows of its node states in the stacks
-        self.yf, self.ff = array("d"), array("d")  # or the float kernel's nodes after the seed
+        self.yf, self.ff = array("d", y0), array("d", f0)
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
@@ -229,21 +231,18 @@ class _Lane:
             self.stop = "complete"
         return True
 
-    def result(self, ys: np.ndarray, fs: np.ndarray, opts: IntegratorOptions) -> IntegrationResult:
-        rows = np.frombuffer(self.rows, dtype=np.int64)
-        nodes_y, nodes_f = ys[rows], fs[rows]
-        if self.yf:
-            nodes_y = np.concatenate((nodes_y, np.frombuffer(self.yf)[:, None]))
-            nodes_f = np.concatenate((nodes_f, np.frombuffer(self.ff)[:, None]))
+    def result(self, opts: IntegratorOptions) -> IntegrationResult:
+        k = len(self.nodes_t)
+        nodes_y = np.frombuffer(self.yf).reshape(k, -1)
+        nodes_f = np.frombuffer(self.ff).reshape(k, -1)
         # Accepted derivatives are finite, so the max over the nodes is the
         # running max over the steps (NaN only from the first).
         max_rhs = float(np.max(_norms(nodes_f)))
-        t_end = self.t
-        if len(self.nodes_t) == 1 or t_end <= 0.0:
+        if k == 1:  # no step accepted
             dense_t = np.array([0.0])
-            dense_y = nodes_y[:1]
+            dense_y = nodes_y.copy()  # not a view of the lane's buffer
         else:
-            dense_t = np.linspace(0.0, t_end, opts.dense_samples)
+            dense_t = np.linspace(0.0, self.t, opts.dense_samples)
             dense_y = _hermite_dense(self.nodes_t, nodes_y, nodes_f, dense_t)
             dense_y[0] = nodes_y[0]
             dense_y[-1] = nodes_y[-1]
@@ -284,7 +283,7 @@ def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOption
     steps = []
     for h, b, c in zip(h0, d1, d2):
         h1 = max(1e-6, h * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
-        steps.append(min(100 * h, h1, 1.0))
+        steps.append(max(min(100 * h, h1, 1.0), opts.min_step))
     return steps
 
 
@@ -294,8 +293,8 @@ def _plain_sum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.add.accumulate(w[:, None] * K, axis=1)[:, -1]
 
 
-def _float_lane(lane: _Lane, y: float, f: float, float_rhs, opts: IntegratorOptions) -> None:
-    """The float kernel: step a planned 1-d lane from state y, FSAL derivative f, to its end."""
+def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
+    """The float kernel: step a planned 1-d lane from its last node to its end."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
     _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
@@ -303,6 +302,7 @@ def _float_lane(lane: _Lane, y: float, f: float, float_rhs, opts: IntegratorOpti
     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = (r.tolist() for r in _A[5:])
     e0, e1, e2, e3, e4, e5, e6 = _E.tolist()
     settle, plan, append_y, append_f = lane.settle, lane.plan, lane.yf.append, lane.ff.append
+    y, f = lane.yf[-1], lane.ff[-1]
     while True:
         # Stage times round as in the stacked kernel, and each stage sum is
         # _plain_sum's; the scale's max keeps a NaN operand, as np.maximum does.
@@ -350,12 +350,14 @@ def integrate_lanes(
     turn, to its end, steps in the float kernel, which calls it instead of
     field (and states that are not 1-d are an error).
 
-    Each lane keeps its own t, step, PI controller state, counters and
-    status, and its stage values run through the same arithmetic as a lane
-    alone (a stage sum is one (i, n) product per lane, in 1-d a sum term by
-    term), so lane j's result is the one Y0[j] gets alone, bit for bit.  A
-    lane retires when it completes, escapes or collapses (see
-    integrate_adaptive).
+    Each lane keeps its own t, step, PI controller state, counters, status
+    and accepted nodes, and its stage values run through the same
+    arithmetic as a lane alone (a stage sum is one (i, n) product per lane,
+    in 1-d a sum term by term), so lane j's result is the one Y0[j] gets
+    alone, bit for bit.  A stacked step stacks the live lanes' last nodes;
+    each lane that accepts appends its row of the new state and of the FSAL
+    derivative.  A lane retires when it completes, escapes or collapses
+    (see integrate_adaptive).
     """
     opts = opts or _DEFAULT_OPTIONS
     Y = np.array(Y0, dtype=float)
@@ -372,39 +374,34 @@ def integrate_lanes(
 
     F = np.empty((m, n))
     F[:] = field(np.zeros((1, m)))(0, Y)
-    # Accepted nodes are rows of these stacks; lane j starts at row j.
-    ys, fs = [Y], [F]
-    lanes = [_Lane(j) for j in range(m)]
+    lanes = [_Lane(y, f) for y, f in zip(Y.tolist(), F.tolist())]
     for lane, ynorm in zip(lanes, _norms(Y)):
         if ynorm >= escape_norm:
             lane.escape(ynorm)
     live = [j for j, lane in enumerate(lanes) if lane.stop is None]
     lv = [lanes[j] for j in live]
     if lv:
-        Y, F = Y[live], F[live]
-        for lane, h in zip(lv, _initial_steps(field, F, Y, opts)):
+        for lane, h in zip(lv, _initial_steps(field, F[live], Y[live], opts)):
             lane.h = h
-    keep = [j for j, lane in enumerate(lv) if lane.plan(max_steps, min_step)]
+    lv = [lane for lane in lv if lane.plan(max_steps, min_step)]
     if float_rhs is not None:  # the float kernel: each lane in turn, to its end
-        for j in keep:
-            _float_lane(lv[j], Y.item(j, 0), F.item(j, 0), float_rhs, opts)
-        keep = []
+        for lane in lv:
+            _float_lane(lane, float_rhs, opts)
+        lv = []
     weigh = _plain_sum if n == 1 else np.matmul  # a 1-d lane's bits are the float kernel's
-    base = m  # row of the next stored stack
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
 
-    while keep:
-        if len(keep) < len(lv):
-            lv, Y, F = [lv[j] for j in keep], Y[keep], F[keep]
+    while lv:
         k = len(lv)
         if K.shape[0] != k:
             K = np.empty((k, 7, n))
             stage = [K[:, i] for i in range(7)]  # views, made once per lane count
             head = [K[:, :i] for i in range(7)]
+        Y = np.array([lane.yf[-n:] for lane in lv])
+        stage[0][...] = [lane.ff[-n:] for lane in lv]  # FSAL
         h_row = np.array([lane.step for lane in lv])
         H = h_row[:, None]
         f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
-        stage[0][...] = F
         for i in range(1, 6):
             stage[i][...] = f(_STAGE_ROW[i], Y + H * weigh(A[i], head[i]))
         Y_new = Y + H * weigh(A[6], head[6])  # stage 6's state is the new state (FSAL)
@@ -412,27 +409,16 @@ def integrate_lanes(
         Q = H * weigh(E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
         sq = np.add.reduce(Q * Q, axis=1).tolist()
         # One pass over the lanes: settle each lane's step, then plan its next one.
-        accepted, keep = [], []
-        for j, (lane, s, ynorm) in enumerate(zip(lv, sq, _norms(Y_new))):
+        going = []
+        for lane, y, fy, s, ynorm in zip(lv, Y_new.tolist(), stage[6].tolist(), sq, _norms(Y_new)):
             if lane.settle(math.sqrt(s / n), ynorm, escape_norm):
-                accepted.append(j)
-                lane.rows.append(base + j)
+                lane.yf.extend(y)
+                lane.ff.extend(fy)
             if lane.plan(max_steps, min_step):
-                keep.append(j)
-        if accepted:
-            base += k
-            F_new = stage[6].copy()  # FSAL
-            ys.append(Y_new)
-            fs.append(F_new)
-            if len(accepted) == k:
-                Y, F = Y_new, F_new
-            else:
-                took = np.zeros((k, 1), dtype=bool)
-                took[accepted] = True
-                Y, F = np.where(took, Y_new, Y), np.where(took, F_new, F)
+                going.append(lane)
+        lv = going
 
-    ys, fs = np.concatenate(ys), np.concatenate(fs)
-    return [lane.result(ys, fs, opts) for lane in lanes]
+    return [lane.result(opts) for lane in lanes]
 
 
 def integrate_adaptive(

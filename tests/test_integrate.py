@@ -259,6 +259,17 @@ class TestStopReason:
         assert (res.status, res.stop_reason) == (STEP_COLLAPSE, "max-steps")
         assert res.steps + res.rejected == 5
 
+    @pytest.mark.parametrize("float_rhs", [None, lambda t, y: 1.0 + y * y], ids=["stacked", "floats"])
+    @pytest.mark.parametrize("atol", [1e-60, 1e-100, 1e-300])
+    def test_a_tiny_atol_from_zero_completes(self, atol, float_rhs):
+        # From y = 0 the scale is atol, so the first step's guess falls below
+        # the min_step floor for atol under about 1e-58; it is floored there,
+        # and y' = 1 + y^2 reaches tan(1).
+        (res,) = integrate_lanes(_lanes(lambda t, Y: 1.0 + Y * Y), [[0.0]],
+                                 IntegratorOptions(atol=atol), float_rhs=float_rhs)
+        assert (res.stop_reason, res.t_final) == ("complete", 1.0)
+        assert abs(res.y_final[0] / math.tan(1.0) - 1.0) < 1e-8
+
 
 def _assert_same_result(a, b):
     for f in dataclasses.fields(a):
@@ -282,7 +293,8 @@ def _lanes(rhs):
 class TestLanes:
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=8),
+        st.lists(st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from([1e8, -1e300])),
+                 min_size=1, max_size=8),
         st.sampled_from([1e-9, 1e-6, 1e-3]),
         st.sampled_from([1e8, 1e300]),
         st.sampled_from([10**6, 60]),
@@ -290,6 +302,9 @@ class TestLanes:
     def test_each_lane_equals_its_lone_integration(self, seeds, rtol, escape_norm, max_steps):
         # Tangent blow-up, growth, decay: lanes complete, escape, hit the
         # min_step floor or the step budget, with rejected steps, side by side.
+        # Rows from 1e8 (at the escape norm 1e8) and from -1e300 escape at
+        # t = 0 beside them.  No two results share memory, and none is a view of a
+        # lane's node buffer.
         opts = IntegratorOptions(rtol=rtol, escape_norm=escape_norm, max_steps=max_steps)
 
         def lone(t, y):
@@ -303,6 +318,10 @@ class TestLanes:
         assert len(got) == len(seeds)
         for row, res in zip(y0, got):
             _assert_same_result(res, integrate_adaptive(lone, row, opts))
+        arrays = [x for res in got for x in (res.t, res.y)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        assert all(res.y.flags.owndata for res in got)
 
     def test_rhs_sees_only_live_lanes(self):
         sizes = []
