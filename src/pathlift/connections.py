@@ -63,6 +63,15 @@ class ConnectionField:
     gallery builders set it.  It is no ``__init__`` argument:
     ``dataclasses.replace`` drops it.
 
+    ``float_vertical(p, v, u)``, the float form of an n-d member (n >= 2), is
+    the vertical velocity -Gamma(p, v) u for n-lists of floats p, v and u, as
+    a list: bit for bit each entry of the lift's product of ``-gamma(p, v)``
+    with u, summed left to right from +0.0, but for a NaN's sign.  n-d lifts
+    then step every lane in Python floats.  Only the gallery builders of the
+    sphere and of flat:n set it, and like ``scalar_gamma`` it is no
+    ``__init__`` argument: ``dataclasses.replace`` drops it, and the copy
+    lifts through ``gamma``, stacked, to the same bits.
+
     ``christoffel(P)``, set on the members built from Christoffel data, maps
     a (k, n) stack of base points to their (k, n, n, n) tensors G^k_ij;
     ``gamma(p, v)`` is their contraction sum_j G^k_ij v^j, bit for bit.  A
@@ -92,6 +101,8 @@ class ConnectionField:
     broadcasts: bool = False
     uses_base: bool = True
     scalar_gamma: Callable[[float], float] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    float_vertical: Callable[[list, list, list], list] | None = field(
         default=None, init=False, repr=False, compare=False)
     christoffel: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -166,15 +177,10 @@ def make_linear_connection(n: int, christoffel, name: str = "christoffel",
     ``christoffel`` once per row of a (k, n) stack of base points, as lifts
     do on the stack of a step's stage base points (see ConnectionField).
     """
-    return _linear(_dimension(name, n),
-                   lambda p: christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p],
-                   name, params)
+    n = _dimension(name, n)
 
-
-def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
-    # tensors maps p of shape (n,) or (k, n) to the (n, n, n) or (k, n, n, n) tensors.
-    def christoffel(p: np.ndarray) -> np.ndarray:
-        G = np.asarray(tensors(p), dtype=float)
+    def tensors(p: np.ndarray) -> np.ndarray:  # (n,) or (k, n) points to their tensors
+        G = np.asarray(christoffel(p) if p.ndim == 1 else [christoffel(q) for q in p], dtype=float)
         shape = p.shape[:-1] + (n, n, n)
         if G.shape != shape:
             raise ValueError(f"christoffel map returned shape {G.shape}, expected {shape}")
@@ -182,34 +188,20 @@ def _linear(n: int, tensors, name: str, params: dict | None) -> ConnectionField:
 
     conn = ConnectionField(
         dimension=n,
-        gamma=lambda p, v: _contract(christoffel(p), v),
+        gamma=lambda p, v: _contract(tensors(p), v),
         is_linear_in_fiber=True,
         growth_hint=1.0,
         name=name,
         params=dict(params or {}),
         broadcasts=True,
     )
-    object.__setattr__(conn, "christoffel", christoffel)
+    object.__setattr__(conn, "christoffel", tensors)
     return conn
 
 
 def _contract(G: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma(p, v)^k_i = sum_j G^k_ij(p) v^j, for one point or a stack of them."""
     return np.einsum("...kij,...j->...ki", G, v)
-
-
-def _stereographic_christoffels(p: np.ndarray) -> np.ndarray:
-    # Round metric 4 delta_ij / (1 + |p|^2)^2 on the plane chart; conformal
-    # factor phi = log 2 - log(1 + |p|^2) gives
-    # G^k_ij = d_i phi delta_kj + d_j phi delta_ki - d_k phi delta_ij.
-    # p is one point (n,) or a stack (k, n).  Each "0.0 +" rounds a product
-    # as einsum's one-term sums do (-0.0 becomes +0.0), so the tensors equal
-    # the per-row einsums bit for bit.
-    dphi = -2.0 * p / (1.0 + np.vecdot(p, p))[..., None]
-    eye = np.eye(p.shape[-1])
-    return ((0.0 + dphi[..., None, None, :] * eye[:, :, None])
-            + (0.0 + dphi[..., None, :, None] * eye[:, None, :])
-            - (0.0 + dphi[..., :, None, None] * eye))
 
 
 def _polynomial_christoffels(n: int, terms):
@@ -282,7 +274,11 @@ def _flat(params: dict) -> ConnectionField:
         return np.zeros(v.shape + (n,))
 
     conn = ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
-    return _with_scalar(conn, lambda v: 0.0) if n == 1 else conn
+    if n == 1:
+        return _with_scalar(conn, lambda v: 0.0)
+    # The lift's product of zero rows adds to +0.0; the list is built per call.
+    object.__setattr__(conn, "float_vertical", lambda p, v, u: [0.0] * n)
+    return conn
 
 
 def _fig1(params: dict) -> ConnectionField:
@@ -327,6 +323,40 @@ def _power_growth(params: dict) -> ConnectionField:
     return _with_scalar(conn, scalar)
 
 
+def _plain_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., 0] b[..., 0] + a[..., 1] b[..., 1] + ..., added left to right."""
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
+
+
+def _sphere(params: dict) -> ConnectionField:
+    # The round metric 4 delta_ij / (1 + |p|^2)^2 on the plane chart has the
+    # conformal factor phi = log 2 - log(1 + |p|^2), so with dphi = -2 p / (1 +
+    # |p|^2), G^k_ij = dphi_i delta_kj + dphi_j delta_ki - dphi_k delta_ij and
+    # Gamma(p, v) = (dphi . v) I + v dphi^T - dphi v^T.  Both dots add left to
+    # right, as the float form adds them.
+    eye = np.eye(2)
+
+    def gamma(p, v):
+        dphi = -2.0 * p / (1.0 + _plain_dot(p, p))[..., None]
+        return ((_plain_dot(dphi, v)[..., None, None] * eye + v[..., :, None] * dphi[..., None, :])
+                - dphi[..., :, None] * v[..., None, :])
+
+    def vertical(p, v, u):
+        # gamma's entries, then each row times u from +0.0: 0.0 - a - b is
+        # 0.0 + (-a) + (-b) to the bit.  An off-diagonal entry drops gamma's
+        # (dphi . v) * 0.0, which moves no bit of a finite row's sum.
+        (p0, p1), (v0, v1), (u0, u1) = p, v, u
+        s = 1.0 + (p0 * p0 + p1 * p1)
+        d0, d1 = -2.0 * p0 / s, -2.0 * p1 / s
+        dv = d0 * v0 + d1 * v1
+        return [0.0 - ((dv + v0 * d0) - d0 * v0) * u0 - (v0 * d1 - d0 * v1) * u1,
+                0.0 - (v1 * d0 - d1 * v0) * u0 - ((dv + v1 * d1) - d1 * v1) * u1]
+
+    conn = ConnectionField(2, gamma, True, 1.0, "sphere-stereographic", broadcasts=True)
+    object.__setattr__(conn, "float_vertical", vertical)
+    return conn
+
+
 def _christoffel(params: dict) -> ConnectionField:
     if "dimension" not in params or "terms" not in params:
         raise ValueError("christoffel spec needs 'dimension' and 'terms'")
@@ -358,9 +388,8 @@ _GALLERY = {
                             "Gamma(p,v) = -(1+v^2)^(alpha/2); fiber growth of order alpha"),
     "scalar-linear": _Member(_scalar_linear, 1, ("lambda",), True, 1.0,
                              "Gamma(p,v) = lambda v; transport scales by exp(-lambda displacement)"),
-    "sphere-stereographic": _Member(
-        lambda params: _linear(2, _stereographic_christoffels, "sphere-stereographic", None),
-        2, (), True, 1.0, "round-sphere transport in the stereographic plane chart"),
+    "sphere-stereographic": _Member(_sphere, 2, (), True, 1.0,
+                                    "round-sphere transport in the stereographic plane chart"),
 }
 
 

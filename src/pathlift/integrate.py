@@ -20,22 +20,28 @@ one *lane* each.  A lane, ``_Lane``, keeps its own t, step size, controller
 state and status, and its accepted nodes (states and FSAL derivatives, from
 its seed on), so its result is bit for bit the one it gets integrated
 alone.  A lane retires when it completes, escapes or collapses.
-``integrate_adaptive`` is the one-lane case.  Lanes step in one of two
-kernels, both stepping a lane from its last node, appending the nodes they
-accept and settling each step they try through the lane's controller: the
-stacked kernel, which evaluates the live lanes together as the rows of a
-stack, and, when the caller gives the float form
-``float_rhs`` of a 1-d system, the float kernel, which steps each lane in
-turn, to its end, in Python floats.  A stacked step costs about a hundred
-numpy calls whatever the lane count, a float lane-step six rhs calls and no
-numpy call; a lane's kernel depends on its system alone, not on how many
-lanes are live.  Every 1-d stage sum is plain float arithmetic, its terms
-weighted and added left to right in tableau order, zero weights included:
-the float kernel's on one lane, the stacked kernel's as a cumulative sum
-over a 1-d stack, so a 1-d lane has the same bits in either kernel, signed
-zeros included.  n-d lanes sum their stages by one matrix product per lane.
+``integrate_adaptive`` is the one-lane case.  Lanes step in one of three
+kernels, each stepping a lane from its last node, appending the nodes it
+accepts and settling each step it tries through the lane's controller:
 
-Outside the float kernel every evaluation goes through one hook,
+    stacked  evaluates the live lanes together as the rows of a stack,
+             about a hundred numpy calls a step whatever the lane count;
+    scalar   when the caller gives the float form ``float_rhs`` of a 1-d
+             system, steps each lane in turn, to its end, in Python floats:
+             six rhs calls a step and no numpy call;
+    vector   the same for an n-d system, on n-lists, with one ``float_rhs``
+             call per step attempt, which reads what depends on t alone at
+             the step's five distinct stage times.
+
+A lane's kernel depends on its system alone, not on how many lanes are
+live.  Every sum adds its terms left to right in one plain order, in every
+kernel: a stage sum weights and adds the stage derivatives in tableau
+order, zero weights included (the stacked kernel by a cumulative sum over
+the stack), and the error and norm sums add their squares component by
+component.  So a lane has the same bits in any kernel, signed zeros
+included, and the bits do not depend on how a BLAS orders a product.
+
+Outside the float kernels every evaluation goes through one hook,
 ``field``, which is given the times of the evaluations to come as rows of
 a table and returns the derivative at each row.  The seed derivative and
 the first step's probe pass one row; a stacked step passes the five
@@ -260,8 +266,10 @@ class _Lane:
 
 
 def _norms(X: np.ndarray) -> list[float]:
-    """Each row's sqrt(x @ x), or hypot where a nonzero row's square leaves the normal range."""
-    r = np.sqrt(np.vecdot(X, X))
+    """Each row's sqrt(x0*x0 + x1*x1 + ...), the squares added left to right, or hypot
+    where a nonzero row's square leaves the normal range."""
+    # A one-element row's vecdot is its one square.
+    r = np.sqrt(np.vecdot(X, X) if X.shape[1] == 1 else np.add.accumulate(X * X, axis=1)[:, -1])
     norms = r.tolist()
     if (math.inf in norms or norms and not min(norms) >= _TINY) and X.any():
         for i in np.flatnonzero((r == math.inf) | (r < _TINY) & X.any(axis=1)).tolist():
@@ -288,13 +296,13 @@ def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOption
 
 
 def _plain_sum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """w[0] K[:, 0] + w[1] K[:, 1] + ..., added left to right as the float kernel adds:
+    """w[0] K[:, 0] + w[1] K[:, 1] + ..., added left to right as the float kernels add:
     a cumulative sum adds in order, from its first term."""
     return np.add.accumulate(w[:, None] * K, axis=1)[:, -1]
 
 
 def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
-    """The float kernel: step a planned 1-d lane from its last node to its end."""
+    """The scalar float kernel: step a planned 1-d lane from its last node to its end."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
     _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
@@ -327,12 +335,57 @@ def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
             return
 
 
+def _vector_lane(lane: _Lane, float_rhs, n: int, opts: IntegratorOptions) -> None:
+    """The vector float kernel: step a planned n-d lane from its last node to its end, on
+    n-lists, with the arithmetic of the stacked kernel on one lane."""
+    rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
+    max_steps, min_step = opts.max_steps, opts.min_step
+    _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = (r.tolist() for r in _A[1:5])
+    (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = (r.tolist() for r in _A[5:])
+    e0, e1, e2, e3, e4, e5, e6 = _E.tolist()
+    settle, plan, extend_y, extend_f = lane.settle, lane.plan, lane.yf.extend, lane.ff.extend
+    y, f = lane.yf[-n:].tolist(), lane.ff[-n:].tolist()
+    while True:
+        # One rhs call per attempt, on the stage times of the stacked kernel's rows.
+        t, H = lane.t, lane.step
+        g = float_rhs([t + c1 * H, t + c2 * H, t + c3 * H, t + c4 * H, t + H])
+        k1 = g(0, [x + H * (a10 * d) for x, d in zip(y, f)])
+        k2 = g(1, [x + H * (a20 * d + a21 * d1) for x, d, d1 in zip(y, f, k1)])
+        k3 = g(2, [x + H * (a30 * d + a31 * d1 + a32 * d2) for x, d, d1, d2 in zip(y, f, k1, k2)])
+        k4 = g(3, [x + H * (a40 * d + a41 * d1 + a42 * d2 + a43 * d3)
+                   for x, d, d1, d2, d3 in zip(y, f, k1, k2, k3)])
+        k5 = g(4, [x + H * (a50 * d + a51 * d1 + a52 * d2 + a53 * d3 + a54 * d4)
+                   for x, d, d1, d2, d3, d4 in zip(y, f, k1, k2, k3, k4)])
+        y1 = [x + H * (a60 * d + a61 * d1 + a62 * d2 + a63 * d3 + a64 * d4 + a65 * d5)
+              for x, d, d1, d2, d3, d4, d5 in zip(y, f, k1, k2, k3, k4, k5)]
+        k6 = g(4, y1)
+        # The error and norm sums add their squares in component order, as the
+        # stacked kernel and _norms do (from +0.0, which adds no bit to a square).
+        sq = sq1 = 0.0
+        for x, x1, d, d1, d2, d3, d4, d5, d6 in zip(y, y1, f, k1, k2, k3, k4, k5, k6):
+            a, b = abs(x), abs(x1)
+            q = (H * (e0 * d + e1 * d1 + e2 * d2 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6)
+                 / (atol + rtol * (b if b > a or b != b else a)))
+            sq += q * q
+            sq1 += x1 * x1
+        ynorm = math.sqrt(sq1)
+        if ynorm == math.inf or ynorm < _TINY and any(y1):
+            ynorm = math.hypot(*y1)
+        if settle(math.sqrt(sq / n), ynorm, escape_norm):
+            y, f = y1, k6  # FSAL
+            extend_y(y)
+            extend_f(f)
+        if not plan(max_steps, min_step):
+            return
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_lanes(
     field: Callable[[np.ndarray], Callable[[int, np.ndarray], np.ndarray]],
     Y0,
     opts: IntegratorOptions | None = None,
-    float_rhs: Callable[[float, float], float] | None = None,
+    float_rhs: Callable | None = None,
 ) -> list[IntegrationResult]:
     """Integrate y' = f(t, y) over [0, 1] from every row of Y0, one lane each.
 
@@ -345,16 +398,20 @@ def integrate_lanes(
     more call on one row.  Each step of the stacked kernel calls field once,
     on the live lanes' five distinct stage times (row r: t + c_(r+1) h;
     stages 5 and 6 both read row 4), so the caller evaluates what depends
-    on t alone once per step.  In 1-d, ``float_rhs(t, y)`` is f on one lane
-    in Python floats, bit for bit; when given, after the probe each lane in
-    turn, to its end, steps in the float kernel, which calls it instead of
-    field (and states that are not 1-d are an error).
+    on t alone once per step.  ``float_rhs`` is f on one lane in Python
+    floats, bit for bit: in 1-d ``float_rhs(t, y)`` on a float, in n-d
+    ``float_rhs(times)``, given a step's five distinct stage times as a
+    list, returns ``g(r, y)``, the derivative at times[r] for an n-list y,
+    as a list.  When given, after the probe each lane in turn, to its end,
+    steps in a float kernel, which calls it instead of field: once per
+    stage in 1-d, once per step attempt in n-d.
 
     Each lane keeps its own t, step, PI controller state, counters, status
     and accepted nodes, and its stage values run through the same
-    arithmetic as a lane alone (a stage sum is one (i, n) product per lane,
-    in 1-d a sum term by term), so lane j's result is the one Y0[j] gets
-    alone, bit for bit.  A stacked step stacks the live lanes' last nodes;
+    arithmetic as a lane alone (every sum adds its terms left to right, a
+    stage sum term by term in tableau order, an error or norm sum component
+    by component), so lane j's result is the one Y0[j] gets alone, bit for
+    bit, in any kernel.  A stacked step stacks the live lanes' last nodes;
     each lane that accepts appends its row of the new state and of the FSAL
     derivative.  A lane retires when it completes, escapes or collapses
     (see integrate_adaptive).
@@ -366,8 +423,8 @@ def integrate_lanes(
     if not np.all(np.isfinite(Y)):
         raise ValueError("initial states must be finite")
     m, n = Y.shape
-    if float_rhs is not None and n != 1:
-        raise ValueError(f"float_rhs needs 1-d states, got dimension {n}")
+    if n == 0:
+        raise ValueError("initial states must have at least one component, got dimension 0")
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     min_step, max_steps = opts.min_step, opts.max_steps
     A, E = _A, _E
@@ -384,11 +441,13 @@ def integrate_lanes(
         for lane, h in zip(lv, _initial_steps(field, F[live], Y[live], opts)):
             lane.h = h
     lv = [lane for lane in lv if lane.plan(max_steps, min_step)]
-    if float_rhs is not None:  # the float kernel: each lane in turn, to its end
+    if float_rhs is not None:  # a float kernel: each lane in turn, to its end
         for lane in lv:
-            _float_lane(lane, float_rhs, opts)
+            if n == 1:
+                _float_lane(lane, float_rhs, opts)
+            else:
+                _vector_lane(lane, float_rhs, n, opts)
         lv = []
-    weigh = _plain_sum if n == 1 else np.matmul  # a 1-d lane's bits are the float kernel's
     K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
 
     while lv:
@@ -403,11 +462,11 @@ def integrate_lanes(
         H = h_row[:, None]
         f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
         for i in range(1, 6):
-            stage[i][...] = f(_STAGE_ROW[i], Y + H * weigh(A[i], head[i]))
-        Y_new = Y + H * weigh(A[6], head[6])  # stage 6's state is the new state (FSAL)
+            stage[i][...] = f(_STAGE_ROW[i], Y + H * _plain_sum(A[i], head[i]))
+        Y_new = Y + H * _plain_sum(A[6], head[6])  # stage 6's state is the new state (FSAL)
         stage[6][...] = f(_STAGE_ROW[6], Y_new)
-        Q = H * weigh(E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-        sq = np.add.reduce(Q * Q, axis=1).tolist()
+        Q = H * _plain_sum(E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        sq = np.add.accumulate(Q * Q, axis=1)[:, -1].tolist()
         # One pass over the lanes: settle each lane's step, then plan its next one.
         going = []
         for lane, y, fy, s, ynorm in zip(lv, Y_new.tolist(), stage[6].tolist(), sq, _norms(Y_new)):

@@ -112,13 +112,16 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     path broadcasts, else one per time).  A member with Christoffel tensors
     (``conn.christoffel``) builds them there in one call, and a stage then
     only contracts them with its fiber rows; other members take one
-    ``conn.stack`` per stage.  In 1-d the lanes of a member with
-    ``conn.scalar_gamma``, lone or batched, step in Python floats, each lane
-    in turn, to its end, and read a segment's ``fixed_velocity`` once; all
-    other lanes step stacked.  When ``gamma`` ignores the base point
-    (``conn.uses_base`` false), every call gets the path's starting point.  Each trajectory equals the seed's lift alone bit
-    for bit.  If the batch raises, the error is the one the first failing
-    seed raises alone.
+    ``conn.stack`` per stage.  The lanes of a member with a float form,
+    ``conn.scalar_gamma`` in 1-d or ``conn.float_vertical`` in n-d, lone or
+    batched, step in Python floats instead, each lane in turn, to its end:
+    a 1-d lane reads a segment's ``fixed_velocity`` once and other paths at
+    each stage, an n-d lane reads the path once per step attempt, a segment
+    in floats.  Either route gives the same bits.  When ``gamma`` ignores
+    the base point (``conn.uses_base`` false), every call gets the path's
+    starting point.  Each trajectory equals the seed's lift alone bit for
+    bit.  If the batch raises, the error is the one the first failing seed
+    raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -172,18 +175,7 @@ def _checked_seeds(conn: ConnectionField, path: PathCurve, seeds,
 def _lift_lanes(conn: ConnectionField, path: PathCurve, vs: list[np.ndarray], p0: np.ndarray,
                 opts: IntegratorOptions | None) -> list[LiftTrajectory]:
     """The lifts of checked seeds vs (see _checked_seeds), as lanes of one integration."""
-    # The rhs on a 1-d float state, bit for bit: the product adds its one term
-    # to +0.0.  A segment's speed is read once.
-    scalar, vel, float_rhs = conn.scalar_gamma, path.velocity, None
-    if scalar is not None and path.fixed_velocity is not None:
-        speed = path.fixed_velocity.item()
-
-        def float_rhs(t: float, y: float) -> float:
-            return 0.0 + (-scalar(y)) * speed
-    elif scalar is not None:
-        def float_rhs(t: float, y: float) -> float:
-            return 0.0 + (-scalar(y)) * vel(t).item()
-    results = integrate_lanes(_field(conn, path, p0), vs, opts, float_rhs)
+    results = integrate_lanes(_field(conn, path, p0), vs, opts, _float_rhs(conn, path, p0))
     return [
         LiftTrajectory(
             t=res.t,
@@ -201,23 +193,63 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, vs: list[np.ndarray], p0
     ]
 
 
+def _path_reader(path: PathCurve, p0: np.ndarray, uses_base: bool):
+    """The path at a 1-d array of times: positions (p0 when gamma ignores the base
+    point) and velocities, as arrays that broadcast to (times.size, n)."""
+    pos, vel = path.position, path.velocity
+    if path.broadcasts:
+        return lambda times: (pos(times[:, None]) if uses_base else p0, vel(times[:, None]))
+    return lambda times: (np.array([pos(t) for t in times]) if uses_base else p0,
+                          np.array([vel(t) for t in times]))
+
+
+def _float_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
+    """The lift's rhs in Python floats for integrate_lanes, bit for bit the field's,
+    or None: from ``scalar_gamma`` in 1-d, from ``float_vertical`` in n-d."""
+    scalar, vertical, fixed = conn.scalar_gamma, conn.float_vertical, path.fixed_velocity
+    if scalar is not None:
+        # The product adds its one term to +0.0.  A segment's speed is read once.
+        if fixed is not None:
+            speed = fixed.item()
+            return lambda t, y: 0.0 + (-scalar(y)) * speed
+        vel = path.velocity
+        return lambda t, y: 0.0 + (-scalar(y)) * vel(t).item()
+    if vertical is None:
+        return None
+    if fixed is not None:  # a segment, in floats: p0 + t d is its position's bits for t > 0
+        a, d = p0.tolist(), fixed.tolist()
+        if not conn.uses_base:
+            return lambda times: lambda r, y: vertical(a, y, d)
+
+        def segment(times: list[float]):
+            P = [[x + t * dx for x, dx in zip(a, d)] for t in times]
+            return lambda r, y: vertical(P[r], y, d)
+
+        return segment
+    read, n = _path_reader(path, p0, conn.uses_base), conn.dimension
+
+    def float_rhs(times: list[float]):
+        shape = (len(times), n)
+        P, V = ((X if X.shape == shape else np.broadcast_to(X, shape)).tolist()
+                for X in read(np.array(times)))
+        return lambda r, y: vertical(P[r], y, V[r])
+
+    return float_rhs
+
+
 def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
     """The lift's evaluation hook for integrate_lanes (see horizontal_lifts).
 
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
     """
-    stack, christoffel, pos, vel = conn.stack, conn.christoffel, path.position, path.velocity
-    path_broadcasts, uses_base, n = path.broadcasts, conn.uses_base, conn.dimension
+    stack, christoffel, n = conn.stack, conn.christoffel, conn.dimension
+    read = _path_reader(path, p0, conn.uses_base)
 
     def field(T: np.ndarray):
         (s, k), times = T.shape, T.ravel()
         # Positions and velocities at all the times, as arrays that broadcast to (s * k, n).
-        if path_broadcasts:
-            P, V = (pos(times[:, None]) if uses_base else p0), vel(times[:, None])
-        else:
-            P = np.array([pos(t) for t in times]) if uses_base else p0
-            V = np.array([vel(t) for t in times])
+        P, V = read(times)
         G = None
         if christoffel is not None:
             P = P if P.shape == (s * k, n) else np.broadcast_to(P, (s * k, n))
@@ -228,8 +260,12 @@ def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
 
         def f(r: int, C: np.ndarray) -> np.ndarray:
             M = stack(P[r], C) if G is None else _contract(G[r], C)
-            # (-M) @ V, as -m @ vel(t) in a lane alone: negation first.
-            return ((-M) @ V[r][..., None])[..., 0]
+            # (-M) V, negation first, each row's terms added left to right and
+            # then to +0.0, as the float forms add them; in 1-d the one term,
+            # which matmul adds to +0.0.
+            if n == 1:
+                return ((-M) @ V[r][..., None])[..., 0]
+            return np.add.accumulate((-M) * V[r][..., None, :], axis=-1)[..., -1] + 0.0
 
         return f
 

@@ -14,8 +14,7 @@ from pathlift.connections import (
     gallery_members,
     make_linear_connection,
 )
-from pathlift import connections
-from pathlift.connections import _polynomial_christoffels, _stereographic_christoffels
+from pathlift.connections import _polynomial_christoffels
 from pathlift.geometry import path_segment
 from pathlift.lifting import parallel_transport
 from pathlift.uvb import EUCLIDEAN, NORMALIZED, fiber_scan, principal_angles
@@ -509,16 +508,12 @@ class TestBroadcasting:
         assert ConnectionField(1, lambda p, v: np.eye(1)).uses_base
 
 
-def _einsum_stereographic(p):
-    # The per-point sphere tensors as built before the formula broadcast.
-    n = p.size
+def _stereographic_tensor(p):
+    # G^k_ij = dphi_j delta_ki + dphi_i delta_kj - dphi_k delta_ij, with dphi = -2 p / (1 + |p|^2).
     dphi = -2.0 * p / (1.0 + p @ p)
-    eye = np.eye(n)
-    return (
-        np.einsum("j,ki->kij", dphi, eye)
-        + np.einsum("i,kj->kij", dphi, eye)
-        - np.einsum("k,ij->kij", dphi, eye)
-    )
+    eye = np.eye(p.size)
+    return (np.einsum("j,ki->kij", dphi, eye) + np.einsum("i,kj->kij", dphi, eye)
+            - np.einsum("k,ij->kij", dphi, eye))
 
 
 # 1e154: p @ p overflows; 5e-324 and 1e-310 are subnormal.
@@ -530,36 +525,33 @@ _sphere_coord = st.one_of(
 )
 
 
-class TestStereographicStack:
+class TestStereographicClosedForm:
+    """The sphere's Gamma(p, v) = (dphi . v) I + v dphi^T - dphi v^T, with no tensors."""
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(_sphere_coord, min_size=2, max_size=2), min_size=1, max_size=8),
-           st.booleans())
-    def test_stack_equals_per_point_einsums_bitwise(self, rows, lone):
-        points = np.array(rows).reshape(-1, 2)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+           st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+    def test_closed_form_is_the_christoffel_contraction(self, p, v):
+        p, v = np.array(p), np.array(v)
+        want = np.einsum("kij,j->ki", _stereographic_tensor(p), v)
+        got = gallery("sphere-stereographic").gamma(p, v)
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * (1.0 + np.abs(v).max()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_sphere_coord, min_size=4, max_size=4), min_size=1, max_size=8))
+    def test_a_stack_gives_each_rows_bits(self, rows):
+        # A NaN's sign aside: where two NaNs meet, numpy's array and scalar
+        # loops may keep either one's.
+        points, fibers = np.array(rows)[:, :2], np.array(rows)[:, 2:]
+        gamma = gallery("sphere-stereographic").gamma
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if lone:
-                got, want = _stereographic_christoffels(points[0]), _einsum_stereographic(points[0])
-            else:
-                got = _stereographic_christoffels(points)
-                want = np.array([_einsum_stereographic(p) for p in points])
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_one_build_per_stack(self, monkeypatch):
-        calls = []
-
-        def counting(p):
-            calls.append(p.shape)
-            return _stereographic_christoffels(p)
-
-        monkeypatch.setattr(connections, "_stereographic_christoffels", counting)
-        conn = gallery("sphere-stereographic")
-        points = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
-        got = conn.gamma(points, np.ones((6, 2)))
-        assert calls == [(6, 2)]
-        want = np.array([np.einsum("kij,j->ki", _einsum_stereographic(p), np.ones(2))
-                         for p in points])
-        assert got.tobytes() == want.tobytes()
+            got = gamma(points, fibers)
+            want = np.array([gamma(p, v) for p, v in zip(points, fibers)])
+        assert got.shape == want.shape == (len(rows), 2, 2)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
 
 
 # sqrt of the largest double: y ** 2 overflows just above it.
@@ -614,3 +606,53 @@ class TestFloatForm:
         assert "scalar_gamma" not in repr(fig1)
         with pytest.raises(TypeError):
             ConnectionField(1, fig1.gamma, scalar_gamma=fig1.scalar_gamma)
+
+
+# Finite values across the range, signed zeros and subnormals: products overflow
+# to inf and cancel to NaN, but dphi . v stays finite (|dphi| <= 1).
+_vertical_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e154, -1e154, 1e300, -1e300]),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+)
+
+
+class TestVerticalFloatForm:
+    """The n-d members' float form: -Gamma(p, v) u in floats, with the lift's product bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([("sphere-stereographic", {}), ("flat", {"dimension": 2}),
+                            ("flat", {"dimension": 3})]),
+           st.data())
+    def test_float_form_equals_the_lifts_product_bitwise(self, member, data):
+        # The lift's stacked route: (-M) times u, each row added left to right
+        # and then to +0.0.  NaN signs aside, every bit agrees.
+        conn = _member(member[0], **member[1])
+        n = conn.dimension
+        p, v, u = (data.draw(st.lists(_vertical_coord, min_size=n, max_size=n)) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = conn.gamma(np.array(p), np.array(v))
+            want = (np.add.accumulate((-M) * np.array(u), axis=-1)[..., -1] + 0.0).tolist()
+            got = conn.float_vertical(p, v, u)
+        assert type(got) is list and len(got) == n
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert (math.isnan(g) and math.isnan(w)
+                    or np.float64(g).tobytes() == np.float64(w).tobytes()), (p, v, u, got, want)
+
+    @pytest.mark.parametrize("conn, has", [
+        (gallery("sphere-stereographic"), True),
+        (_member("flat", dimension=2), True),
+        (_member("flat", dimension=3), True),
+        (_member("flat", dimension=1), False),
+        (gallery("fig1"), False),
+        (_member("christoffel", dimension=2, terms=[{"k": 0, "i": 1, "j": 0, "coeff": 1.0}]), False),
+        (ConnectionField(2, lambda p, v: np.eye(2)), False),
+    ], ids=["sphere", "flat-2d", "flat-3d", "flat-1d", "fig1", "christoffel-2d", "custom"])
+    def test_only_the_n_d_gallery_members_have_it(self, conn, has):
+        assert (conn.float_vertical is not None) == has
+        copy = dataclasses.replace(conn, gamma=conn.gamma)  # a replaced gamma drops it
+        assert copy.float_vertical is None and copy == conn
+        assert "float_vertical" not in repr(conn)
+        with pytest.raises(TypeError):
+            ConnectionField(2, conn.gamma, float_vertical=conn.float_vertical)

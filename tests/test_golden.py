@@ -14,12 +14,17 @@ whose last lane ends alone, on a 1-d member with no float form and on the
 sphere.  A change that alters emitted numbers on purpose
 must regenerate the tables and say so.
 
-Regenerated once, for one reason: every 1-d lane sums its DOPRI stages in
-plain floats, left to right, in both kernels.  That moved the digests of
-``lift fig1``, both ``transport fig1`` commands and ``figure1``, the nine
-1-d lone lifts of ``GOLDEN_LIFTS`` and the 1-d christoffel lone lift and
-batch; no n-d, scan, ``uvb-scan`` or ``gallery list`` digest moved.
-``tools/numdiff.py`` compares two checkouts before such a regeneration.
+Regenerated twice, for one reason each.  First, every 1-d lane sums its
+DOPRI stages in plain floats, left to right, in both kernels.  That moved
+the digests of ``lift fig1``, both ``transport fig1`` commands and
+``figure1``, the nine 1-d lone lifts of ``GOLDEN_LIFTS`` and the 1-d
+christoffel lone lift and batch; no n-d, scan, ``uvb-scan`` or ``gallery
+list`` digest moved.  Second, every n-d sum of a lift adds left to right
+in plain floats too (stage, error and norm sums, the product with the
+velocity, and the sphere's closed-form map).  That moved the sphere
+circle and polyline lone lifts, both 3-d christoffel lone lifts and the
+sphere batch; no 1-d, CLI or scan digest moved.  ``tools/numdiff.py``
+compares two checkouts before such a regeneration.
 """
 
 import dataclasses
@@ -161,22 +166,22 @@ GOLDEN_LIFTS = [
      "71b7a3113a3ff2794b1c6ae1e4a0150f51ffcae08a6e18d7837d8c31fe0d2a33"),
     (ConnectionSpec("sphere-stereographic"), ("circle", [0.2, -0.1], 0.7), [1.0, 0.5],
      "complete", 1,
-     "8108679481abc55cd6d16d785fd85c01cbfd76ae071c6d605889f0d7c3793a59"),
+     "40cbd5dfc471f4b389800fea10727f1060a3761472f0da6e407d97745225037e"),
     (ConnectionSpec("sphere-stereographic"),
      ("polyline", [[0.1, -0.2], [0.6, 0.3], [-0.2, 0.5]], [0.0, 0.4, 1.0]), [1.0, -0.5],
      "complete", 10,
-     "2614a8bd14a2d2f922b5a6d67bd4bdfd3139ee8d7b7c3a1e5b240b66f200f6a4"),
+     "116ceb2b8fdc29e57c91203e6572f654c8790b596c85eba164d26dd29f97d21a"),
     (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}),
      ("polyline", [[0.3, -0.8, 1.2], [0.5, 0.0, 0.4], [-0.1, 0.3, 0.2]], [0.0, 0.3, 1.0]),
      [0.5, 1.0, -0.25], "complete", 17,
-     "afc1e90e5231c3395be1cccb3588b2fef4b39bcd54eb6cf654c85ce341103e48"),
+     "bb8b95304cb29bf7a4c26e4dee5169be9efa478c4f78c5911c031287d5ab533a"),
     (_pg(2.0), ("polyline", [[0.0], [0.8], [0.5]], [0.0, 0.5, 1.0]), [1.5], "escape-norm", 0,
      "ff6ac11740b99205e2a228f8d21341c13a45910f0dd3470013ac7d1d6668d705"),
     (_CHRISTOFFEL_1D, _SHORT, [2.0], "complete", 0,
      "50ccdbbb0d2d779ea9d669813dd155757a85a802924b269b22e83e461c98ec19"),
     (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}),
      ("segment", [0.3, -0.8, 1.2], [-0.1, 0.3, 0.2]), [0.5, 1.0, -0.25], "complete", 0,
-     "2d1d6e7bf8f632e7040bd616abf877b791ea26ebe96655254f36487b330f5e8d"),
+     "0adddcc63df6a250fe4c6061b405ab71d5b6b0515163a463bb08a7ea3f2a3624"),
 ]
 
 
@@ -213,7 +218,7 @@ GOLDEN_BATCHES = [
      "7b4adb7ee8d578a70c6186b697f1e34bc1fb78a28f4a566edee899dc2642ac2d"),
     (ConnectionSpec("sphere-stereographic"), ("segment", [0.1, -0.2], [0.9, 0.6]),
      [[0.0, 0.0], [1e-9, 2e-9], [1.0, -0.5]], [7, 4, 26],
-     "6e318c53297f37425402d7468ad3fe2592f35b0a680117da571462f9b2c62400"),
+     "ba4ffaead683aaf2266a9c8a188dc51070a021152c4036b657e7ef6baa024c5e"),
 ]
 
 

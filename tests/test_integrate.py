@@ -360,19 +360,16 @@ class TestLanes:
     @pytest.mark.parametrize("y0, error", [
         ([1.0, 2.0], "must form an"),
         ([[0.0], [np.inf]], "must be finite"),
+        ([[]], "at least one component, got dimension 0"),
+        (np.empty((0, 0)), "at least one component, got dimension 0"),
     ])
     def test_rejects_bad_initial_states(self, y0, error):
         with pytest.raises(ValueError, match=error):
             integrate_lanes(_lanes(lambda t, Y: Y), y0)
 
-    def test_rejects_a_float_rhs_on_states_that_are_not_1d(self):
-        def never(*args):
-            raise AssertionError("called")
-
-        with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 2"):
-            integrate_lanes(never, [[1.0, 2.0]], float_rhs=never)
-        with pytest.raises(ValueError, match="float_rhs needs 1-d states, got dimension 3"):
-            integrate_lanes(never, [[1.0, 2.0, 3.0]], float_rhs=never)
+    def test_a_state_of_dimension_0_is_a_clean_error(self):
+        with pytest.raises(ValueError, match="at least one component, got dimension 0"):
+            integrate_adaptive(lambda t, y: y, [])
 
     @pytest.mark.parametrize("m", [1, 8, 9, 33])
     def test_float_kernel_steps_every_lane(self, m):
@@ -447,14 +444,13 @@ class TestLoneOneDimensionalLane:
 
     @np.errstate(all="ignore")
     def test_the_new_state_is_stage_six_state(self):
-        # FSAL: the stacked kernel takes stage 6's state, A[6] @ K[:, :6], as
-        # the new state in place of B5 @ K, the same sum with a trailing zero
-        # weight.  n-d lanes sum by matrix products, which hold it bit for
-        # bit, sign of zero included, whenever k6 is finite; when k6 is not
-        # finite the error estimate E @ K is not finite either, so the step is
-        # rejected whatever its new state.  A BLAS that sums in another order
-        # fails here.  1-d lanes sum left to right (test_stacked_sums_are_the_
-        # float_kernel_sums), so only n >= 2 is checked.
+        # FSAL: the kernels take stage 6's state, A[6] . K[:, :6], as the new
+        # state in place of B5 . K, the same sum with a trailing zero weight.
+        # As matrix products on n-d stacks they agree bit for bit, sign of
+        # zero included, whenever k6 is finite; when k6 is not finite the
+        # error estimate E . K is not finite either, so the step is rejected
+        # whatever its new state.  The kernels sum left to right instead
+        # (test_stacked_sums_are_the_float_kernel_sums).
         rng = np.random.default_rng(20261019)
         for k in (1, 2, 3, 8, 9, 12):
             for n in (2, 3):
@@ -566,3 +562,108 @@ class TestLoneOneDimensionalLane:
         # The float kernel measures a state by abs(y); the stacked kernel by _norms.
         with np.errstate(over="ignore"):
             assert _same_float(abs(y), _norms(np.array([[y]]))[0])
+
+
+# 2-d systems with the same plain arithmetic on a stack and on n-lists of floats:
+# y' = (y0^2, y0 y1 - t) blows up with y0, and y' = (1e308, t) overflows an
+# accepted state while every stage derivative stays finite.
+_SYSTEMS = {
+    "coupled": (lambda t, Y: np.stack([Y[:, 0] * Y[:, 0], Y[:, 0] * Y[:, 1] - t], axis=1),
+                lambda t, y: [y[0] * y[0], y[0] * y[1] - t]),
+    "flood": (lambda t, Y: np.stack([np.full(len(t), 1e308), t], axis=1),
+              lambda t, y: [1e308, t]),
+}
+
+
+def _vector_float_rhs(rhs, calls):
+    """``rhs(t, y)`` on n-lists as integrate_lanes takes an n-d float rhs, counting its calls."""
+    def float_rhs(times):
+        calls.append(times)
+        return lambda r, y: rhs(times[r], y)
+
+    return float_rhs
+
+
+class TestVectorFloatKernel:
+    """An n-d lane steps in Python floats with the stacked kernel's bits."""
+
+    @pytest.mark.parametrize("system, seeds, opts, reasons", [
+        # Complete, and escape by the norm, beside seeds at the escape norm.
+        ("coupled", [[0.5, 1.0], [1e8, 0.0], [-0.75, 2.0], [0.0, -0.0], [2.0, 1.0], [0.0, -1e8]],
+         IntegratorOptions(), ["complete", "escape-norm", "complete", "complete", "escape-norm",
+                               "escape-norm"]),
+        ("coupled", [[2.0, 1.0], [0.5, -0.0]], IntegratorOptions(escape_norm=1e300),
+         ["min-step", "complete"]),
+        ("coupled", [[0.9, -1.0], [-0.0, 3.0]], IntegratorOptions(rtol=1e-12, max_steps=30),
+         ["max-steps", "complete"]),
+        ("flood", [[1e308, 0.0], [0.0, 0.0]], IntegratorOptions(escape_norm=1.79e308),
+         ["non-finite", "complete"]),
+    ], ids=["complete-escape", "min-step", "max-steps", "non-finite"])
+    def test_equals_the_stacked_kernel_bitwise(self, system, seeds, opts, reasons):
+        stack, rhs = _SYSTEMS[system]
+        calls = []
+        floats = integrate_lanes(_lanes(stack), seeds, opts, float_rhs=_vector_float_rhs(rhs, calls))
+        stacked = integrate_lanes(_lanes(stack), seeds, opts)
+        assert [res.stop_reason for res in floats] == reasons
+        for a, b in zip(floats, stacked):
+            _assert_same_result(a, b)
+        # One call per step attempt of each lane that steps, lane after lane.
+        assert len(calls) == sum(res.steps + res.rejected for res in floats)
+        assert all(len(times) == 5 for times in calls)
+        # A lone lane's calls get the stacked kernel's stage times, in order;
+        # the stacked field's first two calls are the seed derivative and the probe.
+        lone, rows = [], []
+
+        def field(T):
+            rows.append(T[:, 0].tolist())
+            return _lanes(stack)(T)
+
+        integrate_lanes(_lanes(stack), seeds[:1], opts, float_rhs=_vector_float_rhs(rhs, lone))
+        integrate_lanes(field, seeds[:1], opts)
+        assert rows[2:] == lone
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_norms_add_the_squares_left_to_right(self):
+        # As the vector kernel measures a state: sqrt(x0*x0 + x1*x1 + ...), or
+        # hypot where that is infinite, or tiny for a nonzero row.  An FMA
+        # chain, as np.vecdot computes, differs in about a sixth of the draws.
+        rng = np.random.default_rng(20261020)
+        special = _SPECIAL + [1e-170, 1.4e154]
+        for n in (2, 3):
+            scale = rng.choice([1.0, 1e-3, 1e5], (3000, 1))
+            rows = np.concatenate([rng.normal(size=(3000, n)) * scale,
+                                   rng.choice(special, size=(500, n))])
+            for row, got in zip(rows.tolist(), _norms(rows)):
+                sq = 0.0
+                for x in row:
+                    sq += x * x
+                want = math.sqrt(sq)
+                if want == math.inf or want < 2.0**-511 and any(row):
+                    want = math.hypot(*row)
+                assert _same_float(got, want), row
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(lambda n: st.lists(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 0.3, -0.6, 1.5, -2.0, 1e8, 1e154]),
+            min_size=n, max_size=n), min_size=1, max_size=6)),
+        st.sampled_from([1e-9, 1e-6, 1e-3]),
+        st.sampled_from([1e8, 1e300]),
+    )
+    def test_drawn_lanes_equal_the_stacked_kernel_and_their_lone_lanes(self, seeds, rtol,
+                                                                       escape_norm):
+        # y' = (y0^2, y0 y1 - t, ...), one more y0 y_i - t per component.
+        def stack(t, Y):
+            return np.concatenate([Y[:, :1] * Y[:, :1], Y[:, :1] * Y[:, 1:] - t[:, None]], axis=1)
+
+        def rhs(t, y):
+            return [y[0] * y[0]] + [y[0] * x - t for x in y[1:]]
+
+        opts = IntegratorOptions(rtol=rtol, escape_norm=escape_norm, max_steps=400)
+        floats = integrate_lanes(_lanes(stack), seeds, opts, float_rhs=_vector_float_rhs(rhs, []))
+        stacked = integrate_lanes(_lanes(stack), seeds, opts)
+        for seed, a, b in zip(seeds, floats, stacked):
+            _assert_same_result(a, b)
+            (alone,) = integrate_lanes(_lanes(stack), [seed], opts,
+                                       float_rhs=_vector_float_rhs(rhs, []))
+            _assert_same_result(alone, a)

@@ -173,7 +173,10 @@ class TestRawRhsEquivalence:
         traj = horizontal_lift(conn, path, v0)
 
         def validated(t, c):
-            return -conn.coeff(path.position(t), c) @ path.velocity(t)
+            # -Gamma gamma', each row's terms added left to right and then to
+            # +0.0, as a lift adds them.
+            m = -conn.coeff(path.position(t), c)
+            return np.add.accumulate(m * path.velocity(t), axis=1)[:, -1] + 0.0
 
         try:
             ref = integrate_adaptive(validated, v0)
@@ -601,14 +604,91 @@ class TestStageHook:
     @pytest.mark.parametrize("seeds", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, -2.0], [0.5, 0.5]]],
                              ids=["lone", "batch"])
     def test_one_path_call_per_step_attempt(self, seeds):
-        # Beyond one position and one velocity call per step of the stack,
-        # the lift reads the start (position), the first derivatives and the
-        # first step's probe (both), and each trajectory's base samples.
-        path, calls = _counting_segment([0.1, -0.2], [0.9, 0.4])
-        lifts = horizontal_lifts(gallery("sphere-stereographic"), path, seeds)
-        attempts = max(traj.steps + traj.rejected for traj in lifts)
-        assert attempts > 5
-        assert calls == {"position": attempts + 3 + len(seeds), "velocity": attempts + 2}
+        # Beyond one position and one velocity call per step of the stack (a
+        # copy without the float form), or per step attempt of each lane in
+        # floats (the sphere), the lift reads the start (position), the first
+        # derivatives and the first step's probe (both), and each
+        # trajectory's base samples.
+        sphere = gallery("sphere-stereographic")
+        for conn, in_floats in ((sphere, True),
+                                (dataclasses.replace(sphere, gamma=sphere.gamma), False)):
+            path, calls = _counting_segment([0.1, -0.2], [0.9, 0.4])
+            lifts = horizontal_lifts(conn, path, seeds)
+            attempts = [traj.steps + traj.rejected for traj in lifts]
+            reads = sum(attempts) if in_floats else max(attempts)
+            assert max(attempts) > 5
+            assert calls == {"position": reads + 3 + len(seeds), "velocity": reads + 2}
+
+
+@st.composite
+def _traced_cases(draw):
+    # Every gallery member with a float form, 1-d and n-d.
+    name = draw(st.sampled_from(["fig1", "power-growth", "scalar-linear", "flat",
+                                 "sphere-stereographic"]))
+    if name == "power-growth":
+        conn = gallery(ConnectionSpec(name, {"alpha": draw(_floats(0.0, 3.0))}))
+    elif name == "scalar-linear":
+        conn = _scalar(draw(_floats(-3.0, 3.0)))
+    elif name == "flat":
+        conn = _flat(draw(st.integers(1, 3)))
+    else:
+        conn = gallery(name)
+    n = conn.dimension
+    point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["segment", "reversed", "polyline"] + ["circle"] * (n > 1)))
+    if kind == "circle":
+        path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
+    elif kind == "polyline":
+        path = path_polyline([draw(point) for _ in range(3)], [0.0, draw(_floats(0.2, 0.8)), 1.0])
+    else:
+        path = path_segment(draw(point), draw(point))
+        if kind == "reversed":
+            path = path_reverse(path)
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))
+    seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6))
+    opts = IntegratorOptions(rtol=draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])),
+                             escape_norm=draw(st.sampled_from([1e8, 1e300])),
+                             max_steps=draw(st.sampled_from([10**6, 60])))
+    return conn, path, seeds, opts
+
+
+def _assert_copies_lift_alike(conn, path, seeds, opts):
+    # The copies a tracer makes to wrap gamma, position and velocity: the
+    # connection loses its float forms, the path its fixed_velocity, so the
+    # copies lift stacked, reading the path at every step.
+    traced_conn = dataclasses.replace(conn, gamma=conn.gamma)
+    traced_path = dataclasses.replace(path, position=path.position, velocity=path.velocity)
+    assert traced_conn.scalar_gamma is None and traced_conn.float_vertical is None
+    assert traced_path.fixed_velocity is None
+    batch = horizontal_lifts(conn, path, seeds, opts)
+    for traj, ref in zip(batch, horizontal_lifts(traced_conn, traced_path, seeds, opts)):
+        _assert_same_lift(traj, ref)
+    for v in seeds:
+        _assert_same_lift(horizontal_lift(conn, path, v, opts),
+                          horizontal_lift(traced_conn, traced_path, v, opts))
+    return batch
+
+
+class TestTracedCopies:
+    """Lifts through copies without the float forms have the float forms' bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_traced_cases())
+    def test_copies_lift_to_the_same_bits(self, case):
+        _assert_copies_lift_alike(*case)
+
+    @pytest.mark.parametrize("path", [UNIT, _REVERSED, _POLYLINE],
+                             ids=["segment", "reversed", "polyline"])
+    @pytest.mark.parametrize("opts, reason", [
+        (IntegratorOptions(), "escape-norm"),
+        (IntegratorOptions(escape_norm=1e300), "min-step"),
+        (IntegratorOptions(max_steps=120), "max-steps"),
+    ])
+    def test_one_dimensional_stop_reasons(self, path, opts, reason):
+        # 5 escapes forward and -5 backward; the other seeds complete.
+        seeds = [[0.0], [0.3], [-0.3], [5.0], [-5.0]]
+        batch = _assert_copies_lift_alike(FIG1, path, seeds, opts)
+        assert {"complete", reason} == {traj.stop_reason for traj in batch}
 
 
 class TestParallelTransport:

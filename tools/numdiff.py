@@ -9,7 +9,10 @@ Both run the same cases:
 - its ``GOLDEN_SCANS``, ``GOLDEN_LIFTS`` and ``GOLDEN_BATCHES``;
 - N random 1-d lifts drawn from seed S: gallery members with a float form,
   segments in both directions and 1-d polylines, seeds, and rtol from
-  1e-6 to 1e-11.
+  1e-6 to 1e-11;
+- N // 2 random n-d lifts from the same seed: the sphere on segments,
+  circles and polylines, flat:2, and 2-d and 3-d christoffel members of
+  random terms on segments, at rtol from 1e-6 to 1e-11.
 
 The golden cases are read from this tool's own checkout.  The report gives:
 - schema differences: emitted files, keys, columns, fields, column lengths;
@@ -22,6 +25,11 @@ The golden cases are read from this tool's own checkout.  The report gives:
   on the same rhs, relative to max(1, |ref|) and in units of the lift's
   rtol.  A change endpoint farther than the parent's plus ``BOUND`` rtol
   (1e-3, the gate a bit-changing regeneration must pass) breaks the bound.
+  A lift along a polyline takes steps across its knots that the error
+  estimate does not see, so any last-bit change can flip its step counts
+  and move it by up to hundreds of rtol; the parent also lifts each
+  polyline case at the next float above its rtol, and the case breaks the
+  bound only when its change exceeds max(BOUND, that one-ulp spread).
 
 The exit status is 0 when the report finds no difference and no broken
 bound, 1 otherwise.  It is a developer script: it runs no test and
@@ -137,7 +145,7 @@ def _reference(conn, path, v0) -> list[float]:
     return sol.y[:, -1].tolist()
 
 
-def _worker(checkout: str, plan_file: str, out_file: str, reference: bool) -> None:
+def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, spread: bool) -> None:
     import numpy as np
 
     import pathlift
@@ -156,11 +164,17 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool) -> No
     plan = json.loads(Path(plan_file).read_text())
     cases: dict[str, dict] = {}
 
-    def lift(group, name, conn, path, seeds, opts, rtol):
-        for j, (v, traj) in enumerate(zip(seeds, horizontal_lifts(conn, path, seeds, opts))):
+    def lift(group, name, conn, path, seeds, opts, rtol, polyline=False):
+        lifts = horizontal_lifts(conn, path, seeds, opts)
+        # The parent's polyline lifts at the next rtol up, for their one-ulp spread.
+        nudged = (horizontal_lifts(conn, path, seeds, IntegratorOptions(
+            rtol=math.nextafter(rtol, math.inf))) if polyline and spread else [None] * len(seeds))
+        for j, (v, traj, up) in enumerate(zip(seeds, lifts, nudged)):
             extra = {"group": group, "rtol": rtol}
             if reference and traj.complete:
                 extra["ref"] = _reference(conn, path, v)
+            if up is not None and up.complete:
+                extra["end_up"] = up.fiber[-1].tolist()
             cases[name if len(seeds) == 1 else f"{name} #{j}"] = {
                 "fields": _fields(traj), **extra, "complete": traj.complete,
                 "end": traj.fiber[-1].tolist()}
@@ -181,15 +195,18 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool) -> No
         rtol = IntegratorOptions().rtol
         for spec, path, seed, *_ in golden.GOLDEN_LIFTS:
             lift("golden lifts", f"lift {spec.name} {spec.params} {path[0]} {seed}",
-                 gallery(spec), golden._path(path), [seed], None, rtol)
+                 gallery(spec), golden._path(path), [seed], None, rtol, path[0] == "polyline")
         for spec, path, seeds, *_ in golden.GOLDEN_BATCHES:
             lift("golden batches", f"batch {spec.name} {path[0]} {seeds}",
-                 gallery(spec), golden._path(path), seeds, None, rtol)
-        for i, case in enumerate(plan["random"]):
-            conn = gallery(ConnectionSpec(case["member"], case["params"]))
-            lift(f"random 1-d {case['path'][0]} lifts", f"random {i}", conn,
-                 golden._path(case["path"]),
-                 [case["seed"]], IntegratorOptions(rtol=case["rtol"]), case["rtol"])
+                 gallery(spec), golden._path(path), seeds, None, rtol, path[0] == "polyline")
+        for prefix, plan_cases in (("random", plan["random"]), ("random n-d", plan["random_nd"])):
+            for i, case in enumerate(plan_cases):
+                conn = gallery(ConnectionSpec(case["member"], case["params"]))
+                kind = case["path"][0]
+                group = (f"random 1-d {kind} lifts" if prefix == "random"
+                         else f"random {case['member']} {kind} lifts")
+                lift(group, f"{prefix} {i}", conn, golden._path(case["path"]), [case["seed"]],
+                     IntegratorOptions(rtol=case["rtol"]), case["rtol"], kind == "polyline")
     Path(out_file).write_text(json.dumps({"pathlift": source, "cases": cases}))
 
 
@@ -219,11 +236,48 @@ def _random_plan(count: int, seed: int) -> list[dict]:
     return plan
 
 
+def _random_nd_plan(count: int, seed: int) -> list[dict]:
+    import random
+
+    rng = random.Random(f"{seed} n-d")
+
+    def point(n: int, r: float) -> list[float]:
+        return [round(rng.uniform(-r, r), 3) for _ in range(n)]
+
+    kinds = [("sphere-stereographic", "segment"), ("sphere-stereographic", "circle"),
+             ("sphere-stereographic", "polyline"), ("flat", "segment"), ("christoffel", "segment"),
+             ("christoffel", "segment")]
+    plan = []
+    for i in range(count):
+        member, kind = kinds[i % len(kinds)]
+        n, params = 2, {}
+        if member == "flat":
+            params = {"dimension": 2}
+        elif member == "christoffel":
+            n = 2 + i // len(kinds) % 2
+            params = {"dimension": n, "terms": [
+                {"k": rng.randrange(n), "i": rng.randrange(n), "j": rng.randrange(n),
+                 "coeff": round(rng.uniform(-1.0, 1.0), 3),
+                 "monomial": [rng.randrange(3) for _ in range(n)]} for _ in range(4)]}
+        if kind == "circle":
+            path = ["circle", point(2, 0.5), round(rng.uniform(0.2, 1.0), 3)]
+        elif kind == "polyline":
+            path = ["polyline", [point(2, 1.0) for _ in range(3)],
+                    [0.0, round(rng.uniform(0.2, 0.8), 3), 1.0]]
+        else:
+            path = ["segment", point(n, 1.0), point(n, 1.0)]
+        plan.append({"member": member, "params": params, "path": path,
+                     "seed": point(n, 3.0 if member != "christoffel" else 1.0),
+                     "rtol": 10.0 ** -rng.randint(6, 11)})
+    return plan
+
+
 def _run(checkout: Path, plan_file: Path, out_file: Path, reference: bool, tmp: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    # The change run computes the DOP853 references, the parent run the one-ulp spreads.
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout),
-           str(plan_file), str(out_file)] + (["--reference"] if reference else [])
+           str(plan_file), str(out_file), "--reference" if reference else "--spread"]
     if subprocess.run(cmd, env=env, cwd=tmp).returncode:
         sys.exit(f"numdiff: the cases failed to run in {checkout}")
     return json.loads(out_file.read_text())
@@ -293,16 +347,19 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
                 lines.append(f"    {key:<32} max rel {worst:.3g}, {ndiff} of {nval} values differ")
     problems += len(schema) + len(categorical) + sum(v[1] for v in differing.values())
 
-    # Distance of each complete endpoint to the DOP853 reference, in rtol.
+    # Distance of each complete endpoint to the DOP853 reference, in rtol, and
+    # a polyline's one-ulp-rtol spread at the parent (0 for other lifts).
     rows = []
     for name in (n for n in cc if n in pc):
         p, c = pc[name], cc[name]
         if c.get("ref") is not None and p.get("complete") and c["complete"]:
-            rtol = c["rtol"]
-            rows.append((c["group"], name, _dist(p["end"], c["ref"]) / rtol,
-                         _dist(c["end"], c["ref"]) / rtol))
+            rtol, ref = c["rtol"], c["ref"]
+            parent = _dist(p["end"], ref) / rtol
+            spread = abs(_dist(p["end_up"], ref) / rtol - parent) if "end_up" in p else 0.0
+            rows.append((c["group"], name, parent, _dist(c["end"], ref) / rtol, spread))
     lines.append("DOP853 reference (rtol=1e-13, atol=1e-15), distance / max(1, |ref|) in units "
-                 f"of the lift's rtol; bound: change <= parent + {BOUND:g}")
+                 f"of the lift's rtol; bound: change <= parent + {BOUND:g}, or for a polyline "
+                 "parent + max(bound, the parent's spread when rtol moves up one ulp)")
     broken = 0
     for group in groups:
         g = [r for r in rows if r[0] == group]
@@ -310,13 +367,18 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
             continue
         farther = sum(r[3] > r[2] for r in g)
         nearer = sum(r[3] < r[2] for r in g)
-        over = [r for r in g if r[3] > r[2] + BOUND]
+        over = [r for r in g if r[3] > r[2] + max(BOUND, r[4])]
+        spread = [r for r in g if r[2] + BOUND < r[3] <= r[2] + r[4]]
         broken += len(over)
         worst = max(r[3] - r[2] for r in g)
         lines.append(f"  {group}: {len(g)} complete; parent max {max(r[2] for r in g):.3g}, "
                      f"change max {max(r[3] for r in g):.3g}; farther in {farther}, nearer in "
-                     f"{nearer}; worst change - parent {worst:.3g}; over the bound: {len(over)}")
-        lines += [f"    over the bound: {r[1]}: {r[2]:.3g} -> {r[3]:.3g}" for r in over]
+                     f"{nearer}; worst change - parent {worst:.3g}; over the bound: {len(over)}"
+                     + (f"; within the one-ulp spread: {len(spread)}" if spread else ""))
+        lines += [f"    over the bound: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} (spread {r[4]:.3g})"
+                  for r in over]
+        lines += [f"    within the one-ulp spread: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} "
+                  f"(spread {r[4]:.3g})" for r in spread]
     lines.append(f"differences: {problems}; broken bounds: {broken}")
     return lines, problems + broken
 
@@ -334,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout whose results are the baseline")
     ap.add_argument("change", type=Path, help="checkout whose results are compared with it")
-    ap.add_argument("--random", type=int, default=120, help="random 1-d lifts (default 120)")
+    ap.add_argument("--random", type=int, default=120,
+                    help="random 1-d lifts, and half as many n-d ones (default 120)")
     ap.add_argument("--seed", type=int, default=0, help="seed of the random lifts (default 0)")
     args = ap.parse_args(argv)
     for checkout in (args.parent, args.change):
@@ -342,18 +405,21 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{checkout} has no src/pathlift")
     with tempfile.TemporaryDirectory() as tmp:
         plan_file = Path(tmp, "plan.json")
-        plan_file.write_text(json.dumps({"random": _random_plan(args.random, args.seed)}))
+        plan_file.write_text(json.dumps({"random": _random_plan(args.random, args.seed),
+                                         "random_nd": _random_nd_plan(args.random // 2, args.seed)}))
         parent = _run(args.parent.resolve(), plan_file, Path(tmp, "parent.json"), False, tmp)
         change = _run(args.change.resolve(), plan_file, Path(tmp, "change.json"), True, tmp)
     lines, problems = compare(parent, change)
     print(f"numdiff: parent {parent['pathlift']}\n         change {change['pathlift']}")
-    print(f"cases: {len(change['cases'])} ({args.random} random 1-d lifts, seed {args.seed})")
+    print(f"cases: {len(change['cases'])} ({args.random} random 1-d and {args.random // 2} "
+          f"n-d lifts, seed {args.seed})")
     print("\n".join(lines))
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        _worker(*sys.argv[2:5], reference="--reference" in sys.argv[5:])
+        _worker(*sys.argv[2:5], reference="--reference" in sys.argv[5:],
+                spread="--spread" in sys.argv[5:])
     else:
         sys.exit(main())
