@@ -268,8 +268,7 @@ class _Lane:
 def _norms(X: np.ndarray) -> list[float]:
     """Each row's sqrt(x0*x0 + x1*x1 + ...), the squares added left to right, or hypot
     where a nonzero row's square leaves the normal range."""
-    # A one-element row's vecdot is its one square.
-    r = np.sqrt(np.vecdot(X, X) if X.shape[1] == 1 else np.add.accumulate(X * X, axis=1)[:, -1])
+    r = np.sqrt(np.add.accumulate(X * X, axis=1)[:, -1])
     norms = r.tolist()
     if (math.inf in norms or norms and not min(norms) >= _TINY) and X.any():
         for i in np.flatnonzero((r == math.inf) | (r < _TINY) & X.any(axis=1)).tolist():

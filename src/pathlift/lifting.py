@@ -261,8 +261,9 @@ def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
         def f(r: int, C: np.ndarray) -> np.ndarray:
             M = stack(P[r], C) if G is None else _contract(G[r], C)
             # (-M) V, negation first, each row's terms added left to right and
-            # then to +0.0, as the float forms add them; in 1-d the one term,
-            # which matmul adds to +0.0.
+            # then to +0.0, as the float forms add them.  In 1-d that is the one
+            # product, which matmul gives in the same bits: the accumulate makes a
+            # 1-d stacked lift (christoffel, make_linear_connection) about 1.1x slower.
             if n == 1:
                 return ((-M) @ V[r][..., None])[..., 0]
             return np.add.accumulate((-M) * V[r][..., None, :], axis=-1)[..., -1] + 0.0

@@ -27,9 +27,12 @@ The golden cases are read from this tool's own checkout.  The report gives:
   (1e-3, the gate a bit-changing regeneration must pass) breaks the bound.
   A lift along a polyline takes steps across its knots that the error
   estimate does not see, so any last-bit change can flip its step counts
-  and move it by up to hundreds of rtol; the parent also lifts each
-  polyline case at the next float above its rtol, and the case breaks the
-  bound only when its change exceeds max(BOUND, that one-ulp spread).
+  and move it by up to hundreds of rtol.  The parent therefore also lifts
+  each polyline case at the SPREAD_ULPS floats above and below its rtol;
+  the case breaks the bound only when its change exceeds max(BOUND, the
+  largest move of the parent's distance over those nudges), and a step
+  count that differs is marked when the parent takes the same count at
+  one of them.  It still counts as a categorical difference.
 
 The exit status is 0 when the report finds no difference and no broken
 bound, 1 otherwise.  It is a developer script: it runs no test and
@@ -56,6 +59,8 @@ TESTS = Path(__file__).resolve().parent.parent / "tests"
 CATEGORICAL = {"exit", "status", "stop_reason", "steps", "rejected", "verdict"}
 # Allowed growth of a complete endpoint's DOP853 distance, in units of its rtol.
 BOUND = 1e-3
+# A polyline case's spread is measured at the parent with rtol moved by 1 to this many ulps.
+SPREAD_ULPS = 8
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -166,15 +171,19 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, sprea
 
     def lift(group, name, conn, path, seeds, opts, rtol, polyline=False):
         lifts = horizontal_lifts(conn, path, seeds, opts)
-        # The parent's polyline lifts at the next rtol up, for their one-ulp spread.
-        nudged = (horizontal_lifts(conn, path, seeds, IntegratorOptions(
-            rtol=math.nextafter(rtol, math.inf))) if polyline and spread else [None] * len(seeds))
-        for j, (v, traj, up) in enumerate(zip(seeds, lifts, nudged)):
+        # The parent's polyline lifts at rtol nudged by 1 to SPREAD_ULPS ulps each way.
+        rtols, up, down = [], rtol, rtol
+        for _ in range(SPREAD_ULPS if polyline and spread else 0):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            rtols += [up, down]
+        nudged = [horizontal_lifts(conn, path, seeds, IntegratorOptions(rtol=r)) for r in rtols]
+        for j, (v, traj) in enumerate(zip(seeds, lifts)):
             extra = {"group": group, "rtol": rtol}
             if reference and traj.complete:
                 extra["ref"] = _reference(conn, path, v)
-            if up is not None and up.complete:
-                extra["end_up"] = up.fiber[-1].tolist()
+            if nudged:
+                extra["nudged_ends"] = [n[j].fiber[-1].tolist() for n in nudged if n[j].complete]
+                extra["nudged_counts"] = [[n[j].steps, n[j].rejected] for n in nudged]
             cases[name if len(seeds) == 1 else f"{name} #{j}"] = {
                 "fields": _fields(traj), **extra, "complete": traj.complete,
                 "end": traj.fiber[-1].tolist()}
@@ -275,7 +284,7 @@ def _random_nd_plan(count: int, seed: int) -> list[dict]:
 def _run(checkout: Path, plan_file: Path, out_file: Path, reference: bool, tmp: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    # The change run computes the DOP853 references, the parent run the one-ulp spreads.
+    # The change run computes the DOP853 references, the parent run the polyline spreads.
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout),
            str(plan_file), str(out_file), "--reference" if reference else "--spread"]
     if subprocess.run(cmd, env=env, cwd=tmp).returncode:
@@ -325,7 +334,11 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
                               f"{ck}[{_len(cv)}] in change")
             elif pk == "cat":
                 if pv != cv:
-                    categorical.append(f"{name}: {key}: {_short(pv)} -> {_short(cv)}")
+                    seen = key in ("steps", "rejected") and (
+                        [cf["steps"][1], cf["rejected"][1]] in pc[name].get("nudged_counts", ()))
+                    categorical.append(f"{name}: {key}: {_short(pv)} -> {_short(cv)}" + (
+                        f" (the parent's steps and rejections within {SPREAD_ULPS} ulps of rtol)"
+                        if seen else ""))
             else:
                 col = columns.setdefault((group, key), [0.0, 0, 0])
                 col[2] += len(pv)
@@ -348,18 +361,20 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
     problems += len(schema) + len(categorical) + sum(v[1] for v in differing.values())
 
     # Distance of each complete endpoint to the DOP853 reference, in rtol, and
-    # a polyline's one-ulp-rtol spread at the parent (0 for other lifts).
+    # a polyline's spread over the parent's nudged rtols (0 for other lifts).
     rows = []
     for name in (n for n in cc if n in pc):
         p, c = pc[name], cc[name]
         if c.get("ref") is not None and p.get("complete") and c["complete"]:
             rtol, ref = c["rtol"], c["ref"]
             parent = _dist(p["end"], ref) / rtol
-            spread = abs(_dist(p["end_up"], ref) / rtol - parent) if "end_up" in p else 0.0
+            spread = max([abs(_dist(e, ref) / rtol - parent) for e in p.get("nudged_ends", [])],
+                         default=0.0)
             rows.append((c["group"], name, parent, _dist(c["end"], ref) / rtol, spread))
     lines.append("DOP853 reference (rtol=1e-13, atol=1e-15), distance / max(1, |ref|) in units "
                  f"of the lift's rtol; bound: change <= parent + {BOUND:g}, or for a polyline "
-                 "parent + max(bound, the parent's spread when rtol moves up one ulp)")
+                 f"parent + max(bound, the parent's spread when rtol moves by up to "
+                 f"{SPREAD_ULPS} ulps)")
     broken = 0
     for group in groups:
         g = [r for r in rows if r[0] == group]
@@ -374,10 +389,10 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
         lines.append(f"  {group}: {len(g)} complete; parent max {max(r[2] for r in g):.3g}, "
                      f"change max {max(r[3] for r in g):.3g}; farther in {farther}, nearer in "
                      f"{nearer}; worst change - parent {worst:.3g}; over the bound: {len(over)}"
-                     + (f"; within the one-ulp spread: {len(spread)}" if spread else ""))
+                     + (f"; within the parent's spread: {len(spread)}" if spread else ""))
         lines += [f"    over the bound: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} (spread {r[4]:.3g})"
                   for r in over]
-        lines += [f"    within the one-ulp spread: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} "
+        lines += [f"    within the parent's spread: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} "
                   f"(spread {r[4]:.3g})" for r in spread]
     lines.append(f"differences: {problems}; broken bounds: {broken}")
     return lines, problems + broken
