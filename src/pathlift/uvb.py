@@ -208,20 +208,29 @@ def axis_directions(n: int) -> np.ndarray:
     return dirs
 
 
-def _decade_fits(radii: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # np.polyfit's slope of log theta vs log r over the largest decade for each row,
-    # one solve per row: one solve with the rows as columns rounds differently.
-    window = radii >= radii[-1] / 10.0
-    if window.sum() < 2:
-        window[-2:] = True
-    lhs = np.vander(np.log(radii[window]), 2)
+def _fit_plan(radii: np.ndarray) -> tuple:
+    # np.polyfit's plan over the largest decade: the window's first index (two radii or
+    # more), the scaled Vandermonde matrix of log r, its slope column's scale and rcond.
+    start = min(int(np.argmax(radii >= radii[-1] / 10.0)), radii.size - 2)
+    lhs = np.vander(np.log(radii[start:]), 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    rcond = len(lhs) * np.finfo(float).eps
-    fits = [np.linalg.lstsq(lhs, y, rcond) for y in np.log(theta[:, window])]
-    if min(fit[2] for fit in fits) < 2:
+    lhs.flags.writeable = False
+    return start, lhs, scale[0], len(lhs) * np.finfo(float).eps
+
+
+# The default grid's plan, built once at import like the integrator's tableau.
+_DEFAULT_PLAN = _fit_plan(default_radii())
+
+
+def _decade_fits(plan: tuple, theta: np.ndarray) -> np.ndarray:
+    # np.polyfit's slopes with the rows of theta as the columns of y: one solve for
+    # every direction, on one factorization of the plan's matrix.
+    start, lhs, scale, rcond = plan
+    coef, _, rank, _ = np.linalg.lstsq(lhs, np.log(theta[:, start:]).T, rcond)
+    if rank < 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    return np.array([fit[0][0] for fit in fits]) / scale[0]
+    return coef[0] / scale
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -231,10 +240,11 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     """Sample theta_min at v = r * d over fiber rays and classify the decay.
 
     Defaults: signed coordinate-axis directions and the geometric radius
-    grid from default_radii().  The point must have the connection's
-    dimension n (checked first), directions a nonempty (m, n) array of
-    finite unit vectors, radii a strictly increasing, positive and finite
-    grid of at least two, and eps positive and finite.
+    grid from default_radii(), generated and not checked.  The point must
+    have the connection's dimension n (checked first), given directions a
+    nonempty (m, n) array of finite unit vectors, given radii a strictly
+    increasing, positive and finite grid of at least two, and eps positive
+    and finite.
 
     All samples are evaluated as one stack under np.errstate(over/invalid/
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
@@ -242,30 +252,30 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     weighted stack w * Gamma and one batched SVD of it.  On failure the
     samples are rerun in (direction, radius) order through principal_angles,
     and the first to fail raises a RuntimeError naming its direction and
-    radius.  The decade fits share one scaled Vandermonde matrix, with one
-    least-squares solve per direction (np.polyfit's bits), and the verdict
-    reads the whole stack.
+    radius.  The decade fits are one least-squares solve with every direction
+    as a column (np.polyfit's bits for a 2-d y), on a plan built once at
+    import for the default radii, and the verdict reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
-    if pc.size != conn.dimension:  # before anything of size n is built
-        raise ValueError(f"base point has length {pc.size}, connection n={conn.dimension}")
-    dirs = (axis_directions(conn.dimension) if directions is None
-            else np.asarray(directions, dtype=float))
-    if dirs.ndim != 2 or dirs.shape[0] == 0:
-        raise ValueError(f"directions must be a nonempty (m, n) array, got shape {dirs.shape}")
-    if dirs.shape[1] != conn.dimension:
-        raise ValueError(f"directions have length {dirs.shape[1]}, connection n={conn.dimension}")
-    # Checks in positive form, so that a NaN fails them.
-    norms = np.linalg.norm(dirs, axis=1)
-    if not (np.isfinite(dirs).all() and (np.abs(norms - 1.0) <= 1e-12).all()):
-        raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
+    n = conn.dimension
+    if pc.size != n:  # before anything of size n is built
+        raise ValueError(f"base point has length {pc.size}, connection n={n}")
+    dirs = axis_directions(n) if directions is None else np.asarray(directions, dtype=float)
+    if directions is not None:
+        if dirs.ndim != 2 or dirs.shape[0] == 0:
+            raise ValueError(f"directions must be a nonempty (m, n) array, got shape {dirs.shape}")
+        if dirs.shape[1] != n:
+            raise ValueError(f"directions have length {dirs.shape[1]}, connection n={n}")
+        # Checks in positive form, so that a NaN fails them.
+        norms = np.linalg.norm(dirs, axis=1)
+        if not (np.isfinite(dirs).all() and (np.abs(norms - 1.0) <= 1e-12).all()):
+            raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
     rads = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if not (rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
+    if radii is not None and not (
+            rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
             and (rads > 0).all() and (np.diff(rads) > 0).all()):
         raise ValueError("radii must be a strictly increasing, positive and finite grid")
-
-    n = conn.dimension
     vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
     try:
         if not np.isfinite(vs).all():
@@ -286,7 +296,7 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                         f"angle computation failed at direction {i} ({d}), radius {r}: {e_i}"
                     ) from e_i
         raise RuntimeError(f"angle computation failed: {e}") from e
-    beta = _decade_fits(rads, theta)
+    beta = _decade_fits(_DEFAULT_PLAN if radii is None else _fit_plan(rads), theta)
     verdict = _classify(rads, theta, beta, eps)
     return FiberScanReport(
         point=pc,

@@ -972,6 +972,8 @@ class TestIntegrationAccuracy:
         st.booleans(),
         st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0)),
     )
+    # A fiber so small that the error norm of scipy's DOP853 divides 0 by 0.
+    @example("scalar-linear", 0.0, 1.0, [0.0, 0.5], False, 1.1600656951233855e-170)
     def test_complete_1d_lifts_match_dop853(self, member, alpha, lam, ends, reverse, v0):
         # The 1-d float-form members at the default options (rtol 1e-9)
         # against scipy's DOP853 at rtol 1e-13 on c' = -Gamma(c) gamma'.
@@ -996,8 +998,11 @@ class TestIntegrationAccuracy:
         def rhs(t, c):
             return -(conn.row(path.position(t), c) @ path.velocity(t))
 
-        sol = solve_ivp(rhs, (0.0, 1.0), [v0], method="DOP853", rtol=1e-13, atol=1e-15,
-                        t_eval=np.linspace(0.0, 1.0, 201))
+        # Only the oracle runs under errstate: its step-size control underflows
+        # on tiny fibers, where the lift under test must not warn.
+        with np.errstate(invalid="ignore", under="ignore"):
+            sol = solve_ivp(rhs, (0.0, 1.0), [v0], method="DOP853", rtol=1e-13, atol=1e-15,
+                            t_eval=np.linspace(0.0, 1.0, 201))
         assert sol.success, sol.message
         ref = sol.y[0, -1]
         speeds = np.abs([rhs(t, c).item() for t, c in zip(sol.t, sol.y.T)])

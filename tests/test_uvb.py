@@ -335,16 +335,23 @@ def _reference_scan(conn, p, directions, radii, weight=NORMALIZED, eps=DEFAULT_E
                 raise RuntimeError(
                     f"angle computation failed at direction {i} ({d}), radius {r}: {e}"
                 ) from e
-    beta = np.array([_reference_decade_fit(radii, theta[i]) for i in range(directions.shape[0])])
+    beta = _reference_decade_fits(radii, theta)
     return theta, beta, _reference_classify(radii, theta, beta, eps)
 
 
-def _reference_decade_fit(radii, thetas):
-    # Least-squares slope of log theta vs log r over the largest decade.
+def _decade_window(radii):
+    # The largest decade of the grid, and at least its last two radii.
     window = radii >= radii[-1] / 10.0
     if window.sum() < 2:
         window[-2:] = True
-    return float(np.polyfit(np.log(radii[window]), np.log(thetas[window]), 1)[0])
+    return window
+
+
+def _reference_decade_fits(radii, theta):
+    # Least-squares slopes of log theta vs log r over the largest decade: one
+    # np.polyfit with every direction as a column.
+    window = _decade_window(radii)
+    return np.polyfit(np.log(radii[window]), np.log(theta[:, window]).T, 1)[0]
 
 
 def _reference_classify(radii, theta, beta, eps):
@@ -414,9 +421,19 @@ _CHRISTOFFEL3 = _member("christoffel", dimension=3, terms=[
 ])
 
 
+def _report_bits(report):
+    # Every field of a scan report, an array as its dtype, shape and bytes.
+    bits = {}
+    for f in dataclasses.fields(report):
+        x = getattr(report, f.name)
+        bits[f.name] = (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+    return bits
+
+
 class TestStackedScan:
-    # Twelve radii, a decade fit over ten points: one np.polyfit over all
-    # directions as columns moves beta on both, per-direction fits do not.
+    # Twelve radii, a decade fit over ten points: on windows of more than seven
+    # points a fit per direction rounds differently from the one fit over all
+    # directions as columns, and these two pin the scan to the one fit.
     @settings(max_examples=60, deadline=None)
     @given(_scan_cases())
     @example((gallery("sphere-stereographic"), np.array([0.3, 0.1]), axis_directions(2),
@@ -430,6 +447,41 @@ class TestStackedScan:
         assert report.theta_min.tobytes() == theta.tobytes()
         assert report.beta.tobytes() == beta.tobytes()
         assert report.verdict == verdict
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_cases())
+    @example((gallery("sphere-stereographic"), np.array([0.3, 0.1]), axis_directions(2),
+              10.0 * np.arange(1, 13), NORMALIZED))
+    def test_beta_is_the_fit_of_each_direction_alone(self, case):
+        # One solve for all directions moves a slope only in its last bits, and
+        # not at all on windows of seven radii or fewer.
+        conn, p, dirs, radii, weight = case
+        report = fiber_scan(conn, p, dirs, radii, weight)
+        window = _decade_window(radii)
+        alone = np.array([np.polyfit(np.log(radii[window]), np.log(theta[window]), 1)[0]
+                          for theta in report.theta_min])
+        if window.sum() <= 7:
+            assert report.beta.tobytes() == alone.tobytes()
+        else:
+            assert np.abs(report.beta - alone).max() <= 1e-14
+
+    @pytest.mark.parametrize("conn", [
+        *(gallery(name) for name in ("fig1", "sphere-stereographic")),
+        *(_member("flat", dimension=n) for n in (1, 2, 3)),
+        *(_member("scalar-linear", **{"lambda": lam}) for lam in (1.0, -1.0)),
+        *(_member("power-growth", alpha=a) for a in (0.5, 1.0, 1.5, 2.0)),
+        _CHRISTOFFEL3,
+    ], ids=lambda conn: conn.name)
+    def test_default_grid_is_the_explicit_grid(self, conn):
+        p = np.linspace(-0.4, 0.6, conn.dimension)
+        default = fiber_scan(conn, p)
+        want = _report_bits(default)
+        explicit = fiber_scan(conn, p, axis_directions(conn.dimension), default_radii())
+        # A report's grid is its own: writing into it moves no later scan.
+        default.radii[:] = 3.0
+        default.directions[:] = 0.5
+        assert _report_bits(explicit) == want
+        assert _report_bits(fiber_scan(conn, p)) == want
 
     def test_rank_deficient_decade_fit_warns(self):
         # Two radii one ulp apart: the fit's scaled Vandermonde matrix has rank 1.

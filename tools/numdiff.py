@@ -12,7 +12,10 @@ Both run the same cases:
   1e-6 to 1e-11;
 - N // 2 random n-d lifts from the same seed: the sphere on segments,
   circles and polylines, flat:2, and 2-d and 3-d christoffel members of
-  random terms on segments, at rtol from 1e-6 to 1e-11.
+  random terms on segments, at rtol from 1e-6 to 1e-11;
+- N // 2 random fiber scans from the same seed, on caller grids of 1 to 4
+  random unit directions and 2 to 23 radii, over 1-d, 2-d and 3-d members
+  and both named weights.
 
 The golden cases are read from this tool's own checkout.  The report gives:
 - schema differences: emitted files, keys, columns, fields, column lengths;
@@ -20,6 +23,11 @@ The golden cases are read from this tool's own checkout.  The report gives:
   rejected, verdict and every other value that is not a number;
 - the largest relative difference of each numeric column, and how many of
   its values differ in their bits;
+- a random scan's ``beta`` against ``BETA_BOUND`` (1e-14 absolute) instead
+  of exactly: on a decade window of more than seven radii, the slope of one
+  direction may depend in its last bits on the other directions of its scan,
+  because one least-squares solve takes them all as columns.  Its
+  ``theta_min`` and verdict are compared exactly;
 - for every lift that completes, the distance of each endpoint to
   ``scipy.integrate.solve_ivp(method="DOP853", rtol=1e-13, atol=1e-15)``
   on the same rhs, relative to max(1, |ref|) and in units of the lift's
@@ -61,6 +69,8 @@ CATEGORICAL = {"exit", "status", "stop_reason", "steps", "rejected", "verdict"}
 BOUND = 1e-3
 # A polyline case's spread is measured at the parent with rtol moved by 1 to this many ulps.
 SPREAD_ULPS = 8
+# Allowed absolute move of a random caller-grid scan's decade slope, beta.
+BETA_BOUND = 1e-14
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
@@ -158,7 +168,7 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, sprea
     from pathlift.connections import ConnectionSpec, gallery
     from pathlift.integrate import IntegratorOptions
     from pathlift.lifting import horizontal_lifts
-    from pathlift.uvb import fiber_scan
+    from pathlift.uvb import fiber_scan, fiber_weight
 
     sys.path.append(str(TESTS))
     import test_golden as golden
@@ -216,6 +226,12 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, sprea
                          else f"random {case['member']} {kind} lifts")
                 lift(group, f"{prefix} {i}", conn, golden._path(case["path"]), [case["seed"]],
                      IntegratorOptions(rtol=case["rtol"]), case["rtol"], kind == "polyline")
+        for i, case in enumerate(plan["random_scans"]):
+            conn = gallery(ConnectionSpec(case["member"], case["params"]))
+            report = fiber_scan(conn, case["point"], case["directions"], case["radii"],
+                                fiber_weight(case["weight"]))
+            cases[f"random scan {i}"] = {"fields": _fields(report), "caller_grid": True,
+                                         "group": f"random {conn.dimension}-d scans"}
     Path(out_file).write_text(json.dumps({"pathlift": source, "cases": cases}))
 
 
@@ -281,6 +297,43 @@ def _random_nd_plan(count: int, seed: int) -> list[dict]:
     return plan
 
 
+def _random_scan_plan(count: int, seed: int) -> list[dict]:
+    import itertools
+    import random
+
+    rng = random.Random(f"{seed} scans")
+    members = {1: ["fig1", "power-growth", "scalar-linear", "christoffel"],
+               2: ["sphere-stereographic", "flat", "christoffel"], 3: ["flat", "christoffel"]}
+    plan = []
+    for i in range(count):
+        n = 1 + i % 3
+        member, params = rng.choice(members[n]), {}
+        if member == "power-growth":
+            params = {"alpha": round(rng.uniform(0.0, 3.0), 3)}
+        elif member == "scalar-linear":
+            params = {"lambda": round(rng.uniform(-3.0, 3.0), 3)}
+        elif member == "flat":
+            params = {"dimension": n}
+        elif member == "christoffel":
+            params = {"dimension": n, "terms": [
+                {"k": rng.randrange(n), "i": rng.randrange(n), "j": rng.randrange(n),
+                 "coeff": round(rng.uniform(-1.0, 1.0), 3),
+                 "monomial": [rng.randrange(3) for _ in range(n)]} for _ in range(4)]}
+        directions, m = [], rng.randint(1, 4)
+        while len(directions) < m:
+            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            norm = math.hypot(*raw)
+            if norm > 0.1:
+                directions.append([x / norm for x in raw])
+        steps = [rng.uniform(0.01, 10.0)] + [rng.uniform(0.01, 1e3)
+                                             for _ in range(rng.randint(1, 22))]
+        plan.append({"member": member, "params": params,
+                     "point": [round(rng.uniform(-1.0, 1.0), 3) for _ in range(n)],
+                     "directions": directions, "radii": list(itertools.accumulate(steps)),
+                     "weight": rng.choice(["normalized", "euclidean"])})
+    return plan
+
+
 def _run(checkout: Path, plan_file: Path, out_file: Path, reference: bool, tmp: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -318,6 +371,7 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
     schema = [f"case only in {side}: {name}" for side, a, b in
               (("parent", pc, cc), ("change", cc, pc)) for name in a if name not in b]
     categorical, columns = [], {}  # (group, column) -> [max rel diff, values differing, values]
+    slopes = [0, 0, 0.0, 0]  # random scans' beta: values, values differing, max abs diff, over
     moved: dict[str, set] = {}
     groups: dict[str, int] = {}  # group -> cases
     for name in (n for n in cc if n in pc):
@@ -339,6 +393,14 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
                     categorical.append(f"{name}: {key}: {_short(pv)} -> {_short(cv)}" + (
                         f" (the parent's steps and rejections within {SPREAD_ULPS} ulps of rtol)"
                         if seen else ""))
+            elif key == "beta" and cc[name].get("caller_grid"):
+                gaps = [abs(a - b) for a, b in zip(pv, cv) if not _same(a, b)]
+                slopes[0] += len(pv)
+                slopes[1] += len(gaps)
+                slopes[2] = max([slopes[2]] + gaps)
+                slopes[3] += sum(not gap <= BETA_BOUND for gap in gaps)  # a NaN gap is over
+                if gaps:
+                    moved.setdefault(group, set()).add(name)
             else:
                 col = columns.setdefault((group, key), [0.0, 0, 0])
                 col[2] += len(pv)
@@ -359,6 +421,8 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
             if g == group:
                 lines.append(f"    {key:<32} max rel {worst:.3g}, {ndiff} of {nval} values differ")
     problems += len(schema) + len(categorical) + sum(v[1] for v in differing.values())
+    lines.append(f"random scans' beta, bound {BETA_BOUND:g} absolute: {slopes[1]} of {slopes[0]} "
+                 f"values differ, max abs {slopes[2]:.3g}; over the bound: {slopes[3]}")
 
     # Distance of each complete endpoint to the DOP853 reference, in rtol, and
     # a polyline's spread over the parent's nudged rtols (0 for other lifts).
@@ -375,7 +439,7 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
                  f"of the lift's rtol; bound: change <= parent + {BOUND:g}, or for a polyline "
                  f"parent + max(bound, the parent's spread when rtol moves by up to "
                  f"{SPREAD_ULPS} ulps)")
-    broken = 0
+    broken = slopes[3]
     for group in groups:
         g = [r for r in rows if r[0] == group]
         if not g:
@@ -412,22 +476,24 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path, help="checkout whose results are the baseline")
     ap.add_argument("change", type=Path, help="checkout whose results are compared with it")
     ap.add_argument("--random", type=int, default=120,
-                    help="random 1-d lifts, and half as many n-d ones (default 120)")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the random lifts (default 0)")
+                    help="random 1-d lifts, and half as many n-d lifts and scans (default 120)")
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random cases (default 0)")
     args = ap.parse_args(argv)
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "pathlift").is_dir():
             ap.error(f"{checkout} has no src/pathlift")
     with tempfile.TemporaryDirectory() as tmp:
         plan_file = Path(tmp, "plan.json")
-        plan_file.write_text(json.dumps({"random": _random_plan(args.random, args.seed),
-                                         "random_nd": _random_nd_plan(args.random // 2, args.seed)}))
+        plan_file.write_text(json.dumps({
+            "random": _random_plan(args.random, args.seed),
+            "random_nd": _random_nd_plan(args.random // 2, args.seed),
+            "random_scans": _random_scan_plan(args.random // 2, args.seed)}))
         parent = _run(args.parent.resolve(), plan_file, Path(tmp, "parent.json"), False, tmp)
         change = _run(args.change.resolve(), plan_file, Path(tmp, "change.json"), True, tmp)
     lines, problems = compare(parent, change)
     print(f"numdiff: parent {parent['pathlift']}\n         change {change['pathlift']}")
     print(f"cases: {len(change['cases'])} ({args.random} random 1-d and {args.random // 2} "
-          f"n-d lifts, seed {args.seed})")
+          f"n-d lifts, {args.random // 2} random scans, seed {args.seed})")
     print("\n".join(lines))
     return 1 if problems else 0
 
