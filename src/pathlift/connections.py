@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import as_coords
+from .integrate import _plain_sum
 
 __all__ = [
     "ConnectionField",
@@ -57,27 +58,23 @@ class ConnectionField:
     When ``uses_base`` is false, ``gamma`` must not read p: lifts then pass
     the path's starting point instead of its position at each stage.
 
-    ``scalar_gamma(v)``, the float form of a 1-d map that ignores p, is the
-    entry of ``gamma(p, np.array([v]))`` as a float, bit for bit; 1-d lifts
-    call it instead of ``gamma`` at every step of every lane.  Only the 1-d
-    gallery builders set it.  It is no ``__init__`` argument:
-    ``dataclasses.replace`` drops it.
-
-    ``float_vertical(p, v, u)``, the float form of an n-d member (n >= 2), is
-    the vertical velocity -Gamma(p, v) u for n-lists of floats p, v and u, as
-    a list: bit for bit each entry of the lift's product of ``-gamma(p, v)``
-    with u, summed left to right from +0.0, but for a NaN's sign.  n-d lifts
-    then step every lane in Python floats.  Only the gallery builders of the
-    sphere and of flat:n set it, and like ``scalar_gamma`` it is no
-    ``__init__`` argument: ``dataclasses.replace`` drops it, and the copy
-    lifts through ``gamma``, stacked, to the same bits.
+    ``float_vertical(p, v, u)``, the float form, is the vertical velocity
+    -Gamma(p, v) u in Python floats: for floats p, v and u in 1-d, a float,
+    and for n-lists in n-d, a list.  Each entry is bit for bit that of the
+    lift's product of ``-gamma(p, v)`` with u, its terms added left to right
+    and then to +0.0, but for a NaN's sign.  Lifts then step every lane in
+    Python floats.  Only the gallery builders set it, on every member but
+    christoffel.  It is no ``__init__`` argument: ``dataclasses.replace``
+    drops it, and the copy lifts through ``gamma``, stacked, to the same bits.
 
     ``christoffel(P)``, set on the members built from Christoffel data, maps
     a (k, n) stack of base points to their (k, n, n, n) tensors G^k_ij;
     ``gamma(p, v)`` is their contraction sum_j G^k_ij v^j, bit for bit.  A
     lift builds them once per step, at all its stage base points, and a
-    stage only contracts them.  Like ``scalar_gamma`` it is no ``__init__``
-    argument, so a replaced ``gamma`` is never paired with the old tensors.
+    stage only contracts them.  The contraction is numpy's einsum, in its
+    own order: for n = 3 it adds (p0 + p2) + p1, the one lift sum not added
+    left to right.  Like ``float_vertical`` it is no ``__init__`` argument,
+    so a replaced ``gamma`` is never paired with the old tensors.
 
     Attributes:
         dimension: chart dimension n.
@@ -100,9 +97,7 @@ class ConnectionField:
     params: dict = field(default_factory=dict)
     broadcasts: bool = False
     uses_base: bool = True
-    scalar_gamma: Callable[[float], float] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    float_vertical: Callable[[list, list, list], list] | None = field(
+    float_vertical: Callable[..., float | list] | None = field(
         default=None, init=False, repr=False, compare=False)
     christoffel: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -252,14 +247,9 @@ def _dimension(name: str, value) -> int:
 
 # The members broadcast (see ConnectionField), and all but the linear
 # connections ignore the base point.  One formula on v[..., None] serves a
-# single row and a stack.  The 1-d members also get their float form; the
-# powers use float_power, which rounds like its ``**`` where an array ``**``
-# does not.
-def _with_scalar(conn: ConnectionField, scalar: Callable[[float], float]) -> ConnectionField:
-    object.__setattr__(conn, "scalar_gamma", scalar)
-    return conn
-
-
+# single row and a stack.  The 1-d members also get their float form, on
+# floats: 0.0 + (-Gamma) u, as the lift's 1x1 product adds it.  The powers use
+# float_power, which rounds like its ``**`` where an array ``**`` does not.
 def _pow(x: float, e: float) -> float:  # libm pow, as np.float_power; inf on overflow
     try:
         return x ** e
@@ -274,10 +264,9 @@ def _flat(params: dict) -> ConnectionField:
         return np.zeros(v.shape + (n,))
 
     conn = ConnectionField(n, gamma, True, 0.0, "flat", {"dimension": n}, True, False)
-    if n == 1:
-        return _with_scalar(conn, lambda v: 0.0)
-    # The lift's product of zero rows adds to +0.0; the list is built per call.
-    object.__setattr__(conn, "float_vertical", lambda p, v, u: [0.0] * n)
+    # Zero rows times u add to +0.0 (in n-d for a finite u), in a list built per call.
+    object.__setattr__(conn, "float_vertical",
+                       (lambda p, v, u: 0.0 - 0.0 * u) if n == 1 else lambda p, v, u: [0.0] * n)
     return conn
 
 
@@ -286,7 +275,8 @@ def _fig1(params: dict) -> ConnectionField:
         return -(1.0 + np.float_power(v[..., None], 2))
 
     conn = ConnectionField(1, gamma, False, 2.0, "fig1", broadcasts=True, uses_base=False)
-    return _with_scalar(conn, lambda v: -(1.0 + _pow(v, 2)))
+    object.__setattr__(conn, "float_vertical", lambda p, v, u: 0.0 + (1.0 + _pow(v, 2)) * u)
+    return conn
 
 
 def _scalar_linear(params: dict) -> ConnectionField:
@@ -299,7 +289,8 @@ def _scalar_linear(params: dict) -> ConnectionField:
         return lam * v[..., None]
 
     conn = ConnectionField(1, gamma, True, 1.0, "scalar-linear", {"lambda": lam}, True, False)
-    return _with_scalar(conn, lambda v: lam * v)
+    object.__setattr__(conn, "float_vertical", lambda p, v, u: 0.0 - lam * v * u)
+    return conn
 
 
 def _power_growth(params: dict) -> ConnectionField:
@@ -312,20 +303,12 @@ def _power_growth(params: dict) -> ConnectionField:
     def gamma(p, v, alpha=alpha):
         return -np.float_power(1.0 + np.float_power(v[..., None], 2), alpha / 2.0)
 
-    def scalar(v: float, e: float = alpha / 2.0) -> float:
-        g = -_pow(1.0 + _pow(v, 2), e)
-        if g != g:  # libm pow and numpy disagree on a NaN's sign (at e = 1)
-            with np.errstate(invalid="ignore"):
-                return float(-np.float_power(1.0 + np.float_power(v, 2), e))
-        return g
+    def vertical(p: float, v: float, u: float, e: float = alpha / 2.0) -> float:
+        return 0.0 + _pow(1.0 + _pow(v, 2), e) * u
 
     conn = ConnectionField(1, gamma, False, alpha, "power-growth", {"alpha": alpha}, True, False)
-    return _with_scalar(conn, scalar)
-
-
-def _plain_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[..., 0] b[..., 0] + a[..., 1] b[..., 1] + ..., added left to right."""
-    return np.add.accumulate(a * b, axis=-1)[..., -1]
+    object.__setattr__(conn, "float_vertical", vertical)
+    return conn
 
 
 def _sphere(params: dict) -> ConnectionField:
@@ -337,8 +320,8 @@ def _sphere(params: dict) -> ConnectionField:
     eye = np.eye(2)
 
     def gamma(p, v):
-        dphi = -2.0 * p / (1.0 + _plain_dot(p, p))[..., None]
-        return ((_plain_dot(dphi, v)[..., None, None] * eye + v[..., :, None] * dphi[..., None, :])
+        dphi = -2.0 * p / (1.0 + _plain_sum(p * p))[..., None]
+        return ((_plain_sum(dphi * v)[..., None, None] * eye + v[..., :, None] * dphi[..., None, :])
                 - dphi[..., :, None] * v[..., None, :])
 
     def vertical(p, v, u):

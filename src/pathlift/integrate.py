@@ -26,28 +26,28 @@ accepts and settling each step it tries through the lane's controller:
 
     stacked  evaluates the live lanes together as the rows of a stack,
              about a hundred numpy calls a step whatever the lane count;
-    scalar   when the caller gives the float form ``float_rhs`` of a 1-d
-             system, steps each lane in turn, to its end, in Python floats:
-             six rhs calls a step and no numpy call;
-    vector   the same for an n-d system, on n-lists, with one ``float_rhs``
-             call per step attempt, which reads what depends on t alone at
-             the step's five distinct stage times.
+    scalar   given the float form ``float_rhs``, steps each 1-d lane in
+             turn, to its end, in Python floats, with no numpy call;
+    vector   the same for n-d lanes, on n-lists.
 
 A lane's kernel depends on its system alone, not on how many lanes are
 live.  Every sum adds its terms left to right in one plain order, in every
 kernel: a stage sum weights and adds the stage derivatives in tableau
-order, zero weights included (the stacked kernel by a cumulative sum over
-the stack), and the error and norm sums add their squares component by
-component.  So a lane has the same bits in any kernel, signed zeros
-included, and the bits do not depend on how a BLAS orders a product.
+order, zero weights included (the stacked kernel by _plain_sum), and the
+error and norm sums add their squares component by component.  So a lane
+has the same bits in any kernel, signed zeros included, and the bits do not
+depend on how a BLAS orders a product.  The rhs adds its own sums: a lift
+adds them in the same order, but for the einsum that contracts 3-d
+Christoffel tensors, which adds three terms as (p0 + p2) + p1.
 
-Outside the float kernels every evaluation goes through one hook,
-``field``, which is given the times of the evaluations to come as rows of
-a table and returns the derivative at each row.  The seed derivative and
-the first step's probe pass one row; a stacked step passes the five
-distinct stage times t + c_i h (c_5 = c_6 = 1), all known before its first
-stage, so a caller evaluates what depends on t alone (a lift's path and
-Christoffel tensors) once per step, not once per stage.
+Every evaluation goes through one hook per step.  ``field`` is given the
+times of the evaluations to come as rows of a table and returns the
+derivative at each row.  The seed derivative and the first step's probe
+pass one row; a stacked step passes the five distinct stage times
+t + c_i h (c_5 = c_6 = 1), all known before its first stage, and a float
+kernel calls ``float_rhs(t, h)`` once per step attempt for the same times
+(_stage_times).  So a caller evaluates what depends on t alone (a lift's
+path and Christoffel tensors) once per step, not once per stage.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
 interpolation of the accepted steps (locally 4th order), plus step counts.
@@ -96,7 +96,6 @@ _STATUS = {
 # The zero weights A[6][1] and E[1] stay in the sums: a non-finite k1 makes
 # them NaN, so the step is rejected however the later stages come out.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_C_LIST = _C.tolist()
 _A = (
     np.array([]),
     np.array([1 / 5]),
@@ -115,6 +114,9 @@ _E = _B5 - np.array(
 # the FSAL derivative and reads none.
 _C_ROWS = _C[1:6, None]
 _STAGE_ROW = (0, 0, 1, 2, 3, 4, 4)
+# The tableau in Python floats: the stage times' c_1..c_5, and the rows A[1..6] and E.
+_C_FLOATS = _C[1:6].tolist()
+_TABLEAU_FLOATS = (*(row.tolist() for row in _A[1:]), _E.tolist())
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -265,10 +267,16 @@ class _Lane:
         )
 
 
+def _plain_sum(X: np.ndarray) -> np.ndarray:
+    """X summed over its last axis, x0 + x1 + ..., added left to right as the float
+    kernels add: a cumulative sum adds in order, from its first term."""
+    return np.add.accumulate(X, axis=-1)[..., -1]
+
+
 def _norms(X: np.ndarray) -> list[float]:
     """Each row's sqrt(x0*x0 + x1*x1 + ...), the squares added left to right, or hypot
     where a nonzero row's square leaves the normal range."""
-    r = np.sqrt(np.add.accumulate(X * X, axis=1)[:, -1])
+    r = np.sqrt(_plain_sum(X * X))
     norms = r.tolist()
     if (math.inf in norms or norms and not min(norms) >= _TINY) and X.any():
         for i in np.flatnonzero((r == math.inf) | (r < _TINY) & X.any(axis=1)).tolist():
@@ -294,34 +302,33 @@ def _initial_steps(field, F0: np.ndarray, Y0: np.ndarray, opts: IntegratorOption
     return steps
 
 
-def _plain_sum(w: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """w[0] K[:, 0] + w[1] K[:, 1] + ..., added left to right as the float kernels add:
-    a cumulative sum adds in order, from its first term."""
-    return np.add.accumulate(w[:, None] * K, axis=1)[:, -1]
+def _stage_times(t: float, h: float) -> list[float]:
+    """A step's five distinct stage times t + c_i h, i = 1..5 (c_5 = c_6 = 1), rounded as
+    the rows of a stacked step's field call: the times of a float rhs's g(0..4, y)."""
+    return [t + c * h for c in _C_FLOATS]
 
 
 def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
     """The scalar float kernel: step a planned 1-d lane from its last node to its end."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
-    _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = (r.tolist() for r in _A[1:5])
-    (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = (r.tolist() for r in _A[5:])
-    e0, e1, e2, e3, e4, e5, e6 = _E.tolist()
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54),
+     (a60, a61, a62, a63, a64, a65), (e0, e1, e2, e3, e4, e5, e6)) = _TABLEAU_FLOATS
     settle, plan, append_y, append_f = lane.settle, lane.plan, lane.yf.append, lane.ff.append
     y, f = lane.yf[-1], lane.ff[-1]
     while True:
-        # Stage times round as in the stacked kernel, and each stage sum is
-        # _plain_sum's; the scale's max keeps a NaN operand, as np.maximum does.
-        t, H = lane.t, lane.step
-        k1 = float_rhs(t + c1 * H, y + H * (a10 * f))
-        k2 = float_rhs(t + c2 * H, y + H * (a20 * f + a21 * k1))
-        k3 = float_rhs(t + c3 * H, y + H * (a30 * f + a31 * k1 + a32 * k2))
-        k4 = float_rhs(t + c4 * H, y + H * (a40 * f + a41 * k1 + a42 * k2 + a43 * k3))
-        k5 = float_rhs(t + H, y + H * (a50 * f + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        # Each stage sum is _plain_sum's; the scale's max keeps a NaN operand,
+        # as np.maximum does.
+        H = lane.step
+        g = float_rhs(lane.t, H)  # one rhs call per attempt
+        k1 = g(0, y + H * (a10 * f))
+        k2 = g(1, y + H * (a20 * f + a21 * k1))
+        k3 = g(2, y + H * (a30 * f + a31 * k1 + a32 * k2))
+        k4 = g(3, y + H * (a40 * f + a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = g(4, y + H * (a50 * f + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
         # Stage 6's state is the new state (FSAL).
         y1 = y + H * (a60 * f + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = float_rhs(t + H, y1)
+        k6 = g(4, y1)
         a, b = abs(y), abs(y1)
         q = (H * (e0 * f + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
              / (atol + rtol * (b if b > a or b != b else a)))
@@ -339,16 +346,13 @@ def _vector_lane(lane: _Lane, float_rhs, n: int, opts: IntegratorOptions) -> Non
     n-lists, with the arithmetic of the stacked kernel on one lane."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
-    _, c1, c2, c3, c4, _, _ = _C_LIST  # c5 = c6 = 1
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = (r.tolist() for r in _A[1:5])
-    (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = (r.tolist() for r in _A[5:])
-    e0, e1, e2, e3, e4, e5, e6 = _E.tolist()
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54),
+     (a60, a61, a62, a63, a64, a65), (e0, e1, e2, e3, e4, e5, e6)) = _TABLEAU_FLOATS
     settle, plan, extend_y, extend_f = lane.settle, lane.plan, lane.yf.extend, lane.ff.extend
     y, f = lane.yf[-n:].tolist(), lane.ff[-n:].tolist()
     while True:
-        # One rhs call per attempt, on the stage times of the stacked kernel's rows.
-        t, H = lane.t, lane.step
-        g = float_rhs([t + c1 * H, t + c2 * H, t + c3 * H, t + c4 * H, t + H])
+        H = lane.step
+        g = float_rhs(lane.t, H)  # one rhs call per attempt
         k1 = g(0, [x + H * (a10 * d) for x, d in zip(y, f)])
         k2 = g(1, [x + H * (a20 * d + a21 * d1) for x, d, d1 in zip(y, f, k1)])
         k3 = g(2, [x + H * (a30 * d + a31 * d1 + a32 * d2) for x, d, d1, d2 in zip(y, f, k1, k2)])
@@ -398,12 +402,12 @@ def integrate_lanes(
     on the live lanes' five distinct stage times (row r: t + c_(r+1) h;
     stages 5 and 6 both read row 4), so the caller evaluates what depends
     on t alone once per step.  ``float_rhs`` is f on one lane in Python
-    floats, bit for bit: in 1-d ``float_rhs(t, y)`` on a float, in n-d
-    ``float_rhs(times)``, given a step's five distinct stage times as a
-    list, returns ``g(r, y)``, the derivative at times[r] for an n-list y,
-    as a list.  When given, after the probe each lane in turn, to its end,
-    steps in a float kernel, which calls it instead of field: once per
-    stage in 1-d, once per step attempt in n-d.
+    floats, bit for bit: ``float_rhs(t, h)``, for a step of size h from t,
+    returns ``g(r, y)``, the derivative at the step's r-th distinct stage
+    time (_stage_times(t, h)[r]) for a float y in 1-d and an n-list in n-d,
+    as a float or a list.  When given, after the probe each lane in turn,
+    to its end, steps in a float kernel, which calls it instead of field,
+    once per step attempt.
 
     Each lane keeps its own t, step, PI controller state, counters, status
     and accepted nodes, and its stage values run through the same
@@ -447,25 +451,25 @@ def integrate_lanes(
             else:
                 _vector_lane(lane, float_rhs, n, opts)
         lv = []
-    K = np.empty((0, 7, n))  # stage derivatives, (k, 7, n) for k live lanes
+    K = np.empty((0, n, 7))  # stage derivatives, (k, n, 7) for k live lanes
 
     while lv:
         k = len(lv)
         if K.shape[0] != k:
-            K = np.empty((k, 7, n))
-            stage = [K[:, i] for i in range(7)]  # views, made once per lane count
-            head = [K[:, :i] for i in range(7)]
+            K = np.empty((k, n, 7))
+            stage = [K[..., i] for i in range(7)]  # views, made once per lane count
+            head = [K[..., :i] for i in range(7)]
         Y = np.array([lane.yf[-n:] for lane in lv])
         stage[0][...] = [lane.ff[-n:] for lane in lv]  # FSAL
         h_row = np.array([lane.step for lane in lv])
         H = h_row[:, None]
         f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
         for i in range(1, 6):
-            stage[i][...] = f(_STAGE_ROW[i], Y + H * _plain_sum(A[i], head[i]))
-        Y_new = Y + H * _plain_sum(A[6], head[6])  # stage 6's state is the new state (FSAL)
+            stage[i][...] = f(_STAGE_ROW[i], Y + H * _plain_sum(A[i] * head[i]))
+        Y_new = Y + H * _plain_sum(A[6] * head[6])  # stage 6's state is the new state (FSAL)
         stage[6][...] = f(_STAGE_ROW[6], Y_new)
-        Q = H * _plain_sum(E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-        sq = np.add.accumulate(Q * Q, axis=1)[:, -1].tolist()
+        Q = H * _plain_sum(E * K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        sq = _plain_sum(Q * Q).tolist()
         # One pass over the lanes: settle each lane's step, then plan its next one.
         going = []
         for lane, y, fy, s, ynorm in zip(lv, Y_new.tolist(), stage[6].tolist(), sq, _norms(Y_new)):

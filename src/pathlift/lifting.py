@@ -28,7 +28,7 @@ import numpy as np
 from .connections import ConnectionField, _contract
 from .geometry import ChartPoint, PathCurve, TangentVector, as_coords, path_reverse
 from .integrate import (_DEFAULT_OPTIONS, COMPLETE, ESCAPED, IntegratorOptions, _norms,
-                        integrate_lanes)
+                        _plain_sum, _stage_times, integrate_lanes)
 
 __all__ = [
     "LiftTrajectory",
@@ -113,15 +113,13 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     (``conn.christoffel``) builds them there in one call, and a stage then
     only contracts them with its fiber rows; other members take one
     ``conn.stack`` per stage.  The lanes of a member with a float form,
-    ``conn.scalar_gamma`` in 1-d or ``conn.float_vertical`` in n-d, lone or
-    batched, step in Python floats instead, each lane in turn, to its end:
-    a 1-d lane reads a segment's ``fixed_velocity`` once and other paths at
-    each stage, an n-d lane reads the path once per step attempt, a segment
-    in floats.  Either route gives the same bits.  When ``gamma`` ignores
-    the base point (``conn.uses_base`` false), every call gets the path's
-    starting point.  Each trajectory equals the seed's lift alone bit for
-    bit.  If the batch raises, the error is the one the first failing seed
-    raises alone.
+    ``conn.float_vertical``, lone or batched, step in Python floats instead,
+    each lane in turn, to its end, reading the path once per step attempt,
+    and a segment's ``fixed_velocity`` once.  Either route gives the same
+    bits.  When ``gamma`` ignores the base point (``conn.uses_base``
+    false), every call gets the path's starting point.  Each trajectory
+    equals the seed's lift alone bit for bit.  If the batch raises, the
+    error is the one the first failing seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -204,34 +202,29 @@ def _path_reader(path: PathCurve, p0: np.ndarray, uses_base: bool):
 
 
 def _float_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
-    """The lift's rhs in Python floats for integrate_lanes, bit for bit the field's,
-    or None: from ``scalar_gamma`` in 1-d, from ``float_vertical`` in n-d."""
-    scalar, vertical, fixed = conn.scalar_gamma, conn.float_vertical, path.fixed_velocity
-    if scalar is not None:
-        # The product adds its one term to +0.0.  A segment's speed is read once.
-        if fixed is not None:
-            speed = fixed.item()
-            return lambda t, y: 0.0 + (-scalar(y)) * speed
-        vel = path.velocity
-        return lambda t, y: 0.0 + (-scalar(y)) * vel(t).item()
+    """The lift's rhs in Python floats, ``float_rhs(t, h)`` of integrate_lanes, from
+    ``float_vertical``, bit for bit the field's; None without ``float_vertical``."""
+    vertical, fixed, n = conn.float_vertical, path.fixed_velocity, conn.dimension
     if vertical is None:
         return None
-    if fixed is not None:  # a segment, in floats: p0 + t d is its position's bits for t > 0
-        a, d = p0.tolist(), fixed.tolist()
+    # A stack of points or vectors in floats: a float each in 1-d, an n-list in n-d.
+    rows = (lambda X: X.ravel().tolist()) if n == 1 else np.ndarray.tolist
+    if fixed is not None:  # a segment, its velocity read once: p0 + t d is its position's bits
+        a, d = rows(np.array([p0, fixed]))
         if not conn.uses_base:
-            return lambda times: lambda r, y: vertical(a, y, d)
+            g = lambda r, y: vertical(a, y, d)
+            return lambda t, h: g
 
-        def segment(times: list[float]):
-            P = [[x + t * dx for x, dx in zip(a, d)] for t in times]
+        def segment(t: float, h: float):
+            P = rows(p0 + np.array(_stage_times(t, h))[:, None] * fixed)
             return lambda r, y: vertical(P[r], y, d)
 
         return segment
-    read, n = _path_reader(path, p0, conn.uses_base), conn.dimension
+    read = _path_reader(path, p0, conn.uses_base)
 
-    def float_rhs(times: list[float]):
-        shape = (len(times), n)
-        P, V = ((X if X.shape == shape else np.broadcast_to(X, shape)).tolist()
-                for X in read(np.array(times)))
+    def float_rhs(t: float, h: float):
+        P, V = (rows(X if X.shape == (5, n) else np.broadcast_to(X, (5, n)))
+                for X in read(np.array(_stage_times(t, h))))
         return lambda r, y: vertical(P[r], y, V[r])
 
     return float_rhs
@@ -266,7 +259,7 @@ def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
             # 1-d stacked lift (christoffel, make_linear_connection) about 1.1x slower.
             if n == 1:
                 return ((-M) @ V[r][..., None])[..., 0]
-            return np.add.accumulate((-M) * V[r][..., None, :], axis=-1)[..., -1] + 0.0
+            return _plain_sum((-M) * V[r][..., None, :]) + 0.0
 
         return f
 

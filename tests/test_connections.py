@@ -575,37 +575,17 @@ def _one_dimensional_members(draw):
     return _member(name, dimension=1) if name == "flat" else gallery(name)
 
 
-class TestFloatForm:
-    @settings(max_examples=300, deadline=None)
-    @given(_one_dimensional_members(), st.lists(_fiber_values, min_size=1, max_size=8))
-    # (1 + y^2)^1 of a -NaN: Python's pow and numpy's keep different signs.
-    @example(_member("power-growth", alpha=2.0), [-math.nan, math.nan])
-    def test_float_form_equals_gamma_bitwise(self, conn, ys):
-        # The float form takes a Python float, as a lone 1-d lane passes it,
-        # and returns a Python float; where y ** 2 overflows, inf as numpy gives.
-        for y in ys:
-            got = conn.scalar_gamma(y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = conn.gamma(np.zeros(1), np.array([y])).item()
-            assert type(got) is float, (conn.name, y)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (conn.name, y, got, want)
+# The velocities u a 1-d float form is fed, and fiber values v besides the
+# drawn ones: signed zeros, subnormals, infinities, NaN and values across the range.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.7, 1e300, -1e300,
+            np.inf, -np.inf, np.nan]
 
-    @pytest.mark.parametrize("conn", [
-        _member("flat", dimension=2),
-        gallery("sphere-stereographic"),
-        _member("christoffel", dimension=1, terms=[{"k": 0, "i": 0, "j": 0, "coeff": 1.0}]),
-        ConnectionField(1, lambda p, v: np.eye(1)),
-    ], ids=["flat-2d", "sphere", "christoffel-1d", "custom"])
-    def test_other_fields_have_no_float_form(self, conn):
-        assert conn.scalar_gamma is None
 
-    def test_float_form_is_not_an_argument_and_not_compared(self):
-        fig1 = gallery("fig1")
-        copy = dataclasses.replace(fig1)  # a replaced gamma must not keep the old float form
-        assert copy.scalar_gamma is None and copy == fig1
-        assert "scalar_gamma" not in repr(fig1)
-        with pytest.raises(TypeError):
-            ConnectionField(1, fig1.gamma, scalar_gamma=fig1.scalar_gamma)
+def _same_bits_or_both_nan(got, want) -> bool:
+    # A NaN's sign aside: Python's pow and numpy's, and numpy's array and
+    # scalar loops, may keep different signs.
+    return (math.isnan(got) and math.isnan(want)
+            or np.float64(got).tobytes() == np.float64(want).tobytes())
 
 
 # Finite values across the range, signed zeros and subnormals: products overflow
@@ -617,16 +597,33 @@ _vertical_coord = st.one_of(
 )
 
 
-class TestVerticalFloatForm:
-    """The n-d members' float form: -Gamma(p, v) u in floats, with the lift's product bits."""
+class TestFloatForm:
+    """float_vertical: -Gamma(p, v) u in floats, with the lift's product bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_one_dimensional_members(), st.lists(_fiber_values, min_size=1, max_size=8))
+    # (1 + v^2)^1 of a -NaN: Python's pow and numpy's keep different signs.
+    @example(_member("power-growth", alpha=2.0), [-math.nan, math.nan])
+    def test_one_dimensional_form_equals_the_lifts_product_bitwise(self, conn, vs):
+        # On Python floats, as a 1-d lane passes them: the lift's 1x1 product
+        # of -gamma with the velocity u, which adds its one term to +0.0 where
+        # the bare -(m * u) differs in the sign of zero.  Where v ** 2
+        # overflows, inf as numpy gives.
+        for v in vs + _SPECIAL:
+            for u in _SPECIAL:
+                got = conn.float_vertical(0.5, v, u)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = ((-conn.gamma(np.array([0.5]), np.array([v]))) @ np.array([u])).item()
+                assert type(got) is float, (conn.name, v, u)
+                assert _same_bits_or_both_nan(got, want), (conn.name, v, u, got, want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([("sphere-stereographic", {}), ("flat", {"dimension": 2}),
                             ("flat", {"dimension": 3})]),
            st.data())
-    def test_float_form_equals_the_lifts_product_bitwise(self, member, data):
+    def test_n_d_form_equals_the_lifts_product_bitwise(self, member, data):
         # The lift's stacked route: (-M) times u, each row added left to right
-        # and then to +0.0.  NaN signs aside, every bit agrees.
+        # and then to +0.0.
         conn = _member(member[0], **member[1])
         n = conn.dimension
         p, v, u = (data.draw(st.lists(_vertical_coord, min_size=n, max_size=n)) for _ in range(3))
@@ -637,22 +634,28 @@ class TestVerticalFloatForm:
         assert type(got) is list and len(got) == n
         for g, w in zip(got, want):
             assert type(g) is float
-            assert (math.isnan(g) and math.isnan(w)
-                    or np.float64(g).tobytes() == np.float64(w).tobytes()), (p, v, u, got, want)
+            assert _same_bits_or_both_nan(g, w), (p, v, u, got, want)
 
     @pytest.mark.parametrize("conn, has", [
-        (gallery("sphere-stereographic"), True),
+        (_member("flat", dimension=1), True),
+        (gallery("fig1"), True),
+        (_member("scalar-linear", **{"lambda": -2.0}), True),
+        (_member("power-growth", alpha=1.5), True),
         (_member("flat", dimension=2), True),
         (_member("flat", dimension=3), True),
-        (_member("flat", dimension=1), False),
-        (gallery("fig1"), False),
-        (_member("christoffel", dimension=2, terms=[{"k": 0, "i": 1, "j": 0, "coeff": 1.0}]), False),
+        (gallery("sphere-stereographic"), True),
+        (_member("christoffel", dimension=1, terms=[{"k": 0, "i": 0, "j": 0, "coeff": 1.0}]),
+         False),
+        (_member("christoffel", dimension=2, terms=[{"k": 0, "i": 1, "j": 0, "coeff": 1.0}]),
+         False),
+        (ConnectionField(1, lambda p, v: np.eye(1)), False),
         (ConnectionField(2, lambda p, v: np.eye(2)), False),
-    ], ids=["sphere", "flat-2d", "flat-3d", "flat-1d", "fig1", "christoffel-2d", "custom"])
-    def test_only_the_n_d_gallery_members_have_it(self, conn, has):
+    ], ids=["flat-1d", "fig1", "scalar-linear", "power-growth", "flat-2d", "flat-3d", "sphere",
+            "christoffel-1d", "christoffel-2d", "custom-1d", "custom-2d"])
+    def test_every_gallery_member_but_christoffel_has_it(self, conn, has):
         assert (conn.float_vertical is not None) == has
         copy = dataclasses.replace(conn, gamma=conn.gamma)  # a replaced gamma drops it
         assert copy.float_vertical is None and copy == conn
         assert "float_vertical" not in repr(conn)
         with pytest.raises(TypeError):
-            ConnectionField(2, conn.gamma, float_vertical=conn.float_vertical)
+            ConnectionField(conn.dimension, conn.gamma, float_vertical=conn.float_vertical)

@@ -18,6 +18,7 @@ from pathlift.integrate import (
     _hermite_dense,
     _norms,
     _plain_sum,
+    _stage_times,
     integrate_adaptive,
     integrate_lanes,
 )
@@ -214,7 +215,8 @@ class TestStopReason:
         assert (res.status, res.stop_reason) == (ESCAPED, "non-finite")
         assert res.norm_at_escape == np.inf and res.t_escape == 1.0
 
-    @pytest.mark.parametrize("float_rhs", [None, lambda t, y: y], ids=["stacked", "floats"])
+    @pytest.mark.parametrize("float_rhs", [None, lambda t, h: lambda r, y: y],
+                             ids=["stacked", "floats"])
     def test_a_state_whose_square_overflows_is_finite(self, float_rhs):
         # ||y||^2 overflows from y = 1e154 on, far below the escape norm 1e300:
         # the norm is finite, so y' = y completes at 1e154 e.
@@ -259,7 +261,8 @@ class TestStopReason:
         assert (res.status, res.stop_reason) == (STEP_COLLAPSE, "max-steps")
         assert res.steps + res.rejected == 5
 
-    @pytest.mark.parametrize("float_rhs", [None, lambda t, y: 1.0 + y * y], ids=["stacked", "floats"])
+    @pytest.mark.parametrize("float_rhs", [None, lambda t, h: lambda r, y: 1.0 + y * y],
+                             ids=["stacked", "floats"])
     @pytest.mark.parametrize("atol", [1e-60, 1e-100, 1e-300])
     def test_a_tiny_atol_from_zero_completes(self, atol, float_rhs):
         # From y = 0 the scale is atol, so the first step's guess falls below
@@ -281,8 +284,13 @@ def _assert_same_result(a, b):
 
 
 def _float_form(rhs):
-    """``rhs`` on a 1-d state, a Python float in and out, as float_rhs takes it."""
-    return lambda t, y: rhs(t, np.array([y])).item()
+    """``rhs`` on a 1-d state as integrate_lanes takes its float form: float_rhs(t, h)
+    gives g(r, y) at the step's r-th stage time, a Python float in and out."""
+    def float_rhs(t, h):
+        times = _stage_times(t, h)
+        return lambda r, y: rhs(times[r], np.array([y])).item()
+
+    return float_rhs
 
 
 def _lanes(rhs):
@@ -374,9 +382,9 @@ class TestLanes:
     @pytest.mark.parametrize("m", [1, 8, 9, 33])
     def test_float_kernel_steps_every_lane(self, m):
         # y' = 1 + y^2: the lane from 5 escapes at t = pi/2 - atan(5), the
-        # others complete.  Whatever the lane count, every step is in floats:
-        # the field makes only the first evaluation and the step-size probe,
-        # one row each.
+        # others complete.  Whatever the lane count, every step is in floats,
+        # with one float_rhs call per step attempt: the field makes only the
+        # first evaluation and the step-size probe, one row each.
         rows, float_calls = [], []
 
         def rhs(t, Y):
@@ -386,14 +394,14 @@ class TestLanes:
             rows.append(T.shape)
             return lambda r, Y: rhs(T[r], Y)
 
-        def float_rhs(t, y):
+        def float_rhs(t, h):
             float_calls.append(t)
-            return 1.0 + y * y
+            return lambda r, y: 1.0 + y * y
 
         y0 = [[5.0]] + [[v] for v in np.linspace(-0.5, 0.5, m - 1)]
         got = integrate_lanes(field, y0, float_rhs=float_rhs)
         assert [r.status for r in got] == [ESCAPED] + [COMPLETE] * (m - 1)
-        assert float_calls
+        assert len(float_calls) == sum(r.steps + r.rejected for r in got)
         assert rows == [(1, m), (1, m)]
         for res, ref in zip(got, integrate_lanes(_lanes(rhs), y0)):
             _assert_same_result(res, ref)
@@ -426,17 +434,18 @@ class TestLoneOneDimensionalLane:
         # floats, zero weights included: special values, and every sign
         # pattern of zeros.
         rng = np.random.default_rng(20261018)
-        zeros = [np.array(signs)[None, :, None]
+        # The stacked kernel keeps a step's stage derivatives as (k, n, 7).
+        zeros = [np.array(signs)[None, None, :]
                  for signs in itertools.product([0.0, -0.0], repeat=7)]
-        draws = [rng.choice(_SPECIAL, size=(k, 7, 1))
-                 * rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=(k, 7, 1))
+        draws = [rng.choice(_SPECIAL, size=(k, 1, 7))
+                 * rng.choice([1.0, 1.0, rng.uniform(0.1, 10.0)], size=(k, 1, 7))
                  for k in (1, 3) for _ in range(2000)]
         for K in zeros + draws:
             for w, i in [(_A[i], i) for i in range(1, 7)] + [(_E, 7)]:
-                got = _plain_sum(w, K[:, :i])
+                got = _plain_sum(w * K[..., :i])
                 assert got.shape == (len(K), 1)
                 ws = w.tolist()
-                for lane, g in zip(K[:, :i, 0].tolist(), got[:, 0].tolist()):
+                for lane, g in zip(K[:, 0, :i].tolist(), got[:, 0].tolist()):
                     want = ws[0] * lane[0]
                     for wj, kj in zip(ws[1:], lane[1:]):
                         want += wj * kj
@@ -475,7 +484,7 @@ class TestLoneOneDimensionalLane:
         def first_stage_state():
             seen = []
             integrate_lanes(_lanes(lambda t, Y: np.ones_like(Y)), [[y0]],
-                            float_rhs=lambda t, y: seen.append(y) or 1.0)
+                            float_rhs=lambda t, h: lambda r, y: seen.append(y) or 1.0)
             return seen[0]
 
         s1 = first_stage_state()
@@ -491,12 +500,12 @@ class TestLoneOneDimensionalLane:
                 seen.extend(Y[:, 0].tolist())
                 return np.array([[band(y)] for y in Y[:, 0].tolist()])
 
-            def float_rhs(t, y):
+            def g(r, y):
                 seen.append(y)
                 return band(y)
 
             (res,) = integrate_lanes(_lanes(rhs), [[y0]],
-                                     float_rhs=float_rhs if in_floats else None)
+                                     float_rhs=(lambda t, h: g) if in_floats else None)
             return res, seen
 
         (floats, seen_f), (stacked, seen_s) = run(True), run(False)
@@ -550,7 +559,7 @@ class TestLoneOneDimensionalLane:
         # see the norm cross it at the same step.
         opts = IntegratorOptions(escape_norm=1e8 if escape_factor is None else escape_factor * abs(seed))
         floats = integrate_lanes(_lanes(lambda t, Y: 20.0 * Y), [[seed]], opts,
-                                 float_rhs=lambda t, y: 20.0 * y)[0]
+                                 float_rhs=lambda t, h: lambda r, y: 20.0 * y)[0]
         stacked = integrate_lanes(_lanes(lambda t, Y: 20.0 * Y), [[seed]], opts)[0]
         _assert_same_result(floats, stacked)
         assert floats.stop_reason == ("complete" if escape_factor is None else "escape-norm")
@@ -576,8 +585,10 @@ _SYSTEMS = {
 
 
 def _vector_float_rhs(rhs, calls):
-    """``rhs(t, y)`` on n-lists as integrate_lanes takes an n-d float rhs, counting its calls."""
-    def float_rhs(times):
+    """``rhs(t, y)`` on n-lists as integrate_lanes takes an n-d float rhs, recording the
+    stage times of each call."""
+    def float_rhs(t, h):
+        times = _stage_times(t, h)
         calls.append(times)
         return lambda r, y: rhs(times[r], y)
 

@@ -6,7 +6,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pathlift import lifting
-from pathlift.connections import ConnectionField, ConnectionSpec, _inline_spec, _with_scalar, gallery
+from pathlift.connections import ConnectionField, ConnectionSpec, _inline_spec, gallery
 from pathlift.geometry import PathCurve, path_circle, path_polyline, path_reverse, path_segment
 from pathlift.integrate import (
     COMPLETE,
@@ -207,32 +207,6 @@ def _spy_on_integrate_lanes(monkeypatch):
 
 
 @np.errstate(all="ignore")
-def test_one_dimensional_rhs_rounds_as_the_product(monkeypatch):
-    # A 1-d lift's float rhs returns 0.0 + (-m) * v for -m @ vel(t): bit for
-    # bit the one-term product, which adds to +0.0, where the bare -(m * v)
-    # differs in the sign of zero.  The lift of a member with scalar_gamma
-    # is run to capture it; it is then fed every pair of special values.
-    captured = _spy_on_integrate_lanes(monkeypatch)
-    box = {"m": 1.0, "v": 1.0}
-    conn = ConnectionField(1, lambda p, v: np.array([[box["m"]]]))
-    path = PathCurve(1, lambda t: np.array([t]), lambda t: np.array([box["v"]]))
-    horizontal_lift(_with_scalar(conn, lambda v: box["m"]), path, [0.0])
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 3.7, -1e300, 1e300,
-               np.inf, -np.inf, np.nan]
-    (_, float_rhs), = captured
-    assert float_rhs is not None
-    for m in special:
-        for v in special:
-            box.update(m=m, v=v)
-            got = float_rhs(0.5, 0.0)
-            want = (-np.array([[m]]) @ np.array([v])).item()
-            if np.isnan(want):
-                assert np.isnan(got), (m, v)
-            else:
-                assert (got, np.signbit(got)) == (want, np.signbit(want)), (m, v)
-
-
-@np.errstate(all="ignore")
 def test_stacked_rhs_rounds_as_the_product(monkeypatch):
     # Every row of the lift's field returns (-M) @ V, negation first, bit
     # for bit as the float forms: with m = 0.0 the product -0.0 adds to
@@ -268,17 +242,20 @@ _CHRISTOFFEL1 = gallery(ConnectionSpec("christoffel", {"dimension": 1, "terms": 
 @pytest.mark.parametrize("conn, floats", [
     (FIG1, True),
     (gallery(_inline_spec("power-growth:3", 1)), True),
+    (gallery("sphere-stereographic"), True),
     (_CHRISTOFFEL1, False),
     (ConnectionField(1, FIG1.gamma), False),
-], ids=["fig1", "power-growth", "christoffel", "own-map"])
-@pytest.mark.parametrize("seeds", [[[0.5]], [[0.5], [-0.25], [0.0]]], ids=["lone", "three"])
-def test_float_form_exactly_when_the_member_has_scalar_gamma(monkeypatch, conn, floats, seeds):
-    # A 1-d lift steps in floats through scalar_gamma alone; without it,
-    # a lone seed steps stacked as a batch does.
+    (ConnectionField(2, lambda p, v: np.eye(2)), False),
+], ids=["fig1", "power-growth", "sphere", "christoffel", "own-map", "own-map-2d"])
+@pytest.mark.parametrize("seeds", [[0.5], [0.5, -0.25, 0.0]], ids=["lone", "three"])
+def test_float_form_exactly_when_the_member_has_float_vertical(monkeypatch, conn, floats, seeds):
+    # A lift steps in floats through float_vertical alone, in 1-d as in n-d;
+    # without it, a lone seed steps stacked as a batch does.
     captured = _spy_on_integrate_lanes(monkeypatch)
-    horizontal_lifts(conn, path_segment([0.2], [1.1]), seeds)
+    n = conn.dimension
+    horizontal_lifts(conn, path_segment([0.2] * n, [1.1] * n), [[v] * n for v in seeds])
     (_, float_rhs), = captured
-    assert (float_rhs is not None) == floats == (conn.scalar_gamma is not None)
+    assert (float_rhs is not None) == floats == (conn.float_vertical is not None)
 
 
 def _assert_same_lift(a, b):
@@ -461,7 +438,7 @@ class TestFloatFormLifts:
     def test_lone_lift_equals_the_lift_through_gamma(self, member, path, v0, opts, reason):
         conn = gallery(_inline_spec(member, 1))
         plain = ConnectionField(1, conn.gamma)  # the same map, without the float form
-        assert conn.scalar_gamma is not None and plain.scalar_gamma is None
+        assert conn.float_vertical is not None and plain.float_vertical is None
         traj = horizontal_lift(conn, path, [v0], opts)
         assert traj.stop_reason == reason
         _assert_same_lift(traj, horizontal_lift(plain, path, [v0], opts))
@@ -510,8 +487,8 @@ class TestSegmentSpeed:
                                         "scalar-linear:-2", "flat"])
     @pytest.mark.parametrize("ends", [(0.2, 1.1), (1.1, 0.2)], ids=["forward", "backward"])
     def test_segment_lifts_equal_the_lifts_through_velocity(self, member, ends):
-        # The same position and velocity without fixed_velocity call velocity
-        # at every stage.  Batches of 1, 8 and 12 lanes, completing and escaping.
+        # The same position and velocity without fixed_velocity are read once
+        # per step attempt.  Batches of 1, 8 and 12 lanes, completing and escaping.
         conn = gallery(_inline_spec(member, 1))
         seg = path_segment([ends[0]], [ends[1]])
         plain = _without_fixed_velocity(seg)
@@ -530,7 +507,7 @@ class TestSegmentSpeed:
     def test_the_speed_is_read_once(self):
         # Beyond the seed derivative and the first step's probe, a lone fig1
         # lift in floats never calls velocity.
-        path, calls = _counting_segment([0.0], [1.0])
+        path, calls = _counting(path_segment([0.0], [1.0]))
         object.__setattr__(path, "fixed_velocity", path_segment([0.0], [1.0]).fixed_velocity)
         traj = horizontal_lift(FIG1, path, [0.5])
         assert traj.steps > 5 and calls["velocity"] == 2
@@ -573,8 +550,9 @@ def _hook_cases(draw):
     return conn, path, seeds
 
 
-def _counting_segment(a, b):
-    seg, calls = path_segment(a, b), {"position": 0, "velocity": 0}
+def _counting(original: PathCurve):
+    """A copy of the broadcasting path ``original`` that counts its position and velocity calls."""
+    calls = {"position": 0, "velocity": 0}
 
     def counted(name, fn):
         def call(t):
@@ -582,8 +560,8 @@ def _counting_segment(a, b):
             return fn(t)
         return call
 
-    path = PathCurve(seg.dimension, counted("position", seg.position),
-                     counted("velocity", seg.velocity), broadcasts=True)
+    path = PathCurve(original.dimension, counted("position", original.position),
+                     counted("velocity", original.velocity), broadcasts=True)
     return path, calls
 
 
@@ -612,12 +590,19 @@ class TestStageHook:
         sphere = gallery("sphere-stereographic")
         for conn, in_floats in ((sphere, True),
                                 (dataclasses.replace(sphere, gamma=sphere.gamma), False)):
-            path, calls = _counting_segment([0.1, -0.2], [0.9, 0.4])
+            path, calls = _counting(path_segment([0.1, -0.2], [0.9, 0.4]))
             lifts = horizontal_lifts(conn, path, seeds)
             attempts = [traj.steps + traj.rejected for traj in lifts]
             reads = sum(attempts) if in_floats else max(attempts)
             assert max(attempts) > 5
             assert calls == {"position": reads + 3 + len(seeds), "velocity": reads + 2}
+        # A 1-d lane in floats reads a polyline once per step attempt too, and
+        # fig1, which ignores the base point, reads no position there.
+        path, calls = _counting(_POLYLINE)
+        lifts = horizontal_lifts(FIG1, path, [seed[:1] for seed in seeds])
+        attempts = sum(traj.steps + traj.rejected for traj in lifts)
+        assert attempts > 5
+        assert calls == {"position": 1 + len(seeds), "velocity": attempts + 2}
 
 
 @st.composite
@@ -635,15 +620,15 @@ def _traced_cases(draw):
         conn = gallery(name)
     n = conn.dimension
     point = st.lists(_floats(-1.5, 1.5), min_size=n, max_size=n)
-    kind = draw(st.sampled_from(["segment", "reversed", "polyline"] + ["circle"] * (n > 1)))
+    kind = draw(st.sampled_from(["segment", "polyline"] + ["circle"] * (n > 1)))
     if kind == "circle":
         path = path_circle(draw(point), draw(_floats(0.1, 1.5)))
     elif kind == "polyline":
         path = path_polyline([draw(point) for _ in range(3)], [0.0, draw(_floats(0.2, 0.8)), 1.0])
     else:
         path = path_segment(draw(point), draw(point))
-        if kind == "reversed":
-            path = path_reverse(path)
+    if draw(st.booleans()):
+        path = path_reverse(path)
     coord = st.one_of(st.sampled_from([0.0, -0.0]), _floats(-3.0, 3.0))
     seeds = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6))
     opts = IntegratorOptions(rtol=draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])),
@@ -654,11 +639,11 @@ def _traced_cases(draw):
 
 def _assert_copies_lift_alike(conn, path, seeds, opts):
     # The copies a tracer makes to wrap gamma, position and velocity: the
-    # connection loses its float forms, the path its fixed_velocity, so the
+    # connection loses its float form, the path its fixed_velocity, so the
     # copies lift stacked, reading the path at every step.
     traced_conn = dataclasses.replace(conn, gamma=conn.gamma)
     traced_path = dataclasses.replace(path, position=path.position, velocity=path.velocity)
-    assert traced_conn.scalar_gamma is None and traced_conn.float_vertical is None
+    assert traced_conn.float_vertical is None
     assert traced_path.fixed_velocity is None
     batch = horizontal_lifts(conn, path, seeds, opts)
     for traj, ref in zip(batch, horizontal_lifts(traced_conn, traced_path, seeds, opts)):
@@ -1095,7 +1080,7 @@ class TestCompletionThreshold:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.sampled_from([FIG1, dataclasses.replace(FIG1)]  # the copy has no scalar_gamma
+        st.sampled_from([FIG1, dataclasses.replace(FIG1)]  # the copy has no float form
                         + [gallery(ConnectionSpec(*member)) for member in [
                             ("power-growth", {"alpha": 0.5}), ("power-growth", {"alpha": 1.2}),
                             ("power-growth", {"alpha": 1.5}), ("power-growth", {"alpha": 2.0}),
