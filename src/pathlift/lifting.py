@@ -221,10 +221,12 @@ def _float_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
 
         return segment
     read = _path_reader(path, p0, conn.uses_base)
+    five = lambda X: rows(X if X.shape == (5, n) else np.broadcast_to(X, (5, n)))
+    base = None if conn.uses_base else five(p0)  # p0's five rows, made once
 
     def float_rhs(t: float, h: float):
-        P, V = (rows(X if X.shape == (5, n) else np.broadcast_to(X, (5, n)))
-                for X in read(np.array(_stage_times(t, h))))
+        P, V = read(np.array(_stage_times(t, h)))
+        P, V = five(P) if base is None else base, five(V)
         return lambda r, y: vertical(P[r], y, V[r])
 
     return float_rhs

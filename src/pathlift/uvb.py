@@ -138,8 +138,14 @@ def principal_angles(conn: ConnectionField, p, v,
 
 
 def _angle_stack(WG: np.ndarray) -> np.ndarray:
-    # Row j holds arccot of the singular values of the weighted WG[j] = w_j G_j;
-    # svd sorts them descending, so every row of angles comes out ascending.
+    # Row j holds arccot of the singular values of the weighted WG[j] = w_j G_j,
+    # ascending: |w Gamma| in 1-d, one batched SVD for n >= 2 (sorted descending).
+    # LAPACK's dgesdd returns |x| for a 1x1 matrix bit for bit while |x| lies in
+    # [6.7e-139, 1.49e138], and rescales outside it, up to 1 ulp off; below that
+    # range both give pi/2, so the 1-d angles are the SVD's wherever |w Gamma| <=
+    # 1.49e138, and exact beyond.
+    if WG.shape[-1] == 1:
+        return np.arctan2(1.0, np.abs(WG[:, :, 0]))
     return np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
 
 
@@ -208,15 +214,21 @@ def axis_directions(n: int) -> np.ndarray:
     return dirs
 
 
+def _top_two(radii: np.ndarray) -> int:
+    # The first index of the top two decades, the classifier's window.
+    return int(np.argmax(radii >= radii[-1] / 100.0))
+
+
 def _fit_plan(radii: np.ndarray) -> tuple:
-    # np.polyfit's plan over the largest decade: the window's first index (two radii or
-    # more), the scaled Vandermonde matrix of log r, its slope column's scale and rcond.
+    # The classifier's window, then np.polyfit's plan over the largest decade: the
+    # window's first index (two radii or more), the scaled Vandermonde matrix of
+    # log r, its slope column's scale and rcond.
     start = min(int(np.argmax(radii >= radii[-1] / 10.0)), radii.size - 2)
     lhs = np.vander(np.log(radii[start:]), 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
     lhs.flags.writeable = False
-    return start, lhs, scale[0], len(lhs) * np.finfo(float).eps
+    return _top_two(radii), start, lhs, scale[0], len(lhs) * np.finfo(float).eps
 
 
 # The default grid's plan, built once at import like the integrator's tableau.
@@ -226,7 +238,7 @@ _DEFAULT_PLAN = _fit_plan(default_radii())
 def _decade_fits(plan: tuple, theta: np.ndarray) -> np.ndarray:
     # np.polyfit's slopes with the rows of theta as the columns of y: one solve for
     # every direction, on one factorization of the plan's matrix.
-    start, lhs, scale, rcond = plan
+    _, start, lhs, scale, rcond = plan
     coef, _, rank, _ = np.linalg.lstsq(lhs, np.log(theta[:, start:]).T, rcond)
     if rank < 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
@@ -249,12 +261,14 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     All samples are evaluated as one stack under np.errstate(over/invalid/
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
     modify an array it returned earlier), then one finiteness check of the
-    weighted stack w * Gamma and one batched SVD of it.  On failure the
-    samples are rerun in (direction, radius) order through principal_angles,
-    and the first to fail raises a RuntimeError naming its direction and
-    radius.  The decade fits are one least-squares solve with every direction
+    weighted stack w * Gamma, and its singular values: |w Gamma| in 1-d (the
+    SVD's bits up to 1.49e138, exact beyond), one batched SVD for n >= 2.  On
+    failure the samples are rerun in (direction, radius) order through
+    principal_angles, and the first to fail raises a RuntimeError naming its
+    direction and radius.  The decade fits are one least-squares solve with every direction
     as a column (np.polyfit's bits for a 2-d y), on a plan built once at
-    import for the default radii, and the verdict reads the whole stack.
+    import for the default radii that also holds the classifier's window, and
+    the verdict reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
@@ -296,8 +310,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                         f"angle computation failed at direction {i} ({d}), radius {r}: {e_i}"
                     ) from e_i
         raise RuntimeError(f"angle computation failed: {e}") from e
-    beta = _decade_fits(_DEFAULT_PLAN if radii is None else _fit_plan(rads), theta)
-    verdict = _classify(rads, theta, beta, eps)
+    plan = _DEFAULT_PLAN if radii is None else _fit_plan(rads)
+    beta = _decade_fits(plan, theta)
+    verdict = _classify(plan[0], theta, beta, eps)
     return FiberScanReport(
         point=pc,
         weight_mode=weight.mode,
@@ -316,11 +331,12 @@ def _check_eps(eps) -> float:
     return float(eps)
 
 
-def _classify(radii: np.ndarray, theta: np.ndarray, beta: np.ndarray, eps: float) -> str:
-    if radii.size < _MIN_RADII:
+def _classify(top: int, theta: np.ndarray, beta: np.ndarray, eps: float) -> str:
+    # top is the first index of the top two decades; theta is finite.
+    if theta.shape[1] < _MIN_RADII:
         return INCONCLUSIVE
-    top_two = radii >= radii[-1] / 100.0
-    decreasing = (np.diff(theta[:, top_two], axis=1) < 0).all(axis=1)
+    tail = theta[:, top:]
+    decreasing = (tail[:, 1:] < tail[:, :-1]).all(axis=1)
     if (decreasing & (theta[:, -1] < eps) & (beta <= BETA_DECAY)).any():
         return NOT_UVB
     if float(theta.min()) >= eps and bool(np.all(beta >= BETA_FLAT)):
@@ -338,4 +354,4 @@ def uvb_classify(report: FiberScanReport, eps: float = DEFAULT_EPS) -> str:
     radii) is Inconclusive.  Raises ValueError unless eps is positive and
     finite.
     """
-    return _classify(report.radii, report.theta_min, report.beta, _check_eps(eps))
+    return _classify(_top_two(report.radii), report.theta_min, report.beta, _check_eps(eps))

@@ -23,7 +23,7 @@ from pathlift.uvb import (
     principal_angles,
     uvb_classify,
 )
-from pathlift.uvb import BETA_DECAY, BETA_FLAT, DEFAULT_EPS
+from pathlift.uvb import _DEFAULT_PLAN, BETA_DECAY, BETA_FLAT, DEFAULT_EPS, _angle_stack
 
 FIG1 = gallery("fig1")
 
@@ -313,6 +313,32 @@ class TestClassifier:
         report = fiber_scan(conn, [0.0], weight=EUCLIDEAN)
         assert report.verdict == NOT_UVB
 
+    def test_default_plan_holds_the_top_two_decades(self):
+        assert _DEFAULT_PLAN[0] == int(np.argmax(default_radii() >= 2.0**20 / 100.0)) == 14
+
+    @pytest.mark.parametrize("radii, top", [
+        (None, 14),
+        (3.0 ** np.arange(10), 5),  # the top two decades start at 3^5 = 243
+    ], ids=["default", "caller"])
+    def test_equal_samples_in_the_top_two_decades_are_not_decreasing(self, radii, top):
+        # |Gamma| = r, so theta ~ 1/r decays with beta near -1, except that the
+        # sample at radii[k] repeats the one before it.
+        grid = default_radii() if radii is None else radii
+
+        def scan(k):
+            def gamma(p, v):
+                r = abs(v[0])
+                return np.array([[grid[k - 1] if r == grid[k] else r]])
+
+            report = fiber_scan(ConnectionField(1, gamma), [0.0], radii=radii, weight=EUCLIDEAN)
+            assert report.theta_min[0, k] == report.theta_min[0, k - 1]
+            assert uvb_classify(report) == report.verdict
+            return report.verdict
+
+        # A repeat that straddles the window's first radius is outside it.
+        assert scan(top) == NOT_UVB
+        assert scan(top + 1) == INCONCLUSIVE
+
 
 class TestReportSerialization:
     def test_dict_round_trip(self):
@@ -365,6 +391,14 @@ def _reference_classify(radii, theta, beta, eps):
     if float(theta.min()) >= eps and bool(np.all(beta >= BETA_FLAT)):
         return UVB
     return INCONCLUSIVE
+
+
+_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_BIGNUM = 1.0 / _SMLNUM
+
+
+def _signed(floats):
+    return floats.flatmap(lambda x: st.sampled_from([x, -x]))
 
 
 def _floats(lo, hi):
@@ -492,6 +526,43 @@ class TestStackedScan:
         assert len(record) == 1  # one per scan, whatever the number of directions
         assert report.beta == pytest.approx([-0.5, -0.5], abs=1e-12)
         assert report.verdict == INCONCLUSIVE
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_cases(), _floats(1e-12, 1.0))
+    def test_classify_on_a_report_is_the_reference(self, case, eps):
+        conn, p, dirs, radii, weight = case
+        report = fiber_scan(conn, p, dirs, radii, weight)
+        for e in (DEFAULT_EPS, eps):
+            assert uvb_classify(report, e) == _reference_classify(
+                radii, report.theta_min, report.beta, e)
+
+    # LAPACK's dgesdd rescales a matrix whose largest entry lies outside
+    # [sqrt(tiny) / eps, its inverse], about [6.7e-139, 1.49e138].
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_signed(st.floats(_SMLNUM, _BIGNUM)), min_size=1, max_size=42))
+    @example([_SMLNUM, -np.nextafter(_SMLNUM, 1.0), np.nextafter(_BIGNUM, 0.0), -_BIGNUM])
+    def test_one_dimensional_angles_are_the_svds_inside_lapacks_range(self, xs):
+        WG = np.array(xs)[:, None, None]
+        svd = np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
+        assert _angle_stack(WG).tobytes() == svd.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_signed(st.one_of(
+        st.floats(0.0, _SMLNUM, exclude_max=True),
+        st.floats(_BIGNUM, np.finfo(float).max, exclude_min=True),
+    )), min_size=1, max_size=42))
+    @example([0.0, -0.0, 5e-324, -5e-324, np.nextafter(_SMLNUM, 0.0)])
+    @example([np.nextafter(_BIGNUM, np.inf), np.finfo(float).max, -np.finfo(float).max])
+    def test_one_dimensional_angles_are_exact_outside_it(self, xs):
+        # The singular value used is |x| itself, where the SVD may be 1 ulp off;
+        # below the range both give pi/2.
+        WG = np.array(xs)[:, None, None]
+        got = _angle_stack(WG)
+        assert got.tobytes() == np.arctan2(1.0, np.abs(WG[:, :, 0])).tobytes()
+        small = np.abs(WG[:, :, 0]) < _SMLNUM
+        assert (got[small] == np.pi / 2).all()
+        svd = np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
+        assert got[small].tobytes() == svd[small].tobytes()
 
     def test_principal_angles_match_scalar_formula_bitwise(self):
         rng = np.random.default_rng(17)
