@@ -265,10 +265,10 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     SVD's bits up to 1.49e138, exact beyond), one batched SVD for n >= 2.  On
     failure the samples are rerun in (direction, radius) order through
     principal_angles, and the first to fail raises a RuntimeError naming its
-    direction and radius.  The decade fits are one least-squares solve with every direction
-    as a column (np.polyfit's bits for a 2-d y), on a plan built once at
-    import for the default radii that also holds the classifier's window, and
-    the verdict reads the whole stack.
+    direction and radius.  The decade fits are one least-squares solve with
+    every direction as a column (np.polyfit's bits for a 2-d y), on a plan
+    built once at import for the default radii that also holds the
+    classifier's window, and the verdict reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
