@@ -226,7 +226,7 @@ def _float_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
 
     def float_rhs(t: float, h: float):
         P, V = read(np.array(_stage_times(t, h)))
-        P, V = five(P) if base is None else base, five(V)
+        P, V = (five(P) if base is None else base), five(V)
         return lambda r, y: vertical(P[r], y, V[r])
 
     return float_rhs
