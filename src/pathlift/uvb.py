@@ -16,6 +16,7 @@ the fitted decay exponent of theta_m.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -143,10 +144,18 @@ def _angle_stack(WG: np.ndarray) -> np.ndarray:
     # LAPACK's dgesdd returns |x| for a 1x1 matrix bit for bit while |x| lies in
     # [6.7e-139, 1.49e138], and rescales outside it, up to 1 ulp off; below that
     # range both give pi/2, so the 1-d angles are the SVD's wherever |w Gamma| <=
-    # 1.49e138, and exact beyond.
+    # 1.49e138, and exact beyond.  For n >= 2 a matrix whose entries are all zero
+    # (-0.0 too) gets +0.0 without LAPACK, the bits dgesdd returns for it: the SVD
+    # takes the nonzero matrices only, the whole stack when none is zero.
     if WG.shape[-1] == 1:
         return np.arctan2(1.0, np.abs(WG[:, :, 0]))
-    return np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
+    nonzero = WG.any(axis=(1, 2))
+    if nonzero.all():
+        return np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
+    s = np.zeros(WG.shape[:2])
+    if nonzero.any():
+        s[nonzero] = np.linalg.svd(WG[nonzero], compute_uv=False)
+    return np.arctan2(1.0, s)
 
 
 def cross_gram_angles(conn: ConnectionField, p, v,
@@ -235,6 +244,20 @@ def _fit_plan(radii: np.ndarray) -> tuple:
 _DEFAULT_PLAN = _fit_plan(default_radii())
 
 
+@functools.lru_cache(maxsize=8)
+def _default_layout(n: int) -> tuple:
+    # The default grid in dimension n, built once: its directions, radii, fiber
+    # points (direction-major, as a scan stacks them) and normalized weights,
+    # all read-only and finite by construction.  A process scans few
+    # dimensions; the bound keeps one that scans many from growing.
+    dirs, rads = axis_directions(n), default_radii()
+    vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
+    layout = dirs, rads, vs, NORMALIZED.stack(vs)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def _decade_fits(plan: tuple, theta: np.ndarray) -> np.ndarray:
     # np.polyfit's slopes with the rows of theta as the columns of y: one solve for
     # every direction, on one factorization of the plan's matrix.
@@ -262,41 +285,55 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     divide="ignore"): the weights first, then ``conn.stack`` (``gamma`` must not
     modify an array it returned earlier), then one finiteness check of the
     weighted stack w * Gamma, and its singular values: |w Gamma| in 1-d (the
-    SVD's bits up to 1.49e138, exact beyond), one batched SVD for n >= 2.  On
-    failure the samples are rerun in (direction, radius) order through
-    principal_angles, and the first to fail raises a RuntimeError naming its
-    direction and radius.  The decade fits are one least-squares solve with
-    every direction as a column (np.polyfit's bits for a 2-d y), on a plan
-    built once at import for the default radii that also holds the
-    classifier's window, and the verdict reads the whole stack.
+    SVD's bits up to 1.49e138, exact beyond), one batched SVD of the nonzero
+    matrices for n >= 2, where an all-zero matrix gets 0 without LAPACK.  The
+    default grid's directions, radii, fiber points and normalized weights are
+    built once per dimension; each scan hands gamma a fresh copy of the fiber
+    points and its report fresh copies of the grid.  On failure the samples
+    are rerun in (direction, radius) order through principal_angles, and the
+    first to fail raises a RuntimeError naming its direction and radius.  The
+    decade fits are one least-squares solve with every direction as a column
+    (np.polyfit's bits for a 2-d y), on a plan built once at import for the
+    default radii that also holds the classifier's window, and the verdict
+    reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
     n = conn.dimension
     if pc.size != n:  # before anything of size n is built
         raise ValueError(f"base point has length {pc.size}, connection n={n}")
-    dirs = axis_directions(n) if directions is None else np.asarray(directions, dtype=float)
-    if directions is not None:
-        if dirs.ndim != 2 or dirs.shape[0] == 0:
-            raise ValueError(f"directions must be a nonempty (m, n) array, got shape {dirs.shape}")
-        if dirs.shape[1] != n:
-            raise ValueError(f"directions have length {dirs.shape[1]}, connection n={n}")
-        # Checks in positive form, so that a NaN fails them.
-        norms = np.linalg.norm(dirs, axis=1)
-        if not (np.isfinite(dirs).all() and (np.abs(norms - 1.0) <= 1e-12).all()):
-            raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
-    rads = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    if radii is not None and not (
-            rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
-            and (rads > 0).all() and (np.diff(rads) > 0).all()):
-        raise ValueError("radii must be a strictly increasing, positive and finite grid")
-    vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
+    layout = directions is None and radii is None
+    if layout:
+        # Fresh copies: a report's grid is its own, and gamma (or a custom
+        # weight) may write into its fiber argument.
+        dirs, rads, vs, w = _default_layout(n)
+        dirs, rads, vs = dirs.copy(), rads.copy(), vs.copy()
+    else:
+        dirs = axis_directions(n) if directions is None else np.asarray(directions, dtype=float)
+        if directions is not None:
+            if dirs.ndim != 2 or dirs.shape[0] == 0:
+                raise ValueError(
+                    f"directions must be a nonempty (m, n) array, got shape {dirs.shape}")
+            if dirs.shape[1] != n:
+                raise ValueError(f"directions have length {dirs.shape[1]}, connection n={n}")
+            # Checks in positive form, so that a NaN fails them.
+            norms = np.linalg.norm(dirs, axis=1)
+            if not (np.isfinite(dirs).all() and (np.abs(norms - 1.0) <= 1e-12).all()):
+                raise ValueError("scan directions must be finite unit vectors (to 1e-12)")
+        rads = default_radii() if radii is None else np.asarray(radii, dtype=float)
+        if radii is not None and not (
+                rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
+                and (rads > 0).all() and (np.diff(rads) > 0).all()):
+            raise ValueError("radii must be a strictly increasing, positive and finite grid")
+        vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
     try:
-        if not np.isfinite(vs).all():
+        if not layout and not np.isfinite(vs).all():
             raise ValueError("fiber points are not finite")
+        if not (layout and weight.mode == "normalized"):
+            w = weight.stack(vs)
         # w > 0 is finite, so the weighted stack is finite where Gamma is and
         # w * Gamma does not overflow.
-        WG = weight.stack(vs)[:, None, None] * conn.stack(pc, vs)
+        WG = w[:, None, None] * conn.stack(pc, vs)
         if not np.isfinite(WG).all():
             raise ValueError("weighted coefficient stack is not finite")
         theta = _angle_stack(WG)[:, 0].reshape(dirs.shape[0], rads.size)

@@ -37,6 +37,16 @@ def _const_field(mat):
     return ConnectionField(mat.shape[0], lambda p, v: mat, name="const")
 
 
+def _repeat_at(grid, k):
+    # |Gamma| = r, so theta ~ 1/r decays with beta near -1 under the euclidean
+    # weight, except that the sample at grid[k] repeats the one before it.
+    def gamma(p, v):
+        r = abs(v[0])
+        return np.array([[grid[k - 1] if r == grid[k] else r]])
+
+    return ConnectionField(1, gamma, name="repeat")
+
+
 class TestFiberWeight:
     def test_euclidean_is_one(self):
         assert EUCLIDEAN([3.0, 4.0]) == 1.0
@@ -321,16 +331,10 @@ class TestClassifier:
         (3.0 ** np.arange(10), 5),  # the top two decades start at 3^5 = 243
     ], ids=["default", "caller"])
     def test_equal_samples_in_the_top_two_decades_are_not_decreasing(self, radii, top):
-        # |Gamma| = r, so theta ~ 1/r decays with beta near -1, except that the
-        # sample at radii[k] repeats the one before it.
         grid = default_radii() if radii is None else radii
 
         def scan(k):
-            def gamma(p, v):
-                r = abs(v[0])
-                return np.array([[grid[k - 1] if r == grid[k] else r]])
-
-            report = fiber_scan(ConnectionField(1, gamma), [0.0], radii=radii, weight=EUCLIDEAN)
+            report = fiber_scan(_repeat_at(grid, k), [0.0], radii=radii, weight=EUCLIDEAN)
             assert report.theta_min[0, k] == report.theta_min[0, k - 1]
             assert uvb_classify(report) == report.verdict
             return report.verdict
@@ -455,6 +459,10 @@ _CHRISTOFFEL3 = _member("christoffel", dimension=3, terms=[
 ])
 
 
+# A caller grid whose top two decades start at 3^5 = 243.
+_REPEAT_GRID = 3.0 ** np.arange(10)
+
+
 def _report_bits(report):
     # Every field of a scan report, an array as its dtype, shape and bytes.
     bits = {}
@@ -474,6 +482,11 @@ class TestStackedScan:
               10.0 * np.arange(1, 13), NORMALIZED))
     @example((_CHRISTOFFEL3, np.array([0.2, -0.5, 0.7]), axis_directions(3),
               10.0 * np.arange(1, 13), NORMALIZED))
+    # theta is equal at 3^5 and 3^6, the first two radii of the top two decades,
+    # and falls below eps after them with beta near -1: Inconclusive, and NotUVB
+    # under a classifier window that starts one radius late.
+    @example((_repeat_at(_REPEAT_GRID, 6), np.array([0.0]), axis_directions(1),
+              _REPEAT_GRID, EUCLIDEAN))
     def test_matches_per_sample_reference_bitwise(self, case):
         conn, p, dirs, radii, weight = case
         report = fiber_scan(conn, p, dirs, radii, weight)
@@ -499,6 +512,8 @@ class TestStackedScan:
         else:
             assert np.abs(report.beta - alone).max() <= 1e-14
 
+    @pytest.mark.parametrize("weight", [NORMALIZED, EUCLIDEAN, CUSTOM],
+                             ids=lambda weight: weight.mode)
     @pytest.mark.parametrize("conn", [
         *(gallery(name) for name in ("fig1", "sphere-stereographic")),
         *(_member("flat", dimension=n) for n in (1, 2, 3)),
@@ -506,15 +521,31 @@ class TestStackedScan:
         *(_member("power-growth", alpha=a) for a in (0.5, 1.0, 1.5, 2.0)),
         _CHRISTOFFEL3,
     ], ids=lambda conn: conn.name)
-    def test_default_grid_is_the_explicit_grid(self, conn):
+    def test_default_grid_is_the_explicit_grid(self, conn, weight):
         p = np.linspace(-0.4, 0.6, conn.dimension)
-        default = fiber_scan(conn, p)
+        default = fiber_scan(conn, p, weight=weight)
         want = _report_bits(default)
-        explicit = fiber_scan(conn, p, axis_directions(conn.dimension), default_radii())
+        explicit = fiber_scan(conn, p, axis_directions(conn.dimension), default_radii(), weight)
         # A report's grid is its own: writing into it moves no later scan.
         default.radii[:] = 3.0
         default.directions[:] = 0.5
+        again = fiber_scan(conn, p, weight=weight)
         assert _report_bits(explicit) == want
+        assert _report_bits(again) == want
+        assert not np.shares_memory(default.directions, again.directions)
+        assert not np.shares_memory(default.radii, again.radii)
+
+    def test_gamma_that_writes_into_its_fiber_argument_moves_no_later_scan(self):
+        # One row at a time (the member does not broadcast), each row read
+        # before it is overwritten: every scan must get the default grid afresh.
+        def gamma(p, v):
+            g = np.array([[1.0 + v[0] ** 2, v[1]], [-v[0], 2.0 + v[1] ** 2]])
+            v[:] = 7.0
+            return g
+
+        conn, p = ConnectionField(2, gamma, name="overwrites"), np.array([0.3, -0.2])
+        want = _report_bits(fiber_scan(conn, p, axis_directions(2), default_radii()))
+        assert _report_bits(fiber_scan(conn, p)) == want
         assert _report_bits(fiber_scan(conn, p)) == want
 
     def test_rank_deficient_decade_fit_warns(self):
@@ -563,6 +594,30 @@ class TestStackedScan:
         assert (got[small] == np.pi / 2).all()
         svd = np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
         assert got[small].tobytes() == svd[small].tobytes()
+
+    # Stacks of 2x2 or 3x3 matrices, some of them zero with entries of either
+    # sign: a zero matrix takes no SVD but must still get the SVD's bits.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(st.one_of(
+        st.lists(_floats(-1e3, 1e3), min_size=n * n, max_size=n * n),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=n * n, max_size=n * n),
+    ), min_size=1, max_size=42).map(lambda ms: np.array(ms).reshape(-1, n, n))))
+    @example(np.array([[[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [-0.0, -0.0]]]))
+    @example(np.arange(1.0, 28.0).reshape(3, 3, 3))
+    @example(np.array([[[1.0, 2.0], [3.0, 4.0]], [[-0.0, 0.0], [0.0, 0.0]],
+                       [[0.5, 0.0], [0.0, -0.25]]]))
+    def test_zero_matrices_get_the_svds_bits(self, WG):
+        svd = np.arctan2(1.0, np.linalg.svd(WG, compute_uv=False))
+        assert _angle_stack(WG).tobytes() == svd.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(_floats(-1e3, 1e3), min_size=n, max_size=n)] * 2)),
+        st.sampled_from([NORMALIZED, EUCLIDEAN, CUSTOM]))
+    def test_flat_angles_are_right_angles(self, case, weight):
+        n, p, v = case
+        angles = principal_angles(_member("flat", dimension=n), p, v, weight).angles
+        assert (angles == np.pi / 2).all() and angles.shape == (n,)
 
     def test_principal_angles_match_scalar_formula_bitwise(self):
         rng = np.random.default_rng(17)
