@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -88,6 +88,9 @@ class PathCurve:
     When ``broadcasts`` is true they also take a column of times, shape
     (k, 1), and return arrays that broadcast to (k, n), each row bit for bit
     the value at its time.  The built-in paths and their reversals broadcast.
+    ``_column``, the one reader of ``broadcasts``, reads either callable at
+    a column of times for ``sample`` and for lifts: through one call when
+    the path broadcasts, else one call per time with a Python float.
 
     ``fixed_velocity``, set on segments alone, is the constant velocity
     ``velocity(t)`` returns at every t, bit for bit; 1-d lifts in floats read
@@ -103,12 +106,21 @@ class PathCurve:
     broadcasts: bool = False
     fixed_velocity: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def _column(self, f: Callable[[float], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        """``f``, this path's position or velocity, as a function of a (k, 1) column of
+        times whose value broadcasts to (k, n)."""
+        if self.broadcasts:
+            return f
+        return lambda col: np.array([f(t) for t in col[:, 0].tolist()])
+
     def sample(self, ts) -> np.ndarray:
-        """Positions at the given parameter values, stacked as an (m, n) array."""
+        """Positions at a number or a 1-d array of parameter values, as an (m, n) array."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.broadcasts and ts.ndim == 1:
-            return np.array(np.broadcast_to(self.position(ts[:, None]), (ts.size, self.dimension)))
-        return np.array([self.position(float(t)) for t in ts])
+        if ts.ndim != 1:
+            raise ValueError(f"sample times must be a number or a 1-d array, got shape {ts.shape}")
+        position = self._column(self.position)
+        rows = position(ts[:, None]) if ts.size else np.empty((0, self.dimension))
+        return np.array(np.broadcast_to(rows, (ts.size, self.dimension)))
 
     @property
     def start(self) -> np.ndarray:
@@ -280,15 +292,10 @@ def path_circle(center, radius: float, plane=(0, 1)) -> PathCurve:
 
 
 def path_reverse(path: PathCurve) -> PathCurve:
-    """The same trace run backwards: gamma_r(t) = gamma(1 - t)."""
+    """The same trace run backwards: gamma_r(t) = gamma(1 - t), broadcasting as path does."""
     pos, vel = path.position, path.velocity
-    return PathCurve(
-        path.dimension,
-        lambda t: pos(1.0 - t),
-        lambda t: -vel(1.0 - t),
-        kind="custom",
-        broadcasts=path.broadcasts,
-    )
+    return replace(path, position=lambda t: pos(1.0 - t), velocity=lambda t: -vel(1.0 - t),
+                   kind="custom")
 
 
 # The fields each path kind reads.

@@ -106,20 +106,19 @@ def horizontal_lifts(conn: ConnectionField, path: PathCurve, seeds,
     """Lifts of ``path`` through each fiber value in ``seeds``, in order.
 
     The seeds, a lone seed too, run as lanes of one integration.  Each
-    evaluation reads the path once for all its times: the seed derivatives,
-    the first step's probe, and each step at the five distinct stage times
-    of the live lanes (one ``position`` and one ``velocity`` call when the
-    path broadcasts, else one per time).  A member with Christoffel tensors
-    (``conn.christoffel``) builds them there in one call, and a stage then
-    only contracts them with its fiber rows; other members take one
-    ``conn.stack`` per stage.  The lanes of a member with a float form,
-    ``conn.float_vertical``, lone or batched, step in Python floats instead,
-    each lane in turn, to its end, reading the path once per step attempt,
-    and a segment's ``fixed_velocity`` once.  Either route gives the same
-    bits.  When ``gamma`` ignores the base point (``conn.uses_base``
-    false), every call gets the path's starting point.  Each trajectory
-    equals the seed's lift alone bit for bit.  If the batch raises, the
-    error is the one the first failing seed raises alone.
+    evaluation reads the path once for all its times, as one column (see
+    ``PathCurve``): the seed derivatives, the first step's probe, and each
+    step at the five distinct stage times of the live lanes.  A member with
+    Christoffel tensors (``conn.christoffel``) builds them there in one
+    call, and a stage then only contracts them with its fiber rows; other
+    members take one ``conn.stack`` per stage.  The lanes of a member with a
+    float form, ``conn.float_vertical``, lone or batched, step in Python
+    floats instead, each lane in turn, to its end, reading the path once per
+    step attempt, and a segment's ``fixed_velocity`` once.  Either route
+    gives the same bits.  When ``gamma`` ignores the base point
+    (``conn.uses_base`` false), every call gets the path's starting point.
+    Each trajectory equals the seed's lift alone bit for bit.  If the batch
+    raises, the error is the one the first failing seed raises alone.
     """
     return list(_lifts_in_seed_order(conn, path, list(seeds), opts))
 
@@ -191,42 +190,32 @@ def _lift_lanes(conn: ConnectionField, path: PathCurve, vs: list[np.ndarray], p0
     ]
 
 
-def _path_reader(path: PathCurve, p0: np.ndarray, uses_base: bool):
-    """The path at a 1-d array of times: positions (p0 when gamma ignores the base
-    point) and velocities, as arrays that broadcast to (times.size, n)."""
-    pos, vel = path.position, path.velocity
-    if path.broadcasts:
-        return lambda times: (pos(times[:, None]) if uses_base else p0, vel(times[:, None]))
-    return lambda times: (np.array([pos(t) for t in times]) if uses_base else p0,
-                          np.array([vel(t) for t in times]))
-
-
 def _float_rhs(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
     """The lift's rhs in Python floats, ``float_rhs(t, h)`` of integrate_lanes, from
     ``float_vertical``, bit for bit the field's; None without ``float_vertical``."""
     vertical, fixed, n = conn.float_vertical, path.fixed_velocity, conn.dimension
     if vertical is None:
         return None
+    pos, vel = path._column(path.position), path._column(path.velocity)
     # A stack of points or vectors in floats: a float each in 1-d, an n-list in n-d.
     rows = (lambda X: X.ravel().tolist()) if n == 1 else np.ndarray.tolist
-    if fixed is not None:  # a segment, its velocity read once: p0 + t d is its position's bits
+    if fixed is not None:  # a segment, its velocity read once
         a, d = rows(np.array([p0, fixed]))
         if not conn.uses_base:
             g = lambda r, y: vertical(a, y, d)
             return lambda t, h: g
 
         def segment(t: float, h: float):
-            P = rows(p0 + np.array(_stage_times(t, h))[:, None] * fixed)
+            P = rows(pos(np.array(_stage_times(t, h))[:, None]))
             return lambda r, y: vertical(P[r], y, d)
 
         return segment
-    read = _path_reader(path, p0, conn.uses_base)
     five = lambda X: rows(X if X.shape == (5, n) else np.broadcast_to(X, (5, n)))
     base = None if conn.uses_base else five(p0)  # p0's five rows, made once
 
     def float_rhs(t: float, h: float):
-        P, V = read(np.array(_stage_times(t, h)))
-        P, V = (five(P) if base is None else base), five(V)
+        col = np.array(_stage_times(t, h))[:, None]
+        P, V = (five(pos(col)) if base is None else base), five(vel(col))
         return lambda r, y: vertical(P[r], y, V[r])
 
     return float_rhs
@@ -238,13 +227,13 @@ def _field(conn: ConnectionField, path: PathCurve, p0: np.ndarray):
     p0 is the path's starting point, passed for every lane when gamma
     ignores the base point.
     """
-    stack, christoffel, n = conn.stack, conn.christoffel, conn.dimension
-    read = _path_reader(path, p0, conn.uses_base)
+    stack, christoffel, n, uses_base = conn.stack, conn.christoffel, conn.dimension, conn.uses_base
+    pos, vel = path._column(path.position), path._column(path.velocity)
 
     def field(T: np.ndarray):
-        (s, k), times = T.shape, T.ravel()
+        (s, k), col = T.shape, T.reshape(-1, 1)
         # Positions and velocities at all the times, as arrays that broadcast to (s * k, n).
-        P, V = read(times)
+        P, V = (pos(col) if uses_base else p0), vel(col)
         G = None
         if christoffel is not None:
             P = P if P.shape == (s * k, n) else np.broadcast_to(P, (s * k, n))

@@ -228,34 +228,32 @@ def _top_two(radii: np.ndarray) -> int:
     return int(np.argmax(radii >= radii[-1] / 100.0))
 
 
-def _fit_plan(radii: np.ndarray) -> tuple:
-    # The classifier's window, then np.polyfit's plan over the largest decade: the
-    # window's first index (two radii or more), the scaled Vandermonde matrix of
+def _grid(dirs: np.ndarray, rads: np.ndarray) -> tuple:
+    # A scan grid's fiber points, direction-major as a scan stacks them, and its fit
+    # plan: the classifier's window, then np.polyfit's plan over the largest decade:
+    # the window's first index (two radii or more), the scaled Vandermonde matrix of
     # log r, its slope column's scale and rcond.
-    start = min(int(np.argmax(radii >= radii[-1] / 10.0)), radii.size - 2)
-    lhs = np.vander(np.log(radii[start:]), 2)
+    vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, dirs.shape[1])
+    start = min(int(np.argmax(rads >= rads[-1] / 10.0)), rads.size - 2)
+    lhs = np.vander(np.log(rads[start:]), 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
     lhs.flags.writeable = False
-    return _top_two(radii), start, lhs, scale[0], len(lhs) * np.finfo(float).eps
-
-
-# The default grid's plan, built once at import like the integrator's tableau.
-_DEFAULT_PLAN = _fit_plan(default_radii())
+    return vs, (_top_two(rads), start, lhs, scale[0], len(lhs) * np.finfo(float).eps)
 
 
 @functools.lru_cache(maxsize=8)
 def _default_layout(n: int) -> tuple:
     # The default grid in dimension n, built once: its directions, radii, fiber
-    # points (direction-major, as a scan stacks them) and normalized weights,
-    # all read-only and finite by construction.  A process scans few
-    # dimensions; the bound keeps one that scans many from growing.
+    # points, normalized weights and fit plan, the arrays read-only and finite by
+    # construction.  A process scans few dimensions; the bound keeps one that
+    # scans many from growing.
     dirs, rads = axis_directions(n), default_radii()
-    vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
+    vs, plan = _grid(dirs, rads)
     layout = dirs, rads, vs, NORMALIZED.stack(vs)
     for a in layout:
         a.flags.writeable = False
-    return layout
+    return *layout, plan
 
 
 def _decade_fits(plan: tuple, theta: np.ndarray) -> np.ndarray:
@@ -287,15 +285,15 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     weighted stack w * Gamma, and its singular values: |w Gamma| in 1-d (the
     SVD's bits up to 1.49e138, exact beyond), one batched SVD of the nonzero
     matrices for n >= 2, where an all-zero matrix gets 0 without LAPACK.  The
-    default grid's directions, radii, fiber points and normalized weights are
-    built once per dimension; each scan hands gamma a fresh copy of the fiber
-    points and its report fresh copies of the grid.  On failure the samples
-    are rerun in (direction, radius) order through principal_angles, and the
-    first to fail raises a RuntimeError naming its direction and radius.  The
-    decade fits are one least-squares solve with every direction as a column
-    (np.polyfit's bits for a 2-d y), on a plan built once at import for the
-    default radii that also holds the classifier's window, and the verdict
-    reads the whole stack.
+    default grid is one record per dimension, built once: its directions,
+    radii, fiber points, normalized weights and fit plan; each scan hands
+    gamma a fresh copy of the fiber points and its report fresh copies of the
+    grid.  On failure the samples are rerun in (direction, radius) order
+    through principal_angles, and the first to fail raises a RuntimeError
+    naming its direction and radius.  The decade fits are one least-squares
+    solve with every direction as a column (np.polyfit's bits for a 2-d y),
+    on the grid's fit plan, which also holds the classifier's window, and the
+    verdict reads the whole stack.
     """
     eps = _check_eps(eps)
     pc = as_coords(p, "base point")
@@ -306,7 +304,7 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
     if layout:
         # Fresh copies: a report's grid is its own, and gamma (or a custom
         # weight) may write into its fiber argument.
-        dirs, rads, vs, w = _default_layout(n)
+        dirs, rads, vs, w, plan = _default_layout(n)
         dirs, rads, vs = dirs.copy(), rads.copy(), vs.copy()
     else:
         dirs = axis_directions(n) if directions is None else np.asarray(directions, dtype=float)
@@ -325,7 +323,7 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                 rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
                 and (rads > 0).all() and (np.diff(rads) > 0).all()):
             raise ValueError("radii must be a strictly increasing, positive and finite grid")
-        vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, n)
+        vs, plan = _grid(dirs, rads)
     try:
         if not layout and not np.isfinite(vs).all():
             raise ValueError("fiber points are not finite")
@@ -347,7 +345,6 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                         f"angle computation failed at direction {i} ({d}), radius {r}: {e_i}"
                     ) from e_i
         raise RuntimeError(f"angle computation failed: {e}") from e
-    plan = _DEFAULT_PLAN if radii is None else _fit_plan(rads)
     beta = _decade_fits(plan, theta)
     verdict = _classify(plan[0], theta, beta, eps)
     return FiberScanReport(

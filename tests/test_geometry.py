@@ -246,6 +246,30 @@ class TestBroadcasting:
         rows = np.array([path.position(float(t)) for t in self.TIMES])
         assert path.sample(self.TIMES).tobytes() == rows.tobytes()
 
+    @pytest.mark.parametrize("name", PATHS)
+    def test_a_wrap_that_does_not_broadcast_samples_the_same(self, name):
+        # A path of one's own callables is called once per time, with a Python float.
+        path, types = self.PATHS[name], []
+
+        def position(t):
+            types.append(type(t))
+            return path.position(t)
+
+        wrap = PathCurve(path.dimension, position, path.velocity)
+        assert not wrap.broadcasts
+        assert wrap.sample(self.TIMES).tobytes() == path.sample(self.TIMES).tobytes()
+        assert types == [float] * self.TIMES.size
+        assert wrap.sample(0.25).tobytes() == path.sample(0.25).tobytes()
+        assert wrap.sample([]).shape == path.sample([]).shape == (0, path.dimension)
+
+    @pytest.mark.parametrize("broadcasts", [True, False])
+    @pytest.mark.parametrize("shape", [(105, 1), (3, 35), (1, 1)])
+    def test_sample_times_must_be_one_dimensional(self, broadcasts, shape):
+        seg = self.PATHS["segment"]
+        path = PathCurve(seg.dimension, seg.position, seg.velocity, broadcasts=broadcasts)
+        with pytest.raises(ValueError, match="a number or a 1-d array"):
+            path.sample(self.TIMES[:np.prod(shape)].reshape(shape))
+
     def test_custom_paths_do_not_broadcast(self):
         custom = PathCurve(1, lambda t: np.array([t]), lambda t: np.ones(1))
         assert not custom.broadcasts

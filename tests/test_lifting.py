@@ -310,6 +310,10 @@ def _batch_cases(draw, members=_MEMBERS, max_seeds=8):
     return conn, path, seeds, opts, order
 
 
+_POLYLINE1 = path_polyline([[0.0], [0.6], [1.2]], [0.0, 0.3, 1.0])
+_POLYLINE2 = path_polyline([[0.0, 0.2], [0.5, 1.0], [1.0, -0.3]], [0.0, 0.4, 1.0])
+
+
 class TestHorizontalLifts:
     @settings(max_examples=60, deadline=None)
     @given(_batch_cases())
@@ -335,18 +339,40 @@ class TestHorizontalLifts:
         for v, traj in zip(seeds, batch):
             _assert_same_lift(traj, horizontal_lift(FIG1, UNIT, v, opts))
 
-    @pytest.mark.parametrize("conn", [_CUSTOM, gallery("sphere-stereographic")],
-                             ids=["row by row", "broadcast"])
-    def test_path_that_does_not_broadcast(self, conn):
-        # A path of one's own callables is evaluated one time per lane; its
-        # lanes equal its lone lifts and the lifts along the polyline it wraps.
-        poly = path_polyline([[0.0, 0.2], [0.5, 1.0], [1.0, -0.3]], [0.0, 0.4, 1.0])
-        custom = PathCurve(2, lambda t: poly.position(t), lambda t: poly.velocity(t))
-        seeds = [[0.5, -0.25], [1.0, 0.0], [-0.75, 0.5]]
+    @pytest.mark.parametrize("conn, path", [
+        (_CUSTOM, _POLYLINE2),
+        (gallery("sphere-stereographic"), _POLYLINE2),
+        (gallery("sphere-stereographic"), path_circle([0.1, -0.2], 0.5)),
+        (FIG1, _POLYLINE1),
+        (FIG1, path_segment([0.2], [1.1])),
+        (_scalar(-1.5), _POLYLINE1),
+        (_scalar(-1.5), path_segment([0.2], [1.1])),
+    ], ids=["row by row", "broadcast", "sphere, circle", "fig1, polyline", "fig1, segment",
+            "scalar-linear, polyline", "scalar-linear, segment"])
+    def test_path_that_does_not_broadcast(self, conn, path):
+        # A path of one's own callables is evaluated one time per lane, with a
+        # Python float, in the stacked kernel (row by row) and in both float
+        # kernels; its wrap of a segment has no fixed_velocity.  Its lanes equal
+        # its lone lifts and the lifts along the path it wraps.
+        types = set()
+
+        def read(f):
+            def call(t):
+                types.add(type(t))
+                return f(t)
+            return call
+
+        custom = PathCurve(path.dimension, read(path.position), read(path.velocity))
+        assert not custom.broadcasts and custom.fixed_velocity is None
+        seeds = ([[0.5, -0.25], [1.0, 0.0], [-0.75, 0.5]] if path.dimension == 2
+                 else [[0.5], [-0.25], [1.0], [-0.0]])
         lanes = horizontal_lifts(conn, custom, seeds)
-        for v, traj, ref in zip(seeds, lanes, horizontal_lifts(conn, poly, seeds)):
+        for v, traj, ref in zip(seeds, lanes, horizontal_lifts(conn, path, seeds)):
             _assert_same_lift(traj, horizontal_lift(conn, custom, v))
             _assert_same_lift(traj, ref)
+        assert types == {float}
+        if conn is FIG1:
+            assert {traj.stop_reason for traj in lanes} == {"complete", "escape-norm"}
 
     def test_stop_reason_tells_min_step_from_max_steps(self):
         # Both end in step-collapse: the min_step floor below the escape norm,
@@ -959,6 +985,8 @@ class TestIntegrationAccuracy:
     )
     # A fiber so small that the error norm of scipy's DOP853 divides 0 by 0.
     @example("scalar-linear", 0.0, 1.0, [0.0, 0.5], False, 1.1600656951233855e-170)
+    # A span so short that DOP853 on c itself divides 0 by 0 at every step.
+    @example("fig1", 0.0, 1.0, [0.0, 5.949928767260391e-162], False, 0.0)
     def test_complete_1d_lifts_match_dop853(self, member, alpha, lam, ends, reverse, v0):
         # The 1-d float-form members at the default options (rtol 1e-9)
         # against scipy's DOP853 at rtol 1e-13 on c' = -Gamma(c) gamma'.
@@ -983,14 +1011,22 @@ class TestIntegrationAccuracy:
         def rhs(t, c):
             return -(conn.row(path.position(t), c) @ path.velocity(t))
 
+        # The oracle integrates the displacement in units of the initial speed,
+        # u = (c - v0) / s.  Its error norm adds the squares of err / (atol + rtol
+        # |y|); when a whole lift moves c by less than about 1e-150 of that scale,
+        # as along a span of 6e-162, both squares underflow and DOP853 on c itself
+        # divides 0 by 0 at every step.  In u the first step moves y by about h.
+        s = abs(rhs(0.0, np.array([v0])).item()) or 1.0
         # Only the oracle runs under errstate: its step-size control underflows
         # on tiny fibers, where the lift under test must not warn.
         with np.errstate(invalid="ignore", under="ignore"):
-            sol = solve_ivp(rhs, (0.0, 1.0), [v0], method="DOP853", rtol=1e-13, atol=1e-15,
+            sol = solve_ivp(lambda t, u: rhs(t, v0 + s * u) / s, (0.0, 1.0), [0.0],
+                            method="DOP853", rtol=1e-13, atol=1e-15,
                             t_eval=np.linspace(0.0, 1.0, 201))
         assert sol.success, sol.message
-        ref = sol.y[0, -1]
-        speeds = np.abs([rhs(t, c).item() for t, c in zip(sol.t, sol.y.T)])
+        cs = v0 + s * sol.y[0]
+        ref = cs[-1]
+        speeds = np.abs([rhs(t, np.array([c])).item() for t, c in zip(sol.t, cs)])
         kappa = speeds[-1] / speeds.min() if speeds.min() > 0 else 1.0
         event("complete, kappa <= 10" if kappa <= 10 else "complete, kappa > 10")
         growth = 1.0 if kappa <= 10 else min(kappa, 1e3)

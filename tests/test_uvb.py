@@ -23,7 +23,7 @@ from pathlift.uvb import (
     principal_angles,
     uvb_classify,
 )
-from pathlift.uvb import _DEFAULT_PLAN, BETA_DECAY, BETA_FLAT, DEFAULT_EPS, _angle_stack
+from pathlift.uvb import BETA_DECAY, BETA_FLAT, DEFAULT_EPS, _angle_stack, _default_layout, _grid
 
 FIG1 = gallery("fig1")
 
@@ -324,7 +324,15 @@ class TestClassifier:
         assert report.verdict == NOT_UVB
 
     def test_default_plan_holds_the_top_two_decades(self):
-        assert _DEFAULT_PLAN[0] == int(np.argmax(default_radii() >= 2.0**20 / 100.0)) == 14
+        # Each dimension's default record holds the plan a caller's grid of the
+        # same radii builds.
+        for n in (1, 2, 3):
+            *arrays, plan = _default_layout(n)
+            vs, want = _grid(axis_directions(n), default_radii())
+            assert arrays[2].tobytes() == vs.tobytes()
+            assert plan[:2] == want[:2] and plan[3:] == want[3:]
+            assert plan[2].tobytes() == want[2].tobytes()
+            assert plan[0] == int(np.argmax(default_radii() >= 2.0**20 / 100.0)) == 14
 
     @pytest.mark.parametrize("radii, top", [
         (None, 14),

@@ -261,6 +261,14 @@ def _random_plan(count: int, seed: int) -> list[dict]:
     return plan
 
 
+def _random_christoffel(rng, n: int) -> dict:
+    """Parameters of a christoffel member of dimension n with four random terms."""
+    return {"dimension": n, "terms": [
+        {"k": rng.randrange(n), "i": rng.randrange(n), "j": rng.randrange(n),
+         "coeff": round(rng.uniform(-1.0, 1.0), 3),
+         "monomial": [rng.randrange(3) for _ in range(n)]} for _ in range(4)]}
+
+
 def _random_nd_plan(count: int, seed: int) -> list[dict]:
     import random
 
@@ -280,10 +288,7 @@ def _random_nd_plan(count: int, seed: int) -> list[dict]:
             params = {"dimension": 2}
         elif member == "christoffel":
             n = 2 + i // len(kinds) % 2
-            params = {"dimension": n, "terms": [
-                {"k": rng.randrange(n), "i": rng.randrange(n), "j": rng.randrange(n),
-                 "coeff": round(rng.uniform(-1.0, 1.0), 3),
-                 "monomial": [rng.randrange(3) for _ in range(n)]} for _ in range(4)]}
+            params = _random_christoffel(rng, n)
         if kind == "circle":
             path = ["circle", point(2, 0.5), round(rng.uniform(0.2, 1.0), 3)]
         elif kind == "polyline":
@@ -315,10 +320,7 @@ def _random_scan_plan(count: int, seed: int) -> list[dict]:
         elif member == "flat":
             params = {"dimension": n}
         elif member == "christoffel":
-            params = {"dimension": n, "terms": [
-                {"k": rng.randrange(n), "i": rng.randrange(n), "j": rng.randrange(n),
-                 "coeff": round(rng.uniform(-1.0, 1.0), 3),
-                 "monomial": [rng.randrange(3) for _ in range(n)]} for _ in range(4)]}
+            params = _random_christoffel(rng, n)
         directions, m = [], rng.randint(1, 4)
         while len(directions) < m:
             raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
