@@ -228,18 +228,21 @@ def _top_two(radii: np.ndarray) -> int:
     return int(np.argmax(radii >= radii[-1] / 100.0))
 
 
-def _grid(dirs: np.ndarray, rads: np.ndarray) -> tuple:
+def _grid(dirs: np.ndarray, rads: np.ndarray, plan: tuple | None = None) -> tuple:
     # A scan grid's fiber points, direction-major as a scan stacks them, and its fit
-    # plan: the classifier's window, then np.polyfit's plan over the largest decade:
-    # the window's first index (two radii or more), the scaled Vandermonde matrix of
-    # log r, its slope column's scale and rcond.
+    # plan, unless given one already built for these radii: the classifier's window,
+    # then np.polyfit's plan over the largest decade: the window's first index (two
+    # radii or more), the scaled Vandermonde matrix of log r, its slope column's
+    # scale and rcond.
     vs = (rads[None, :, None] * dirs[:, None, :]).reshape(-1, dirs.shape[1])
-    start = min(int(np.argmax(rads >= rads[-1] / 10.0)), rads.size - 2)
-    lhs = np.vander(np.log(rads[start:]), 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    lhs.flags.writeable = False
-    return vs, (_top_two(rads), start, lhs, scale[0], len(lhs) * np.finfo(float).eps)
+    if plan is None:
+        start = min(int(np.argmax(rads >= rads[-1] / 10.0)), rads.size - 2)
+        lhs = np.vander(np.log(rads[start:]), 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        lhs.flags.writeable = False
+        plan = _top_two(rads), start, lhs, scale[0], len(lhs) * np.finfo(float).eps
+    return vs, plan
 
 
 @functools.lru_cache(maxsize=8)
@@ -323,7 +326,9 @@ def fiber_scan(conn: ConnectionField, p, directions=None, radii=None,
                 rads.ndim == 1 and rads.size >= 2 and np.isfinite(rads).all()
                 and (rads > 0).all() and (np.diff(rads) > 0).all()):
             raise ValueError("radii must be a strictly increasing, positive and finite grid")
-        vs, plan = _grid(dirs, rads)
+        # The default radii's plan is the same in every dimension: take the
+        # 1-d record's rather than build one per scan or a large default grid.
+        vs, plan = _grid(dirs, rads, None if radii is not None else _default_layout(1)[4])
     try:
         if not layout and not np.isfinite(vs).all():
             raise ValueError("fiber points are not finite")
