@@ -534,11 +534,15 @@ class TestStackedScan:
         default = fiber_scan(conn, p, weight=weight)
         want = _report_bits(default)
         explicit = fiber_scan(conn, p, axis_directions(conn.dimension), default_radii(), weight)
+        # A caller's directions with the default radii, and the reverse.
+        mixed = [fiber_scan(conn, p, axis_directions(conn.dimension), None, weight),
+                 fiber_scan(conn, p, None, default_radii(), weight)]
         # A report's grid is its own: writing into it moves no later scan.
         default.radii[:] = 3.0
         default.directions[:] = 0.5
         again = fiber_scan(conn, p, weight=weight)
         assert _report_bits(explicit) == want
+        assert [_report_bits(r) for r in mixed] == [want, want]
         assert _report_bits(again) == want
         assert not np.shares_memory(default.directions, again.directions)
         assert not np.shares_memory(default.radii, again.radii)
