@@ -220,10 +220,13 @@ def _hermite_cells(knots: np.ndarray, ts):
     return k, h, (ts - knots[k]) / h
 
 
-def _hermite_dense(nodes_t, nodes_y, nodes_f, ts) -> np.ndarray:
+def _hermite_dense(nodes_t, nodes_y, nodes_f, ts, starts=None) -> np.ndarray:
     """Cubic Hermite interpolant of values y, slopes f at knots nodes_t, at a float or 1-d ts.
 
-    Polylines and the integrator's dense output both call it.
+    Polylines and the integrator's dense output both call it.  ``starts``, a
+    pair like (nodes_y, nodes_f), gives the value and slope each interval
+    reads at its start in their place: the integrator's 1-d lanes, whose
+    steps may start in another chart than the one their first node is kept in.
     """
     k, h, s = _hermite_cells(np.asarray(nodes_t), ts)
     # float_power calls libm pow() per element, as a scalar ``x ** 2`` does;
@@ -234,9 +237,10 @@ def _hermite_dense(nodes_t, nodes_y, nodes_f, ts) -> np.ndarray:
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     y, f = np.asarray(nodes_y), np.asarray(nodes_f)
+    y0, f0 = (y, f) if starts is None else starts
     return (
-        h00[..., None] * y[k]
-        + (h10 * h)[..., None] * f[k]
+        h00[..., None] * y0[k]
+        + (h10 * h)[..., None] * f0[k]
         + h01[..., None] * y[k + 1]
         + (h11 * h)[..., None] * f[k + 1]
     )

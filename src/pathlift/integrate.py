@@ -11,6 +11,22 @@ I, section II.4).  Integration ends in one of three ways, which
     step-collapse  the controller pushed the step below the minimum
                    (``min-step``) or the step budget ran out (``max-steps``)
 
+A 1-d lane has two charts.  It steps c until its seed or an accepted node
+reaches |c| >= sqrt(escape_norm) (1e4 by default), and then the inverted
+chart w = -1/c, solving w' = f(t, -1/w) w^2, whose steps do not shrink as c
+blows up.  Its error scale is c's carried through dc = dw / w^2,
+atol w^2 + rtol |w|, so the relative accuracy in c is the same.  It returns
+to c at an accepted |w| >= 1 (|c| <= 1), so a lift that comes back down
+through c = 0 stays correct.  In w the lane escapes (``escape-norm``) when
+an accepted step reaches |w| <= 1/escape_norm or changes the sign of w (c
+passed through infinity): ``t_escape`` is the time at which that step's
+cubic Hermite reaches w = -+1/escape_norm, where |c| reaches escape_norm,
+and that point becomes the lane's last node.  In c, and in n-d, the escape
+time is the accepted node's.  The switch needs 1/escape_norm to be a normal
+float (escape_norm <= 2^1022); above that a lane keeps its c chart.  A lift
+that stays below sqrt(escape_norm) never switches and takes the same bits
+under any escape norm.
+
 A trial step whose stages or error estimate are not finite (the rhs
 overflowed during a blow-up, or returned NaN) counts as a rejected step and
 is retried with a tenth of the step, silently: no RuntimeWarning.
@@ -38,7 +54,10 @@ error and norm sums add their squares component by component.  So a lane
 has the same bits in any kernel, signed zeros included, and the bits do not
 depend on how a BLAS orders a product.  The rhs adds its own sums: a lift
 adds them in the same order, but for the einsum that contracts 3-d
-Christoffel tensors, which adds three terms as (p0 + p2) + p1.
+Christoffel tensors, which adds three terms as (p0 + p2) + p1.  The scalar
+and stacked kernels take the 1-d chart switch with the same arithmetic, the
+lane's own methods deciding it (_Lane.onward), so a 1-d lane in w keeps its
+bits too.
 
 Every evaluation goes through one hook per step.  ``field`` is given the
 times of the evaluations to come as rows of a table and returns the
@@ -50,7 +69,8 @@ kernel calls ``float_rhs(t, h)`` once per step attempt for the same times
 path and Christoffel tensors) once per step, not once per stage.
 
 Results carry a fixed-size dense sampling built by cubic Hermite
-interpolation of the accepted steps (locally 4th order), plus step counts.
+interpolation of the accepted steps (locally 4th order), each step in the
+chart it was taken in and mapped back to c, plus step counts.
 """
 
 from __future__ import annotations
@@ -182,10 +202,16 @@ class IntegrationResult:
 
 class _Lane:
     """Step control of one lane, in Python floats, and its accepted nodes: the
-    states yf and FSAL derivatives ff, n floats a node, from the seed on."""
+    states yf and FSAL derivatives ff, n floats a node, from the seed on.
+
+    y and f are the n-lists the next step starts from, in the lane's chart.
+    A 1-d lane in the inverted chart (inv) steps w = -1/c; each node is kept in
+    the chart of the step that accepted it (the seed in c), and ``switches``
+    lists the nodes after which the lane changed chart.
+    """
 
     __slots__ = ("t", "h", "step", "last", "facold", "steps", "rejected", "stop", "t_escape",
-                 "norm_at_escape", "nodes_t", "yf", "ff")
+                 "norm_at_escape", "nodes_t", "yf", "ff", "y", "f", "inv", "switches")
 
     def __init__(self, y0: list[float], f0: list[float]):
         self.t = 0.0
@@ -198,6 +224,9 @@ class _Lane:
         self.norm_at_escape = None
         self.nodes_t = array("d", [0.0])
         self.yf, self.ff = array("d", y0), array("d", f0)
+        self.y, self.f = y0, f0
+        self.inv = False
+        self.switches = []
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
@@ -219,7 +248,8 @@ class _Lane:
 
     def settle(self, err: float, ynorm: float, escape_norm: float) -> bool:
         """Accept or reject the step tried, from its scaled error norm and the
-        norm of its new state; whether it was accepted."""
+        norm of its new state (0 in the inverted chart, which escapes by
+        onward); whether it was accepted."""
         h = self.step
         if not err <= 1.0:
             self.rejected += 1
@@ -239,21 +269,110 @@ class _Lane:
             self.stop = "complete"
         return True
 
+    def switch(self, y: float, f: float) -> tuple[float, float]:
+        """Go on in the other 1-d chart from the state y, f of the last node.
+
+        The inversion x = -1/y is its own inverse, and dx = dy / y^2 = x^2 dy
+        carries the derivative either way.
+        """
+        self.inv = not self.inv
+        self.switches.append(len(self.nodes_t) - 1)
+        x = -1.0 / y
+        return x, f * x * x
+
+    def onward(self, y: float, f: float, y1: float, f1: float,
+               wmin: float) -> tuple[float, float]:
+        """The 1-d state the next step starts from, after an accepted step from
+        y, f to y1, f1 (the last node) that ended at or above the switch in the
+        c chart, or in the inverted chart.
+
+        From c the lane goes on in w = -1/c, unless it stopped.  In w it
+        escapes when w1 reaches wmin in magnitude or changes sign (c passed
+        through infinity), and goes back to c at |w1| >= 1 unless it stopped.
+        """
+        if not self.inv:
+            return self.switch(y1, f1) if self.stop is None else (y1, f1)
+        if abs(y1) <= wmin or (y1 < 0.0) != (y < 0.0):
+            self.locate(y, f, y1, f1, math.copysign(wmin, y))
+        elif abs(y1) >= 1.0 and self.stop is None:
+            return self.switch(y1, f1)
+        return y1, f1
+
+    def locate(self, w0: float, f0: float, w1: float, f1: float, z: float) -> None:
+        """Escape where the last step's cubic Hermite in w reaches z, between
+        w0 and w1, and make that point the last node: w = z, its slope the
+        cubic's.  Newton's method, kept inside the bracket by bisection."""
+        t0 = self.nodes_t[-2]
+        h = self.t - t0
+        a, b = h * f0, h * f1
+
+        def cubic(s: float) -> tuple[float, float]:
+            r = 1.0 - s
+            value = ((1.0 + 2.0 * s) * r * r * w0 + s * r * r * a + s * s * (3.0 - 2.0 * s) * w1
+                     + s * s * (s - 1.0) * b)
+            slope = (6.0 * s * (s - 1.0) * (w0 - w1) + r * (1.0 - 3.0 * s) * a
+                     + s * (3.0 * s - 2.0) * b)
+            return value - z, slope
+
+        lo, hi = 0.0, 1.0
+        s = (w0 - z) / (w0 - w1) if w0 != w1 else 1.0  # the chord's crossing, in [0, 1]
+        for _ in range(60):
+            g, slope = cubic(s)
+            if g == 0.0:
+                break
+            if (g > 0.0) == (z > 0.0):  # short of z
+                lo = s
+            else:
+                hi = s
+            nxt = s - g / slope if slope else lo
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - s) <= 1e-15:
+                s = nxt
+                break
+            s = nxt
+        t = t0 + s * h
+        self.nodes_t[-1] = self.t = t
+        self.yf[-1] = z
+        self.ff[-1] = cubic(s)[1] / h if h else f1
+        self.stop = "escape-norm"
+        self.t_escape = t
+        self.norm_at_escape = abs(-1.0 / z)
+
     def result(self, opts: IntegratorOptions) -> IntegrationResult:
         k = len(self.nodes_t)
         nodes_y = np.frombuffer(self.yf).reshape(k, -1)
         nodes_f = np.frombuffer(self.ff).reshape(k, -1)
+        speeds, last = nodes_f, nodes_y[-1]  # in c
+        if self.switches:  # 1-d: node i + 1 is kept in the chart of step i, the seed in c
+            in_w = np.zeros((k, 1), dtype=bool)
+            for a, b in zip(self.switches[::2], self.switches[1::2] + [k - 1]):
+                in_w[a + 1:b + 1] = True
+            x = -1.0 / nodes_y  # each node in the other chart (see switch)
+            fx = nodes_f * x * x
+            speeds, last = np.where(in_w, fx, nodes_f), (x if in_w[-1, 0] else nodes_y)[-1]
         # Accepted derivatives are finite, so the max over the nodes is the
         # running max over the steps (NaN only from the first).
-        max_rhs = float(np.max(_norms(nodes_f)))
+        max_rhs = float(np.max(_norms(speeds)))
         if k == 1:  # no step accepted
             dense_t = np.array([0.0])
             dense_y = nodes_y.copy()  # not a view of the lane's buffer
         else:
             dense_t = np.linspace(0.0, self.t, opts.dense_samples)
-            dense_y = _hermite_dense(self.nodes_t, nodes_y, nodes_f, dense_t)
+            if not self.switches:
+                dense_y = _hermite_dense(self.nodes_t, nodes_y, nodes_f, dense_t)
+            else:
+                # Each step in its own chart: one that starts after a switch reads
+                # its first node in the new chart, as the lane went on from it.
+                j = self.switches
+                y0, f0 = nodes_y.copy(), nodes_f.copy()
+                y0[j], f0[j] = x[j], fx[j]
+                dense_y = _hermite_dense(self.nodes_t, nodes_y, nodes_f, dense_t, (y0, f0))
+                times = np.frombuffer(self.nodes_t)[j]
+                inverted = np.searchsorted(times, dense_t, side="right") % 2 == 1
+                dense_y = np.where(inverted[:, None], -1.0 / dense_y, dense_y)
             dense_y[0] = nodes_y[0]
-            dense_y[-1] = nodes_y[-1]
+            dense_y[-1] = last
         return IntegrationResult(
             t=dense_t,
             y=dense_y,
@@ -308,19 +427,22 @@ def _stage_times(t: float, h: float) -> list[float]:
     return [t + c * h for c in _C_FLOATS]
 
 
-def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
-    """The scalar float kernel: step a planned 1-d lane from its last node to its end."""
+def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions, root: float, wmin: float) -> None:
+    """The scalar float kernel: step a planned 1-d lane from its last node to its end,
+    in the inverted chart from |c| >= root on (see _Lane.onward)."""
     rtol, atol, escape_norm = opts.rtol, opts.atol, opts.escape_norm
     max_steps, min_step = opts.max_steps, opts.min_step
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54),
      (a60, a61, a62, a63, a64, a65), (e0, e1, e2, e3, e4, e5, e6)) = _TABLEAU_FLOATS
     settle, plan, append_y, append_f = lane.settle, lane.plan, lane.yf.append, lane.ff.append
-    y, f = lane.yf[-1], lane.ff[-1]
+    (y,), (f,), inv = lane.y, lane.f, lane.inv
     while True:
         # Each stage sum is _plain_sum's; the scale's max keeps a NaN operand,
         # as np.maximum does.
         H = lane.step
         g = float_rhs(lane.t, H)  # one rhs call per attempt
+        if inv:
+            g = _inverted(g)
         k1 = g(0, y + H * (a10 * f))
         k2 = g(1, y + H * (a20 * f + a21 * k1))
         k3 = g(2, y + H * (a30 * f + a31 * k1 + a32 * k2))
@@ -330,15 +452,25 @@ def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions) -> None:
         y1 = y + H * (a60 * f + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
         k6 = g(4, y1)
         a, b = abs(y), abs(y1)
+        m = b if b > a or b != b else a
         q = (H * (e0 * f + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
-             / (atol + rtol * (b if b > a or b != b else a)))
+             / (atol * m * m + rtol * m if inv else atol + rtol * m))
         # b is _norms' norm of [y1] bit for bit, but a NaN's sign (a NaN y1 is rejected).
-        if settle(math.sqrt(q * q), b, escape_norm):
-            y, f = y1, k6  # FSAL
-            append_y(y)
-            append_f(f)
+        if settle(math.sqrt(q * q), 0.0 if inv else b, escape_norm):
+            append_y(y1)
+            append_f(k6)
+            if inv or b >= root:
+                y, f = lane.onward(y, f, y1, k6, wmin)
+                inv = lane.inv
+            else:
+                y, f = y1, k6  # FSAL
         if not plan(max_steps, min_step):
             return
+
+
+def _inverted(g):
+    """A 1-d stage rhs g(r, c) carried to the inverted chart: w' = g(r, -1/w) w^2."""
+    return lambda r, w: g(r, -1.0 / w if w else math.copysign(math.inf, -w)) * w * w  # numpy's -1/0
 
 
 def _vector_lane(lane: _Lane, float_rhs, n: int, opts: IntegratorOptions) -> None:
@@ -349,7 +481,7 @@ def _vector_lane(lane: _Lane, float_rhs, n: int, opts: IntegratorOptions) -> Non
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54),
      (a60, a61, a62, a63, a64, a65), (e0, e1, e2, e3, e4, e5, e6)) = _TABLEAU_FLOATS
     settle, plan, extend_y, extend_f = lane.settle, lane.plan, lane.yf.extend, lane.ff.extend
-    y, f = lane.yf[-n:].tolist(), lane.ff[-n:].tolist()
+    y, f = lane.y, lane.f
     while True:
         H = lane.step
         g = float_rhs(lane.t, H)  # one rhs call per attempt
@@ -414,7 +546,8 @@ def integrate_lanes(
     arithmetic as a lane alone (every sum adds its terms left to right, a
     stage sum term by term in tableau order, an error or norm sum component
     by component), so lane j's result is the one Y0[j] gets alone, bit for
-    bit, in any kernel.  A stacked step stacks the live lanes' last nodes;
+    bit, in any kernel.  A stacked step stacks the states the live lanes
+    step from (each in its chart: w = -1/c for a 1-d lane past the switch);
     each lane that accepts appends its row of the new state and of the FSAL
     derivative.  A lane retires when it completes, escapes or collapses
     (see integrate_adaptive).
@@ -432,12 +565,21 @@ def integrate_lanes(
     min_step, max_steps = opts.min_step, opts.max_steps
     A, E = _A, _E
 
+    # A 1-d lane at or above root goes on in the inverted chart, which needs its
+    # escape point wmin = 1/escape_norm (|-1/wmin| >= escape_norm) to be a normal float.
+    root = math.sqrt(escape_norm) if n == 1 and escape_norm <= 2.0**1022 else math.inf
+    wmin = 1.0 / escape_norm
+    if 1.0 / wmin < escape_norm:
+        wmin = math.nextafter(wmin, 0.0)
+
     F = np.empty((m, n))
     F[:] = field(np.zeros((1, m)))(0, Y)
     lanes = [_Lane(y, f) for y, f in zip(Y.tolist(), F.tolist())]
     for lane, ynorm in zip(lanes, _norms(Y)):
         if ynorm >= escape_norm:
             lane.escape(ynorm)
+        elif ynorm >= root:
+            lane.y, lane.f = ([v] for v in lane.switch(lane.y[0], lane.f[0]))
     live = [j for j, lane in enumerate(lanes) if lane.stop is None]
     lv = [lanes[j] for j in live]
     if lv:
@@ -447,7 +589,7 @@ def integrate_lanes(
     if float_rhs is not None:  # a float kernel: each lane in turn, to its end
         for lane in lv:
             if n == 1:
-                _float_lane(lane, float_rhs, opts)
+                _float_lane(lane, float_rhs, opts, root, wmin)
             else:
                 _vector_lane(lane, float_rhs, n, opts)
         lv = []
@@ -459,23 +601,35 @@ def integrate_lanes(
             K = np.empty((k, n, 7))
             stage = [K[..., i] for i in range(7)]  # views, made once per lane count
             head = [K[..., :i] for i in range(7)]
-        Y = np.array([lane.yf[-n:] for lane in lv])
-        stage[0][...] = [lane.ff[-n:] for lane in lv]  # FSAL
+        Y = np.array([lane.y for lane in lv])
+        stage[0][...] = [lane.f for lane in lv]  # FSAL
+        inv = [lane.inv for lane in lv]
+        inv = np.array(inv)[:, None] if True in inv else None  # the lanes in the inverted chart
         h_row = np.array([lane.step for lane in lv])
         H = h_row[:, None]
         f = field(np.array([lane.t for lane in lv]) + _C_ROWS * h_row)
-        for i in range(1, 6):
-            stage[i][...] = f(_STAGE_ROW[i], Y + H * _plain_sum(A[i] * head[i]))
-        Y_new = Y + H * _plain_sum(A[6] * head[6])  # stage 6's state is the new state (FSAL)
-        stage[6][...] = f(_STAGE_ROW[6], Y_new)
-        Q = H * _plain_sum(E * K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+        for i in range(1, 7):  # stage 6's state is the new state (FSAL)
+            Y_new = Y + H * _plain_sum(A[i] * head[i])
+            if inv is None:
+                stage[i][...] = f(_STAGE_ROW[i], Y_new)
+            else:  # w' = f(t, -1/w) w^2, as _inverted
+                stage[i][...] = f(_STAGE_ROW[i], np.where(inv, -1.0 / Y_new, Y_new))
+                np.copyto(stage[i], stage[i] * Y_new * Y_new, where=inv)
+        M = np.maximum(np.abs(Y), np.abs(Y_new))
+        scale = atol + rtol * M
+        if inv is not None:
+            scale = np.where(inv, atol * M * M + rtol * M, scale)
+        Q = H * _plain_sum(E * K) / scale
         sq = _plain_sum(Q * Q).tolist()
         # One pass over the lanes: settle each lane's step, then plan its next one.
         going = []
         for lane, y, fy, s, ynorm in zip(lv, Y_new.tolist(), stage[6].tolist(), sq, _norms(Y_new)):
-            if lane.settle(math.sqrt(s / n), ynorm, escape_norm):
+            if lane.settle(math.sqrt(s / n), 0.0 if lane.inv else ynorm, escape_norm):
                 lane.yf.extend(y)
                 lane.ff.extend(fy)
+                if lane.inv or ynorm >= root:
+                    y, fy = ([v] for v in lane.onward(lane.y[0], lane.f[0], y[0], fy[0], wmin))
+                lane.y, lane.f = y, fy
             if lane.plan(max_steps, min_step):
                 going.append(lane)
         lv = going
@@ -491,10 +645,13 @@ def integrate_adaptive(
     """Integrate y' = rhs(t, y) from y(0) = y0 over [0, 1]: one lane of integrate_lanes.
 
     Local error per accepted step is held to atol + rtol * ||y||.  The run
-    stops early with status ``escaped`` once ||y|| reaches opts.escape_norm
-    (the escape time is the last accepted t), or with ``step-collapse`` when
-    the controller would drop below opts.min_step or the step budget is
-    exhausted; ``stop_reason`` says which.
+    stops early with status ``escaped`` once ||y|| reaches opts.escape_norm,
+    or with ``step-collapse`` when the controller would drop below
+    opts.min_step or the step budget is exhausted; ``stop_reason`` says
+    which.  A 1-d run goes on in w = -1/y from |y| >= sqrt(escape_norm) and
+    back at |y| <= 1; there the escape time is located where the last step's
+    cubic Hermite reaches |y| = escape_norm, and elsewhere it is the first
+    accepted t at or above it (see the module docstring).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     return integrate_lanes(lambda T: lambda r, Y: rhs(T[r, 0], Y[0]), y[None], opts)[0]

@@ -14,7 +14,7 @@ whose last lane ends alone, on a 1-d member with no float form and on the
 sphere.  A change that alters emitted numbers on purpose
 must regenerate the tables and say so.
 
-Regenerated twice, for one reason each.  First, every 1-d lane sums its
+Regenerated three times, for one reason each.  First, every 1-d lane sums its
 DOPRI stages in plain floats, left to right, in both kernels.  That moved
 the digests of ``lift fig1``, both ``transport fig1`` commands and
 ``figure1``, the nine 1-d lone lifts of ``GOLDEN_LIFTS`` and the 1-d
@@ -23,8 +23,15 @@ list`` digest moved.  Second, every n-d sum of a lift adds left to right
 in plain floats too (stage, error and norm sums, the product with the
 velocity, and the sphere's closed-form map).  That moved the sphere
 circle and polyline lone lifts, both 3-d christoffel lone lifts and the
-sphere batch; no 1-d, CLI or scan digest moved.  ``tools/numdiff.py``
-compares two checkouts before such a regeneration.
+sphere batch; no 1-d, CLI or scan digest moved.  Third, a 1-d lift goes on
+in the inverted chart w = -1/c from |c| = sqrt(escape_norm) and escapes
+where its last step's cubic Hermite reaches |c| = escape_norm.  That moved
+only the lifts that cross 1e4: the lone lifts of fig1 from 1, power-growth
+1.5 from 3, power-growth 2 from 0.5 and from 1.5, and power-growth 3 from
+10 (still ``min-step``, now with 33 rejected steps, not 2), and the CLI
+digests of ``lift fig1 --v 0 --v 1``, ``transport fig1 --v 0.7`` and
+``figure1``.  ``tools/numdiff.py`` compares two checkouts before such a
+regeneration.
 """
 
 import dataclasses
@@ -41,7 +48,7 @@ from pathlift.uvb import fiber_scan
 
 GOLDEN = [
     (["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "0", "--v", "1"],
-     "3e2dc7662e4fc37cdfd4c0b316822122cb2d8e88e4beb4115dac997bfa498d4f"),
+     "276e0d9852e5c7df6058c3278d2c690fb8e6e7d7614d0c3f3737251bcf6bbf56"),
     (["lift", "--connection", "flat", "--path", "segment:0,0:1,1", "--v", "3,4"],
      "a9e61cbda3206de6325b41b8237498b0e669d887a1a289e87ce456956b85d6c2"),
     (["transport", "--connection", "scalar-linear:1", "--path", "segment:0:1", "--v", "2"],
@@ -49,13 +56,13 @@ GOLDEN = [
     (["transport", "--connection", "fig1", "--path", "segment:0:1", "--v", "0", "--jacobian"],
      "cbdf51c3d30651baaab50dd73eac72b07b7fb197144f5e0e1401e80476630289"),
     (["transport", "--connection", "fig1", "--path", "segment:0:1", "--v", "0.7"],
-     "3c6d18906be18fa75fad19678b9f33995bec371cc81208099becf6bdbce0360b"),
+     "82d811c7f3ec82f4b37cd66f901e3eeb091aa907647cd3c0836fcf919b52d0db"),
     (["uvb-scan", "--connection", "fig1"],
      "a1df976155ae7b604433c6dc7febf745bc3be0878bbb1d6bf3dea5e812e38713"),
     (["uvb-scan", "--connection", "scalar-linear:1", "--format", "csv"],
      "fe75f85b81ea23e5be507a9daff46c19e64f678523514f39fd196b98a1006496"),
     (["figure1"],
-     "002bb877af86c4fce6ea7abb1a6a1427d1ad339e2de1d8d6aea7717ccb2dfc39"),
+     "7fc74ba77f50473011c6cf25da0f841479c100850e4caa5ba7b1a7e1040585ac"),
     (["gallery", "list"],
      "4cdf13d97f29bf117bf75873f6abf0ecc13c8d2e8e9efb164c3b814027ec2bfb"),
 ]
@@ -151,17 +158,17 @@ GOLDEN_LIFTS = [
     (ConnectionSpec("fig1"), _UNIT, [0.0], "complete", 2,
      "7b9e03e974e6b198ec38ce2a03740e8c730b3b68b5631e657f0385c7a046031e"),
     (ConnectionSpec("fig1"), _UNIT, [1.0], "escape-norm", 0,
-     "cb2b7a3dedba4adaec4dfe709b57e81961fd0b59d43dcc36cbd4e146f41dbe29"),
+     "d6ca4f4e3e1aed3e09cf3ddd678ab0eb69406230b7b05ee3d3256e243272c855"),
     (ConnectionSpec("fig1"), _UNIT, [0.64], "complete", 0,
      "91ffb77b7c3058e8fe2f4fcbe17bfcfba040eb68e9eef4a5208584738ebb843e"),
     (_pg(1.5), _OFF, [0.1], "complete", 1,
      "89c9645f5f9651954ead2c5898ff2e3d7e179cb424881ec0f7813df5960e319d"),
     (_pg(1.5), _OFF, [3.0], "escape-norm", 0,
-     "b727be543d9ae3709ced74a4c95df5ce6ee925dbc79c22b9e5858cc5e03f7203"),
+     "f8b87cbe84d7ac83f15e0d4954a259b2d4861dd83b63f3cedaa44b16fa73b6c5"),
     (_pg(2.0), _OFF, [0.5], "escape-norm", 0,
-     "b41fcd55b747ad30a8432bdea88cf206893b8aab932fb030a80471b48f5713d8"),
-    (_pg(3.0), _OFF, [10.0], "min-step", 2,
-     "3b2659510647d217f66c7e9c7e00c3a8a5d83adb4d41bcd527f135eb8a76e97d"),
+     "9c18d71e40abcf4651c744947df82de87c8f1b2d7fa36ad94629167cccce49f4"),
+    (_pg(3.0), _OFF, [10.0], "min-step", 33,
+     "4a2ccf9ea84dfa1ce57f276ff7c66d1ea61f07633937ccb80b14da0029a474fe"),
     (ConnectionSpec("scalar-linear", {"lambda": -0.75}), _OFF, [2.5], "complete", 0,
      "71b7a3113a3ff2794b1c6ae1e4a0150f51ffcae08a6e18d7837d8c31fe0d2a33"),
     (ConnectionSpec("sphere-stereographic"), ("circle", [0.2, -0.1], 0.7), [1.0, 0.5],
@@ -176,7 +183,7 @@ GOLDEN_LIFTS = [
      [0.5, 1.0, -0.25], "complete", 17,
      "bb8b95304cb29bf7a4c26e4dee5169be9efa478c4f78c5911c031287d5ab533a"),
     (_pg(2.0), ("polyline", [[0.0], [0.8], [0.5]], [0.0, 0.5, 1.0]), [1.5], "escape-norm", 0,
-     "ff6ac11740b99205e2a228f8d21341c13a45910f0dd3470013ac7d1d6668d705"),
+     "470029132ba7571d465f4ed3968cf163afb628260c4bf7b8e4a441443a5b810c"),
     (_CHRISTOFFEL_1D, _SHORT, [2.0], "complete", 0,
      "50ccdbbb0d2d779ea9d669813dd155757a85a802924b269b22e83e461c98ec19"),
     (ConnectionSpec("christoffel", {"dimension": 3, "terms": _TERMS_3D}),

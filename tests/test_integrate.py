@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pathlift.connections import _inline_spec, gallery
+from pathlift.geometry import path_segment
 from pathlift.integrate import (
     _A,
     _B5,
@@ -22,6 +24,7 @@ from pathlift.integrate import (
     integrate_adaptive,
     integrate_lanes,
 )
+from pathlift.lifting import horizontal_lift, round_trip_defect
 
 
 class TestOptions:
@@ -307,6 +310,12 @@ class TestLanes:
         st.sampled_from([1e8, 1e300]),
         st.sampled_from([10**6, 60]),
     )
+    # The seeds of the 1-d lifts that go on in w = -1/c, here as 2-d lanes,
+    # which stay in their chart: lanes escape, and one completes, one stalls
+    # at the step budget and one escapes side by side.
+    @example([1.0], 1e-9, 1e8, 10**6)
+    @example([4.5], 1e-9, 1e8, 10**6)
+    @example([0.0, 1.0, 4.5], 1e-3, 1e8, 60)
     def test_each_lane_equals_its_lone_integration(self, seeds, rtol, escape_norm, max_steps):
         # Tangent blow-up, growth, decay: lanes complete, escape, hit the
         # min_step floor or the step budget, with rejected steps, side by side.
@@ -678,3 +687,59 @@ class TestVectorFloatKernel:
             (alone,) = integrate_lanes(_lanes(stack), [seed], opts,
                                        float_rhs=_vector_float_rhs(rhs, []))
             _assert_same_result(alone, a)
+
+
+_FIG1 = gallery("fig1")
+# Both solve c' = (1 + c^2) u along a segment of speed u, through different arithmetic.
+_TANGENT_MEMBERS = {"fig1": _FIG1, "power-growth:2": gallery(_inline_spec("power-growth:2", 1))}
+
+
+class TestInvertedChart:
+    """A 1-d lane goes on in w = -1/c from |c| >= sqrt(escape_norm), back to c at
+    |c| <= 1, and escapes where |c| reaches escape_norm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_TANGENT_MEMBERS)), st.floats(-1.0, 1.0), st.floats(0.5, 3.0),
+           st.sampled_from([1.0, -1.0]), st.floats(0.05, 0.95))
+    @example("fig1", 0.0, 1.0, 1.0, math.pi / 4)  # fig1 from 1 along segment:0:1
+    def test_tangent_lifts_escape_where_the_norm_reaches_the_escape_norm(self, member, a, speed,
+                                                                        sign, t_star):
+        # c = tan(atan(v0) + u t) reaches sign(u) E at t = (atan(sign(u) E) - atan(v0)) / u;
+        # v0 is drawn so that this is about t_star, within |u| t_star < pi of it.
+        u, escape_norm = sign * speed, IntegratorOptions().escape_norm
+        v0 = math.tan(math.atan(sign * escape_norm) - u * t_star)
+        exact = (math.atan(sign * escape_norm) - math.atan(v0)) / u
+        traj = horizontal_lift(_TANGENT_MEMBERS[member], path_segment([a], [a + u]), [v0])
+        assert traj.stop_reason == "escape-norm"
+        assert abs(traj.t_escape - exact) <= 1e-9
+        assert traj.t[-1] == traj.t_escape and traj.norm_at_escape >= escape_norm
+        assert math.copysign(1.0, traj.final_fiber[0]) == sign
+        # The largest |c'| over the accepted nodes is the escape node's, above every sample's.
+        speeds = speed * (1.0 + traj.fiber[:, 0] ** 2)
+        assert traj.max_vertical_speed == pytest.approx(speeds[-1], rel=1e-6)
+        assert np.all(speeds <= traj.max_vertical_speed * (1.0 + 1e-9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["fig1", "power-growth:2", "power-growth:1.5", "scalar-linear:-2"]),
+           st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
+    def test_lifts_below_the_switch_keep_their_bits(self, member, a, u, v0):
+        # Every node of a monotone 1-d lift lies between its ends, so one whose
+        # ends stay below sqrt(1e8) = 1e4 never switches, whatever the escape norm.
+        conn, path = gallery(_inline_spec(member, 1)), path_segment([a], [a + u])
+        traj = horizontal_lift(conn, path, [v0])
+        assume(np.max(np.abs(traj.fiber)) < 1e4)
+        far = horizontal_lift(conn, path, [v0], IntegratorOptions(escape_norm=1e300))
+        _assert_same_result(traj, far)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-3.0, -0.1), st.floats(1.2e4, 5e4))
+    @example(-0.5, 2e4)
+    def test_out_and_back_returns_through_zero(self, v0, top):
+        # Out from v0 < 0 through c = 0 to c(1) = top, past the switch at 1e4;
+        # back from top, which starts in w, returns to c at |c| <= 1 and
+        # passes c = 0 again, where w = -1/c is infinite.
+        path = path_segment([0.0], [math.atan(top) - math.atan(v0)])
+        out = horizontal_lift(_FIG1, path, [v0])
+        # c(1) is ill-conditioned (dc = (1 + c^2) d atan c); its angle is not.
+        assert out.complete and abs(math.atan(out.final_fiber[0]) - math.atan(top)) <= 1e-8
+        assert round_trip_defect(_FIG1, path, [v0]) <= 1e-6 * abs(v0)

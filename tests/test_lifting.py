@@ -328,7 +328,7 @@ class TestHorizontalLifts:
             _assert_same_lift(shuffled[j], alone[i])
 
     @pytest.mark.parametrize("opts, reasons", [
-        (IntegratorOptions(rtol=1e-6, escape_norm=1e10, max_steps=300),
+        (IntegratorOptions(rtol=1e-6, escape_norm=1e10, max_steps=140),
          ["complete", "complete", "max-steps", "escape-norm"]),
         (IntegratorOptions(escape_norm=1e300), ["complete", "complete", "min-step", "min-step"]),
     ])
@@ -440,6 +440,9 @@ class TestHorizontalLifts:
 
 
 _REVERSED = path_reverse(path_segment([-0.25], [1.0]))
+# fig1 from -0.5 along it reaches c(1) = 2e4 in w = -1/c (past sqrt(1e8)); back from
+# 2e4 along its reverse, the lift starts in w and returns to c at |c| <= 1.
+_OUT_2E4 = path_segment([0.0], [np.arctan(2e4) + np.arctan(0.5)])
 _POLYLINE = path_polyline([[0.0], [0.6], [1.2]], [0.0, 0.3, 1.0])
 # Nine fig1 seeds that complete along _POLYLINE, then three that do not.
 _TWELVE = [[v] for v in (-2.0, -1.0, -0.5, -0.0, 0.0, 0.2, 0.3, 0.35, 0.38, 0.5, 1.0, 5.0)]
@@ -451,6 +454,11 @@ class TestFloatFormLifts:
     @pytest.mark.parametrize("member, path, v0, opts, reason", [
         ("fig1", UNIT, 0.0, IntegratorOptions(), "complete"),
         ("fig1", UNIT, 1.0, IntegratorOptions(), "escape-norm"),
+        ("fig1", _OUT_2E4, -0.5, IntegratorOptions(), "complete"),
+        ("fig1", path_reverse(_OUT_2E4), 2e4, IntegratorOptions(), "complete"),
+        ("power-growth:1.5", UNIT, 4.5, IntegratorOptions(), "escape-norm"),
+        ("power-growth:3", UNIT, 0.5, IntegratorOptions(escape_norm=3e5), "escape-norm"),
+        ("power-growth:3", UNIT, 0.3, IntegratorOptions(escape_norm=3e5), "min-step"),
         ("fig1", _REVERSED, -1.0, IntegratorOptions(), "escape-norm"),
         ("fig1", UNIT, 1.0, IntegratorOptions(escape_norm=1e300), "min-step"),
         ("fig1", _POLYLINE, 1.0, IntegratorOptions(max_steps=40), "max-steps"),
@@ -685,6 +693,13 @@ class TestTracedCopies:
 
     @settings(max_examples=60, deadline=None)
     @given(_traced_cases())
+    # Lanes that go on in w = -1/c: fig1 and power-growth:1.5 escape there, and
+    # of three power-growth:3 lanes one completes, one escapes and one stalls.
+    @example((FIG1, UNIT, [[1.0]], IntegratorOptions()))
+    @example((gallery(ConnectionSpec("power-growth", {"alpha": 1.5})), UNIT, [[4.5]],
+              IntegratorOptions()))
+    @example((gallery(ConnectionSpec("power-growth", {"alpha": 3.0})), UNIT,
+              [[-1.0], [0.5], [0.3]], IntegratorOptions(escape_norm=3e5)))
     def test_copies_lift_to_the_same_bits(self, case):
         _assert_copies_lift_alike(*case)
 

@@ -40,7 +40,12 @@ The golden cases are read from this tool's own checkout.  The report gives:
   the case breaks the bound only when its change exceeds max(BOUND, the
   largest move of the parent's distance over those nudges), and a step
   count that differs is marked when the parent takes the same count at
-  one of them.  It still counts as a categorical difference.
+  one of them.  It still counts as a categorical difference;
+- for every 1-d lift that escapes at the escape norm, the distance of its
+  ``t_escape`` to the time at which |c| reaches that norm under the same
+  DOP853 with ``rtol=1e-13``, in units of the lift's rtol, for the parent
+  and the change side by side.  It is reported, not bounded: the
+  escape-norm verdict itself is compared exactly.
 
 The exit status is 0 when the report finds no difference and no broken
 bound, 1 otherwise.  It is a developer script: it runs no test and
@@ -147,17 +152,32 @@ def _fields(result) -> dict:
     return rec
 
 
-def _reference(conn, path, v0) -> list[float]:
-    """The lift's endpoint by DOP853 at rtol 1e-13 on c' = -Gamma(gamma(t), c) gamma'(t)."""
+def _dop853(conn, path, v0, events=None):
+    """The lift by DOP853 at rtol 1e-13 on c' = -Gamma(gamma(t), c) gamma'(t)."""
     import numpy as np
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return -(conn.row(np.asarray(path.position(t), dtype=float), y) @ path.velocity(t))
 
-    sol = solve_ivp(rhs, (0.0, 1.0), np.asarray(v0, dtype=float), method="DOP853",
-                    rtol=1e-13, atol=1e-15)
-    return sol.y[:, -1].tolist()
+    return solve_ivp(rhs, (0.0, 1.0), np.asarray(v0, dtype=float), method="DOP853",
+                     rtol=1e-13, atol=1e-15, events=events)
+
+
+def _reference(conn, path, v0) -> list[float]:
+    """The lift's endpoint by DOP853 at rtol 1e-13."""
+    return _dop853(conn, path, v0).y[:, -1].tolist()
+
+
+def _escape_reference(conn, path, v0, escape_norm: float) -> float | None:
+    """The time at which the 1-d lift's |c| reaches escape_norm by DOP853 at rtol 1e-13,
+    located as a terminal event; None if it does not before t = 1."""
+    def reach(t, y):
+        return abs(y[0]) - escape_norm
+
+    reach.terminal = True
+    times = _dop853(conn, path, v0, reach).t_events[0]
+    return float(times[0]) if times.size else None
 
 
 def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, spread: bool) -> None:
@@ -191,6 +211,9 @@ def _worker(checkout: str, plan_file: str, out_file: str, reference: bool, sprea
             extra = {"group": group, "rtol": rtol}
             if reference and traj.complete:
                 extra["ref"] = _reference(conn, path, v)
+            if reference and traj.stop_reason == "escape-norm" and conn.dimension == 1:
+                extra["t_ref"] = _escape_reference(conn, path, v, (opts or IntegratorOptions())
+                                                   .escape_norm)
             if nudged:
                 extra["nudged_ends"] = [n[j].fiber[-1].tolist() for n in nudged if n[j].complete]
                 extra["nudged_counts"] = [[n[j].steps, n[j].rejected] for n in nudged]
@@ -460,8 +483,29 @@ def compare(parent: dict, change: dict) -> tuple[list[str], int]:
                   for r in over]
         lines += [f"    within the parent's spread: {r[1]}: {r[2]:.3g} -> {r[3]:.3g} "
                   f"(spread {r[4]:.3g})" for r in spread]
+    lines += _escape_lines(pc, cc)
     lines.append(f"differences: {problems}; broken bounds: {broken}")
     return lines, problems + broken
+
+
+def _escape_lines(pc: dict, cc: dict) -> list[str]:
+    """The 1-d escapes at the escape norm in both checkouts: |t_escape - t_ref| in rtol."""
+    rows = []
+    for name in (n for n in cc if n in pc):
+        p, c = pc[name], cc[name]
+        t_ref, pe, ce = c.get("t_ref"), p["fields"].get("t_escape"), c["fields"].get("t_escape")
+        if t_ref is None or not (pe and ce and pe[0] == ce[0] == "num"):
+            continue
+        rows.append((c["group"], name, abs(pe[1][0] - t_ref) / c["rtol"],
+                     abs(ce[1][0] - t_ref) / c["rtol"]))
+    lines = [f"escape times against DOP853 (rtol=1e-13) reaching the escape norm, "
+             f"|t_escape - t_ref| in units of the lift's rtol: {len(rows)} 1-d escapes"]
+    for group in dict.fromkeys(r[0] for r in rows):
+        g = [r for r in rows if r[0] == group]
+        lines.append(f"  {group}: {len(g)} escaped; parent max {max(r[2] for r in g):.3g}, "
+                     f"change max {max(r[3] for r in g):.3g}; farther in "
+                     f"{sum(r[3] > r[2] for r in g)}, nearer in {sum(r[3] < r[2] for r in g)}")
+    return lines
 
 
 def _len(v) -> int:
