@@ -3,9 +3,9 @@
 The fig1 connection on a 1-d chart has coefficient Gamma(p, v) = -(1 + v^2),
 so along the identity path the lift solves c' = 1 + c^2 and follows a shifted
 tangent curve.  Seeds below 1/tan(1) reach the far fiber; seeds above it run
-away to infinity before t = 1.  An escaping lift steps in c up to |c| = 1e4
+away to infinity before t = 1.  An escaping lift steps in c up to |c| = 16
 and then in w = -1/c, where it reaches |c| = 1e8, the escape norm, in a few
-steps; its escape time is where |c| = 1e8, just before the blow-up.
+steps; its last step lands where |c| = 1e8, just before the blow-up.
 """
 
 import numpy as np

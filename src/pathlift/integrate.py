@@ -12,20 +12,23 @@ I, section II.4).  Integration ends in one of three ways, which
                    (``min-step``) or the step budget ran out (``max-steps``)
 
 A 1-d lane has two charts.  It steps c until its seed or an accepted node
-reaches |c| >= sqrt(escape_norm) (1e4 by default), and then the inverted
+reaches |c| >= 16 (_SWITCH, whatever the escape norm), and then the inverted
 chart w = -1/c, solving w' = f(t, -1/w) w^2, whose steps do not shrink as c
 blows up.  Its error scale is c's carried through dc = dw / w^2,
 atol w^2 + rtol |w|, so the relative accuracy in c is the same.  It returns
 to c at an accepted |w| >= 1 (|c| <= 1), so a lift that comes back down
-through c = 0 stays correct.  In w the lane escapes (``escape-norm``) when
-an accepted step reaches |w| <= 1/escape_norm or changes the sign of w (c
-passed through infinity): ``t_escape`` is the time at which that step's
-cubic Hermite reaches w = -+1/escape_norm, where |c| reaches escape_norm,
-and that point becomes the lane's last node.  In c, and in n-d, the escape
-time is the accepted node's.  The switch needs 1/escape_norm to be a normal
-float (escape_norm <= 2^1022); above that a lane keeps its c chart.  A lift
-that stays below sqrt(escape_norm) never switches and takes the same bits
-under any escape norm.
+through c = 0 stays correct.  In w a step that would be accepted but reaches
+|w| <= 1/escape_norm or changes the sign of w (c passed through infinity) is
+not kept: it counts as a rejected step, and the lane's next attempt ends at
+the time t* where that step's cubic Hermite reaches w = -+1/escape_norm
+(_Lane.settle_w).  That landing attempt is an ordinary step; one Newton
+correction along its FSAL derivative moves its end onto w = -+1/escape_norm,
+where |c| reaches escape_norm, and that point is the lane's last node and
+``t_escape`` (``escape-norm``, _Lane.touch_down).  In c, and in n-d, the
+escape time is the accepted node's.  The switch needs 1/escape_norm to be a
+normal float (escape_norm <= 2^1022); above that a lane keeps its c chart.
+The switch does not depend on the escape norm, so a lift none of whose
+steps reaches it takes the same bits under any escape norm up to 2^1022.
 
 A trial step whose stages or error estimate are not finite (the rhs
 overflowed during a blow-up, or returned NaN) counts as a rejected step and
@@ -144,6 +147,7 @@ _FAC_MAX = 10.0
 _BETA = 0.04          # PI controller integral gain
 _EXPO = 0.2 - 0.75 * _BETA
 _TINY = 2.0**-511     # a norm below it has a subnormal or zero square
+_SWITCH = 16.0        # a 1-d lane goes on in w = -1/c from |c| >= _SWITCH
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,8 @@ class _Lane:
     """
 
     __slots__ = ("t", "h", "step", "last", "facold", "steps", "rejected", "stop", "t_escape",
-                 "norm_at_escape", "nodes_t", "yf", "ff", "y", "f", "inv", "switches")
+                 "norm_at_escape", "nodes_t", "yf", "ff", "y", "f", "inv", "switches", "end",
+                 "land")
 
     def __init__(self, y0: list[float], f0: list[float]):
         self.t = 0.0
@@ -227,6 +232,8 @@ class _Lane:
         self.y, self.f = y0, f0
         self.inv = False
         self.switches = []
+        self.end = 1.0  # where the lane's steps end: 1, or the escape it aims at (land)
+        self.land = False
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
@@ -234,29 +241,29 @@ class _Lane:
         self.norm_at_escape = ynorm
 
     def plan(self, max_steps: int, min_step: float) -> bool:
-        """Stop at max-steps or min-step, or set the next step; whether the lane goes on."""
+        """Stop at max-steps or min-step, or set the next step, clipped to end; whether
+        the lane goes on."""
         if self.stop is None:
             if self.steps + self.rejected >= max_steps:
                 self.stop = "max-steps"
             elif self.h < min_step:
                 self.stop = "min-step"
             else:
-                self.last = self.h >= 1.0 - self.t
-                self.step = (1.0 - self.t) if self.last else self.h
+                self.last = self.h >= self.end - self.t
+                self.step = (self.end - self.t) if self.last else self.h
                 return True
         return False
 
     def settle(self, err: float, ynorm: float, escape_norm: float) -> bool:
         """Accept or reject the step tried, from its scaled error norm and the
-        norm of its new state (0 in the inverted chart, which escapes by
-        onward); whether it was accepted."""
+        norm of its new state; whether it was accepted."""
         h = self.step
         if not err <= 1.0:
             self.rejected += 1
             self.h = h * max(_FAC_MIN, _SAFETY / err**_EXPO) if math.isfinite(err) else 0.1 * h
             return False
         self.steps += 1
-        self.t = 1.0 if self.last else self.t + h
+        self.t = self.end if self.last else self.t + h
         self.nodes_t.append(self.t)
         if not math.isfinite(ynorm) or ynorm >= escape_norm:
             self.escape(ynorm)
@@ -268,6 +275,26 @@ class _Lane:
         if not self.t < 1.0:
             self.stop = "complete"
         return True
+
+    def settle_w(self, err: float, w: float, f: float, w1: float, f1: float,
+                 wmin: float) -> bool:
+        """settle a step from w, f to w1, f1 in the inverted chart.
+
+        An acceptable step that reaches |w1| <= wmin or changes the sign of w
+        (c passed through infinity) is not kept, unless it is the landing
+        attempt: it counts as a rejected step, the controller's step stays,
+        and the lane aims at the time t* where the step's cubic Hermite
+        reaches w = -+wmin, so that its next attempt ends there (plan); see
+        onward for where that attempt lands.
+        """
+        if (err <= 1.0 and not (self.land and self.last)
+                and (abs(w1) <= wmin or (w1 < 0.0) != (w < 0.0))):
+            self.rejected += 1
+            self.end = self.t + self.step * _hermite_root(w, f, w1, f1, self.step,
+                                                          math.copysign(wmin, w))
+            self.land = True
+            return False
+        return self.settle(err, 0.0, math.inf)
 
     def switch(self, y: float, f: float) -> tuple[float, float]:
         """Go on in the other 1-d chart from the state y, f of the last node.
@@ -286,55 +313,37 @@ class _Lane:
         y, f to y1, f1 (the last node) that ended at or above the switch in the
         c chart, or in the inverted chart.
 
-        From c the lane goes on in w = -1/c, unless it stopped.  In w it
-        escapes when w1 reaches wmin in magnitude or changes sign (c passed
-        through infinity), and goes back to c at |w1| >= 1 unless it stopped.
+        From c the lane goes on in w = -1/c, unless it stopped.  In w the
+        landing attempt's end lands (touch_down), and the lane goes back to c
+        at |w1| >= 1 unless it stopped.
         """
         if not self.inv:
             return self.switch(y1, f1) if self.stop is None else (y1, f1)
-        if abs(y1) <= wmin or (y1 < 0.0) != (y < 0.0):
-            self.locate(y, f, y1, f1, math.copysign(wmin, y))
-        elif abs(y1) >= 1.0 and self.stop is None:
+        if self.land and self.last:
+            self.touch_down(y, y1, f1, math.copysign(wmin, y))
+        if abs(y1) >= 1.0 and self.stop is None:
             return self.switch(y1, f1)
         return y1, f1
 
-    def locate(self, w0: float, f0: float, w1: float, f1: float, z: float) -> None:
-        """Escape where the last step's cubic Hermite in w reaches z, between
-        w0 and w1, and make that point the last node: w = z, its slope the
-        cubic's.  Newton's method, kept inside the bracket by bisection."""
-        t0 = self.nodes_t[-2]
-        h = self.t - t0
-        a, b = h * f0, h * f1
-
-        def cubic(s: float) -> tuple[float, float]:
-            r = 1.0 - s
-            value = ((1.0 + 2.0 * s) * r * r * w0 + s * r * r * a + s * s * (3.0 - 2.0 * s) * w1
-                     + s * s * (s - 1.0) * b)
-            slope = (6.0 * s * (s - 1.0) * (w0 - w1) + r * (1.0 - 3.0 * s) * a
-                     + s * (3.0 * s - 2.0) * b)
-            return value - z, slope
-
-        lo, hi = 0.0, 1.0
-        s = (w0 - z) / (w0 - w1) if w0 != w1 else 1.0  # the chord's crossing, in [0, 1]
-        for _ in range(60):
-            g, slope = cubic(s)
-            if g == 0.0:
-                break
-            if (g > 0.0) == (z > 0.0):  # short of z
-                lo = s
-            else:
-                hi = s
-            nxt = s - g / slope if slope else lo
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if abs(nxt - s) <= 1e-15:
-                s = nxt
-                break
-            s = nxt
-        t = t0 + s * h
+    def touch_down(self, w: float, w1: float, f1: float, z: float) -> None:
+        """Escape at the end of the landing attempt from w, which reached w1 at
+        t = t* with FSAL derivative f1: one Newton correction along f1 moves
+        that node onto w = z (|c| = escape_norm), at t + (z - w1) / f1, its
+        derivative kept.  If the attempt passed z, the corrected time stays
+        within it (else t*); if it fell short of z, the lane escapes only if
+        the correction reaches z by t = 1, and otherwise goes on from w1 as
+        from any accepted node.
+        """
+        t0, t1 = self.nodes_t[-2], self.t
+        t = t1 + (z - w1) / f1 if f1 else math.inf
+        self.land, self.end = False, 1.0
+        if abs(w1) <= abs(z) or (w1 < 0.0) != (w < 0.0):
+            if not t0 < t <= t1:
+                t = t1
+        elif not t1 <= t <= 1.0:
+            return
         self.nodes_t[-1] = self.t = t
         self.yf[-1] = z
-        self.ff[-1] = cubic(s)[1] / h if h else f1
         self.stop = "escape-norm"
         self.t_escape = t
         self.norm_at_escape = abs(-1.0 / z)
@@ -386,6 +395,39 @@ class _Lane:
         )
 
 
+def _hermite_root(w0: float, f0: float, w1: float, f1: float, h: float, z: float) -> float:
+    """The fraction s of a step of size h from w0, f0 to w1, f1 at which its cubic
+    Hermite reaches z, which lies between w0 and w1.  Newton's method, kept inside
+    the bracket by bisection."""
+    a, b = h * f0, h * f1
+
+    def cubic(s: float) -> tuple[float, float]:
+        r = 1.0 - s
+        value = ((1.0 + 2.0 * s) * r * r * w0 + s * r * r * a + s * s * (3.0 - 2.0 * s) * w1
+                 + s * s * (s - 1.0) * b)
+        slope = (6.0 * s * (s - 1.0) * (w0 - w1) + r * (1.0 - 3.0 * s) * a
+                 + s * (3.0 * s - 2.0) * b)
+        return value - z, slope
+
+    lo, hi = 0.0, 1.0
+    s = (w0 - z) / (w0 - w1) if w0 != w1 else 1.0  # the chord's crossing, in [0, 1]
+    for _ in range(60):
+        g, slope = cubic(s)
+        if g == 0.0:
+            break
+        if (g > 0.0) == (z > 0.0):  # short of z
+            lo = s
+        else:
+            hi = s
+        nxt = s - g / slope if slope else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= 1e-15:
+            return nxt
+        s = nxt
+    return s
+
+
 def _plain_sum(X: np.ndarray) -> np.ndarray:
     """X summed over its last axis, x0 + x1 + ..., added left to right as the float
     kernels add: a cumulative sum adds in order, from its first term."""
@@ -434,7 +476,8 @@ def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions, root: float, wm
     max_steps, min_step = opts.max_steps, opts.min_step
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54),
      (a60, a61, a62, a63, a64, a65), (e0, e1, e2, e3, e4, e5, e6)) = _TABLEAU_FLOATS
-    settle, plan, append_y, append_f = lane.settle, lane.plan, lane.yf.append, lane.ff.append
+    settle, settle_w, plan = lane.settle, lane.settle_w, lane.plan
+    append_y, append_f = lane.yf.append, lane.ff.append
     (y,), (f,), inv = lane.y, lane.f, lane.inv
     while True:
         # Each stage sum is _plain_sum's; the scale's max keeps a NaN operand,
@@ -456,7 +499,8 @@ def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions, root: float, wm
         q = (H * (e0 * f + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
              / (atol * m * m + rtol * m if inv else atol + rtol * m))
         # b is _norms' norm of [y1] bit for bit, but a NaN's sign (a NaN y1 is rejected).
-        if settle(math.sqrt(q * q), 0.0 if inv else b, escape_norm):
+        err = math.sqrt(q * q)
+        if settle_w(err, y, f, y1, k6, wmin) if inv else settle(err, b, escape_norm):
             append_y(y1)
             append_f(k6)
             if inv or b >= root:
@@ -567,7 +611,7 @@ def integrate_lanes(
 
     # A 1-d lane at or above root goes on in the inverted chart, which needs its
     # escape point wmin = 1/escape_norm (|-1/wmin| >= escape_norm) to be a normal float.
-    root = math.sqrt(escape_norm) if n == 1 and escape_norm <= 2.0**1022 else math.inf
+    root = _SWITCH if n == 1 and escape_norm <= 2.0**1022 else math.inf
     wmin = 1.0 / escape_norm
     if 1.0 / wmin < escape_norm:
         wmin = math.nextafter(wmin, 0.0)
@@ -624,7 +668,9 @@ def integrate_lanes(
         # One pass over the lanes: settle each lane's step, then plan its next one.
         going = []
         for lane, y, fy, s, ynorm in zip(lv, Y_new.tolist(), stage[6].tolist(), sq, _norms(Y_new)):
-            if lane.settle(math.sqrt(s / n), 0.0 if lane.inv else ynorm, escape_norm):
+            err = math.sqrt(s / n)
+            if (lane.settle_w(err, lane.y[0], lane.f[0], y[0], fy[0], wmin) if lane.inv
+                    else lane.settle(err, ynorm, escape_norm)):
                 lane.yf.extend(y)
                 lane.ff.extend(fy)
                 if lane.inv or ynorm >= root:
@@ -648,9 +694,10 @@ def integrate_adaptive(
     stops early with status ``escaped`` once ||y|| reaches opts.escape_norm,
     or with ``step-collapse`` when the controller would drop below
     opts.min_step or the step budget is exhausted; ``stop_reason`` says
-    which.  A 1-d run goes on in w = -1/y from |y| >= sqrt(escape_norm) and
-    back at |y| <= 1; there the escape time is located where the last step's
-    cubic Hermite reaches |y| = escape_norm, and elsewhere it is the first
+    which.  A 1-d run goes on in w = -1/y from |y| >= 16 and back at
+    |y| <= 1; there the escape time is the end of a last step aimed at the
+    time where the crossing step's cubic Hermite reaches |y| = escape_norm,
+    moved onto it by one Newton correction, and elsewhere it is the first
     accepted t at or above it (see the module docstring).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))

@@ -81,6 +81,16 @@ class TestLiftCommand:
         assert code == 2  # one of the lifts escapes
         assert (tmp_path / "lift_001.json").exists()
 
+    def test_fig1_escapes_under_the_escape_norm_1e300(self, tmp_path, capsys):
+        # Past |c| = 16 the lift steps in w = -1/c, which reaches 1e-300 as
+        # it reaches 1e-8: at atan(1e300) - pi/4, pi/4 in floats.
+        code = main(["lift", "--connection", "fig1", "--path", "segment:0:1", "--v", "1",
+                     "--escape-norm", "1e300", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr() == ("lift_000: escaped\n", "")
+        status = _read_json(tmp_path / "lift_000.json")
+        assert status["status"] == "escaped" and abs(status["t_escape"] - np.pi / 4) <= 1e-9
+
 
 class TestTransportCommand:
     def test_flat_transport(self, tmp_path):

@@ -30,6 +30,8 @@ from pathlift.lifting import (
 
 FIG1 = gallery("fig1")
 UNIT = path_segment([0.0], [1.0])
+# c' = (1 + c^2)^4 u: above order 2, so a blow-up stalls short of a large escape norm.
+_PG8 = gallery(ConnectionSpec("power-growth", {"alpha": 8.0}))
 TAN1 = np.tan(1.0)
 
 
@@ -327,17 +329,21 @@ class TestHorizontalLifts:
             _assert_same_lift(batch[i], alone[i])
             _assert_same_lift(shuffled[j], alone[i])
 
-    @pytest.mark.parametrize("opts, reasons", [
-        (IntegratorOptions(rtol=1e-6, escape_norm=1e10, max_steps=140),
+    @pytest.mark.parametrize("conn, path, seeds, opts, reasons", [
+        (FIG1, UNIT, [[0.0], [0.5], [1.0], [5.0]],
+         IntegratorOptions(rtol=1e-6, escape_norm=1e10, max_steps=32),
          ["complete", "complete", "max-steps", "escape-norm"]),
-        (IntegratorOptions(escape_norm=1e300), ["complete", "complete", "min-step", "min-step"]),
+        (FIG1, UNIT, [[0.0], [0.5], [1.0], [5.0]], IntegratorOptions(escape_norm=1e300),
+         ["complete", "complete", "escape-norm", "escape-norm"]),
+        # c' = (1 + c^2)^4 blows up from 10 and 5 long before |c| = 1e300.
+        (_PG8, path_segment([0.0], [0.25]), [[0.0], [-0.5], [10.0], [5.0]],
+         IntegratorOptions(escape_norm=1e300), ["complete", "complete", "min-step", "min-step"]),
     ])
-    def test_batch_mixes_stop_reasons(self, opts, reasons):
-        seeds = [[0.0], [0.5], [1.0], [5.0]]
-        batch = horizontal_lifts(FIG1, UNIT, seeds, opts)
+    def test_batch_mixes_stop_reasons(self, conn, path, seeds, opts, reasons):
+        batch = horizontal_lifts(conn, path, seeds, opts)
         assert [traj.stop_reason for traj in batch] == reasons
         for v, traj in zip(seeds, batch):
-            _assert_same_lift(traj, horizontal_lift(FIG1, UNIT, v, opts))
+            _assert_same_lift(traj, horizontal_lift(conn, path, v, opts))
 
     @pytest.mark.parametrize("conn, path", [
         (_CUSTOM, _POLYLINE2),
@@ -376,12 +382,13 @@ class TestHorizontalLifts:
 
     def test_stop_reason_tells_min_step_from_max_steps(self):
         # Both end in step-collapse: the min_step floor below the escape norm,
-        # and the step budget.
-        floor = horizontal_lift(FIG1, UNIT, [1.0], IntegratorOptions(escape_norm=1e300))
+        # and the step budget.  power-growth:8 from 10 blows up at about
+        # 1.385e-8, the integral of (1 + c^2)^-4 from 10 on.
+        floor = horizontal_lift(_PG8, UNIT, [10.0], IntegratorOptions(escape_norm=1e300))
         budget = horizontal_lift(FIG1, UNIT, [1.0], IntegratorOptions(max_steps=5))
         assert floor.status == budget.status == "step-collapse"
         assert (floor.stop_reason, budget.stop_reason) == ("min-step", "max-steps")
-        assert abs(floor.t[-1] - np.pi / 4) < 1e-6
+        assert abs(floor.t[-1] - 1.3850209257e-8) < 1e-10
 
     @pytest.mark.parametrize("uses_base", [False, True])
     @pytest.mark.parametrize("seeds", [[[0.5]], [[0.5], [0.2], [-0.3]]])
@@ -446,6 +453,8 @@ _OUT_2E4 = path_segment([0.0], [np.arctan(2e4) + np.arctan(0.5)])
 _POLYLINE = path_polyline([[0.0], [0.6], [1.2]], [0.0, 0.3, 1.0])
 # Nine fig1 seeds that complete along _POLYLINE, then three that do not.
 _TWELVE = [[v] for v in (-2.0, -1.0, -0.5, -0.0, 0.0, 0.2, 0.3, 0.35, 0.38, 0.5, 1.0, 5.0)]
+# fig1: 1 escapes forward and -1 backward, the other seeds complete.
+_FIG1_SEEDS = [[0.0], [0.3], [-0.3], [1.0], [-1.0]]
 
 
 class TestFloatFormLifts:
@@ -457,10 +466,10 @@ class TestFloatFormLifts:
         ("fig1", _OUT_2E4, -0.5, IntegratorOptions(), "complete"),
         ("fig1", path_reverse(_OUT_2E4), 2e4, IntegratorOptions(), "complete"),
         ("power-growth:1.5", UNIT, 4.5, IntegratorOptions(), "escape-norm"),
-        ("power-growth:3", UNIT, 0.5, IntegratorOptions(escape_norm=3e5), "escape-norm"),
+        ("power-growth:3", UNIT, 0.5, IntegratorOptions(escape_norm=1e4), "escape-norm"),
         ("power-growth:3", UNIT, 0.3, IntegratorOptions(escape_norm=3e5), "min-step"),
         ("fig1", _REVERSED, -1.0, IntegratorOptions(), "escape-norm"),
-        ("fig1", UNIT, 1.0, IntegratorOptions(escape_norm=1e300), "min-step"),
+        ("fig1", UNIT, 1.0, IntegratorOptions(escape_norm=1e300), "escape-norm"),
         ("fig1", _POLYLINE, 1.0, IntegratorOptions(max_steps=40), "max-steps"),
         ("power-growth:8", UNIT, 10.0, IntegratorOptions(escape_norm=1e300), "min-step"),
         ("power-growth:3", _REVERSED, 2.0, IntegratorOptions(), "complete"),
@@ -498,12 +507,13 @@ class TestFloatFormLifts:
     @given(_batch_cases(("fig1", "power-growth", "scalar-linear", "flat"), max_seeds=12)
            .filter(lambda case: case[0].dimension == 1))
     @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(), None))  # escape-norm
-    @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(escape_norm=1e300), None))  # min-step
+    @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(escape_norm=1e300), None))  # escape-norm
+    @example((_PG8, _POLYLINE, _TWELVE, IntegratorOptions(escape_norm=1e300), None))  # min-step
     @example((FIG1, _POLYLINE, _TWELVE, IntegratorOptions(max_steps=400), None))  # max-steps
     def test_batch_equals_lone_lifts_in_floats(self, case):
         # Batches of up to 12 lanes, which step in floats, lane after lane,
-        # as each does alone.  The escape norm 1e300
-        # stops escaping lanes at the min_step floor, max_steps=60 others.
+        # as each does alone.  fig1's lanes escape at 1e300 as at 1e8;
+        # power-growth:8's stop at the min_step floor, max_steps=60 others.
         conn, path, seeds, opts, _ = case
         for v, traj in zip(seeds, horizontal_lifts(conn, path, seeds, opts)):
             _assert_same_lift(traj, horizontal_lift(conn, path, v, opts))
@@ -694,26 +704,29 @@ class TestTracedCopies:
     @settings(max_examples=60, deadline=None)
     @given(_traced_cases())
     # Lanes that go on in w = -1/c: fig1 and power-growth:1.5 escape there, and
-    # of three power-growth:3 lanes one completes, one escapes and one stalls.
+    # of three power-growth:3 lanes one completes, one escapes and one runs
+    # out of steps.
     @example((FIG1, UNIT, [[1.0]], IntegratorOptions()))
     @example((gallery(ConnectionSpec("power-growth", {"alpha": 1.5})), UNIT, [[4.5]],
               IntegratorOptions()))
     @example((gallery(ConnectionSpec("power-growth", {"alpha": 3.0})), UNIT,
-              [[-1.0], [0.5], [0.3]], IntegratorOptions(escape_norm=3e5)))
+              [[-1.0], [10.0], [0.5]], IntegratorOptions(escape_norm=1e4, max_steps=200)))
     def test_copies_lift_to_the_same_bits(self, case):
         _assert_copies_lift_alike(*case)
 
     @pytest.mark.parametrize("path", [UNIT, _REVERSED, _POLYLINE],
                              ids=["segment", "reversed", "polyline"])
-    @pytest.mark.parametrize("opts, reason", [
-        (IntegratorOptions(), "escape-norm"),
-        (IntegratorOptions(escape_norm=1e300), "min-step"),
-        (IntegratorOptions(max_steps=120), "max-steps"),
-    ])
-    def test_one_dimensional_stop_reasons(self, path, opts, reason):
-        # 5 escapes forward and -5 backward; the other seeds complete.
-        seeds = [[0.0], [0.3], [-0.3], [5.0], [-5.0]]
-        batch = _assert_copies_lift_alike(FIG1, path, seeds, opts)
+    @pytest.mark.parametrize("conn, seeds, opts, reason", [
+        (FIG1, _FIG1_SEEDS, IntegratorOptions(), "escape-norm"),
+        (FIG1, _FIG1_SEEDS, IntegratorOptions(escape_norm=1e300), "escape-norm"),
+        # Order 3: |c| = 1e300 lies about 1e-600 before the blow-up, below the
+        # min_step floor; each path takes two seeds to blow-up and two across.
+        (gallery(ConnectionSpec("power-growth", {"alpha": 3.0})),
+         [[0.3], [-0.3], [5.0], [-5.0]], IntegratorOptions(escape_norm=1e300), "min-step"),
+        (FIG1, _FIG1_SEEDS, IntegratorOptions(max_steps=60), "max-steps"),
+    ], ids=["escape-norm", "escape-norm-1e300", "min-step", "max-steps"])
+    def test_one_dimensional_stop_reasons(self, path, conn, seeds, opts, reason):
+        batch = _assert_copies_lift_alike(conn, path, seeds, opts)
         assert {"complete", reason} == {traj.stop_reason for traj in batch}
 
 
