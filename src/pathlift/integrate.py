@@ -24,9 +24,15 @@ the time t* where that step's cubic Hermite reaches w = -+1/escape_norm
 (_Lane.settle_w).  That landing attempt is an ordinary step; one Newton
 correction along its FSAL derivative moves its end onto w = -+1/escape_norm,
 where |c| reaches escape_norm, and that point is the lane's last node and
-``t_escape`` (``escape-norm``, _Lane.touch_down).  In c, and in n-d, the
-escape time is the accepted node's.  The switch needs 1/escape_norm to be a
-normal float (escape_norm <= 2^1022); above that a lane keeps its c chart.
+``t_escape`` (``escape-norm``, _Lane.touch_down).  A landing attempt whose
+error is not finite (the rhs overflowed on the way to escape_norm) is a
+rejected step, and the lane escapes at t* itself, on the cubic.  A lane
+that reaches the min_step floor in w escapes if one Newton correction from
+its last node along its derivative reaches w = -+1/escape_norm within
+min_step, and otherwise ends ``min-step`` (_Lane.reach).  In c, and in
+n-d, the escape time is the accepted node's.  The switch needs
+1/escape_norm to be a normal float (escape_norm <= 2^1022); above that a
+lane keeps its c chart.
 The switch does not depend on the escape norm, so a lift none of whose
 steps reaches it takes the same bits under any escape norm up to 2^1022.
 
@@ -232,8 +238,8 @@ class _Lane:
         self.y, self.f = y0, f0
         self.inv = False
         self.switches = []
-        self.end = 1.0  # where the lane's steps end: 1, or the escape it aims at (land)
-        self.land = False
+        self.end = 1.0  # where the lane's steps end: 1, or the escape t* it aims at
+        self.land = None  # while it aims at t*: the slope of w there on the cubic
 
     def escape(self, ynorm: float) -> None:
         self.stop = "escape-norm" if math.isfinite(ynorm) else "non-finite"
@@ -284,15 +290,24 @@ class _Lane:
         (c passed through infinity) is not kept, unless it is the landing
         attempt: it counts as a rejected step, the controller's step stays,
         and the lane aims at the time t* where the step's cubic Hermite
-        reaches w = -+wmin, so that its next attempt ends there (plan); see
-        onward for where that attempt lands.
+        reaches z = -+wmin, so that its next attempt ends there (plan); see
+        onward for where that attempt lands.  A landing attempt whose error
+        is not finite counts as rejected too, and the lane escapes at t*, on
+        the cubic: a new last node w = z with the cubic's slope.
         """
-        if (err <= 1.0 and not (self.land and self.last)
-                and (abs(w1) <= wmin or (w1 < 0.0) != (w < 0.0))):
+        z = math.copysign(wmin, w)
+        if self.land is not None and self.last:
+            if not math.isfinite(err):
+                self.rejected += 1
+                self.nodes_t.append(self.end)
+                self.yf.append(z)
+                self.ff.append(self.land)
+                self.arrive(self.end, z)
+                return False
+        elif err <= 1.0 and (abs(w1) <= wmin or (w1 < 0.0) != (w < 0.0)):
             self.rejected += 1
-            self.end = self.t + self.step * _hermite_root(w, f, w1, f1, self.step,
-                                                          math.copysign(wmin, w))
-            self.land = True
+            s, self.land = _hermite_root(w, f, w1, f1, self.step, z)
+            self.end = self.t + self.step * s
             return False
         return self.settle(err, 0.0, math.inf)
 
@@ -319,7 +334,7 @@ class _Lane:
         """
         if not self.inv:
             return self.switch(y1, f1) if self.stop is None else (y1, f1)
-        if self.land and self.last:
+        if self.land is not None and self.last:
             self.touch_down(y, y1, f1, math.copysign(wmin, y))
         if abs(y1) >= 1.0 and self.stop is None:
             return self.switch(y1, f1)
@@ -336,16 +351,39 @@ class _Lane:
         """
         t0, t1 = self.nodes_t[-2], self.t
         t = t1 + (z - w1) / f1 if f1 else math.inf
-        self.land, self.end = False, 1.0
+        self.land, self.end = None, 1.0
         if abs(w1) <= abs(z) or (w1 < 0.0) != (w < 0.0):
             if not t0 < t <= t1:
                 t = t1
         elif not t1 <= t <= 1.0:
             return
-        self.nodes_t[-1] = self.t = t
+        self.nodes_t[-1] = t
         self.yf[-1] = z
+        self.arrive(t, z)
+
+    def reach(self, w: float, f: float, wmin: float, min_step: float) -> None:
+        """After a min-step stop in the inverted chart at the last node w, f:
+        escape if one Newton correction along f reaches z = -+wmin by
+        t + min_step (and by t = 1), so that the escape point lies within the
+        floor's step of the node.  The point, w = z with slope f, becomes a
+        new last node, and no step is counted.
+        """
+        if self.stop != "min-step":
+            return
+        z = math.copysign(wmin, w)
+        dt = (z - w) / f if f else math.inf
+        if 0.0 <= dt <= min_step and self.t + dt <= 1.0:
+            t = self.t + dt
+            self.nodes_t.append(t)
+            self.yf.append(z)
+            self.ff.append(f)
+            self.arrive(t, z)
+
+    def arrive(self, t: float, z: float) -> None:
+        """Escape at t, where w reaches z, the lane's last node."""
+        self.t = self.t_escape = t
+        self.land, self.end = None, 1.0
         self.stop = "escape-norm"
-        self.t_escape = t
         self.norm_at_escape = abs(-1.0 / z)
 
     def result(self, opts: IntegratorOptions) -> IntegrationResult:
@@ -395,10 +433,11 @@ class _Lane:
         )
 
 
-def _hermite_root(w0: float, f0: float, w1: float, f1: float, h: float, z: float) -> float:
+def _hermite_root(w0: float, f0: float, w1: float, f1: float, h: float,
+                  z: float) -> tuple[float, float]:
     """The fraction s of a step of size h from w0, f0 to w1, f1 at which its cubic
-    Hermite reaches z, which lies between w0 and w1.  Newton's method, kept inside
-    the bracket by bisection."""
+    Hermite reaches z, which lies between w0 and w1, and the cubic's slope there
+    (per unit t).  Newton's method, kept inside the bracket by bisection."""
     a, b = h * f0, h * f1
 
     def cubic(s: float) -> tuple[float, float]:
@@ -423,9 +462,10 @@ def _hermite_root(w0: float, f0: float, w1: float, f1: float, h: float, z: float
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - s) <= 1e-15:
-            return nxt
+            s = nxt
+            break
         s = nxt
-    return s
+    return s, cubic(s)[1] / h if h else f1
 
 
 def _plain_sum(X: np.ndarray) -> np.ndarray:
@@ -509,6 +549,8 @@ def _float_lane(lane: _Lane, float_rhs, opts: IntegratorOptions, root: float, wm
             else:
                 y, f = y1, k6  # FSAL
         if not plan(max_steps, min_step):
+            if inv:
+                lane.reach(y, f, wmin, min_step)
             return
 
 
@@ -678,6 +720,8 @@ def integrate_lanes(
                 lane.y, lane.f = y, fy
             if lane.plan(max_steps, min_step):
                 going.append(lane)
+            elif lane.inv:
+                lane.reach(lane.y[0], lane.f[0], wmin, min_step)
         lv = going
 
     return [lane.result(opts) for lane in lanes]
@@ -697,8 +741,9 @@ def integrate_adaptive(
     which.  A 1-d run goes on in w = -1/y from |y| >= 16 and back at
     |y| <= 1; there the escape time is the end of a last step aimed at the
     time where the crossing step's cubic Hermite reaches |y| = escape_norm,
-    moved onto it by one Newton correction, and elsewhere it is the first
-    accepted t at or above it (see the module docstring).
+    moved onto it by one Newton correction (at the min_step floor, one from
+    the last node), and elsewhere it is the first accepted t at or above it
+    (see the module docstring).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     return integrate_lanes(lambda T: lambda r, Y: rhs(T[r, 0], Y[0]), y[None], opts)[0]

@@ -263,12 +263,14 @@ class TestStopReason:
         assert res.t_escape is None and abs(res.t_final - _power8_blowup(10.0)) < 1e-10
 
     @pytest.mark.parametrize("escape_norm", [1e8, 1e300])
-    def test_a_tangent_blow_up_escapes_under_any_escape_norm(self, escape_norm):
-        # y = tan(t + pi/4) reaches escape_norm at atan(escape_norm) - pi/4.
-        res = integrate_adaptive(lambda t, y: 1.0 + y**2, [1.0],
+    @pytest.mark.parametrize("v0", [1.0, 1e4])
+    def test_a_tangent_blow_up_escapes_under_any_escape_norm(self, v0, escape_norm):
+        # y = tan(t + atan(v0)) reaches escape_norm at atan(escape_norm) - atan(v0).
+        # From 1e4 at 1e300 the landing attempt overflows (1 + y^2 at 1e300).
+        res = integrate_adaptive(lambda t, y: 1.0 + y**2, [v0],
                                  IntegratorOptions(escape_norm=escape_norm))
         assert (res.status, res.stop_reason) == (ESCAPED, "escape-norm")
-        assert abs(res.t_escape - (math.atan(escape_norm) - math.pi / 4)) <= 1e-9
+        assert abs(res.t_escape - (math.atan(escape_norm) - math.atan(v0))) <= 1e-9
         assert res.norm_at_escape >= escape_norm
 
     def test_max_steps(self):
@@ -785,6 +787,20 @@ class TestInvertedChart:
                                IntegratorOptions(rtol=1e-11))
         assert traj.stop_reason == "escape-norm" and traj.norm_at_escape >= 1e8
         assert traj.t[-1] == traj.t_escape and abs(traj.t_escape - 0.8301076812) <= 1e-9
+
+    @pytest.mark.parametrize("v0", [0.5, 0.3])
+    def test_an_escape_within_min_step_of_the_floor(self, v0):
+        # c' = (1 + c^2)^(3/2): w' grows like 1/|w|, and the steps reach the
+        # min_step floor about 6e-12 before the blow-up.  |c| = 3e5 lies within
+        # min_step of the last node, at t = E / sqrt(1 + E^2) - v0 / sqrt(1 + v0^2);
+        # |c| = 1e300 does not, and the lane stalls.
+        conn, path = gallery(_inline_spec("power-growth:3", 1)), path_segment([0.0], [1.0])
+        traj = horizontal_lift(conn, path, [v0], IntegratorOptions(escape_norm=3e5))
+        assert traj.stop_reason == "escape-norm" and traj.t[-1] == traj.t_escape
+        exact = 3e5 / math.sqrt(1.0 + 9e10) - v0 / math.sqrt(1.0 + v0 * v0)
+        assert abs(traj.t_escape - exact) <= 1e-9
+        far = horizontal_lift(conn, path, [v0], IntegratorOptions(escape_norm=1e300))
+        assert far.stop_reason == "min-step" and far.t_escape is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["fig1", "power-growth:2", "power-growth:1.5", "scalar-linear:-2"]),

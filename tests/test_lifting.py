@@ -466,8 +466,13 @@ class TestFloatFormLifts:
         ("fig1", _OUT_2E4, -0.5, IntegratorOptions(), "complete"),
         ("fig1", path_reverse(_OUT_2E4), 2e4, IntegratorOptions(), "complete"),
         ("power-growth:1.5", UNIT, 4.5, IntegratorOptions(), "escape-norm"),
-        ("power-growth:3", UNIT, 0.5, IntegratorOptions(escape_norm=1e4), "escape-norm"),
-        ("power-growth:3", UNIT, 0.3, IntegratorOptions(escape_norm=3e5), "min-step"),
+        ("power-growth:3", UNIT, 0.5, IntegratorOptions(escape_norm=3e5), "escape-norm"),
+        # From 0.3, |c| = 3e5 lies about 5.6e-12 before the blow-up, within
+        # min_step of where the floor stops the steps; 1e300 lies out of reach.
+        ("power-growth:3", UNIT, 0.3, IntegratorOptions(escape_norm=3e5), "escape-norm"),
+        ("power-growth:3", UNIT, 0.3, IntegratorOptions(escape_norm=1e300), "min-step"),
+        # The landing attempt overflows (1 + c^2 at c = 1e300).
+        ("power-growth:2", UNIT, 1e4, IntegratorOptions(escape_norm=1e300), "escape-norm"),
         ("fig1", _REVERSED, -1.0, IntegratorOptions(), "escape-norm"),
         ("fig1", UNIT, 1.0, IntegratorOptions(escape_norm=1e300), "escape-norm"),
         ("fig1", _POLYLINE, 1.0, IntegratorOptions(max_steps=40), "max-steps"),
@@ -703,14 +708,19 @@ class TestTracedCopies:
 
     @settings(max_examples=60, deadline=None)
     @given(_traced_cases())
-    # Lanes that go on in w = -1/c: fig1 and power-growth:1.5 escape there, and
-    # of three power-growth:3 lanes one completes, one escapes and one runs
-    # out of steps.
+    # Lanes that go on in w = -1/c: fig1 and power-growth:1.5 escape there; of
+    # three power-growth:3 lanes one completes, and two reach the min_step
+    # floor, from which they escape at 3e5 and stall at 1e300; power-growth:2
+    # from 1e4 escapes at 1e300 although its landing attempt overflows.
     @example((FIG1, UNIT, [[1.0]], IntegratorOptions()))
     @example((gallery(ConnectionSpec("power-growth", {"alpha": 1.5})), UNIT, [[4.5]],
               IntegratorOptions()))
     @example((gallery(ConnectionSpec("power-growth", {"alpha": 3.0})), UNIT,
-              [[-1.0], [10.0], [0.5]], IntegratorOptions(escape_norm=1e4, max_steps=200)))
+              [[-1.0], [0.5], [0.3]], IntegratorOptions(escape_norm=3e5)))
+    @example((gallery(ConnectionSpec("power-growth", {"alpha": 3.0})), UNIT,
+              [[-1.0], [0.5], [0.3]], IntegratorOptions(escape_norm=1e300)))
+    @example((gallery(ConnectionSpec("power-growth", {"alpha": 2.0})), UNIT, [[1e4], [-1e4]],
+              IntegratorOptions(escape_norm=1e300)))
     def test_copies_lift_to_the_same_bits(self, case):
         _assert_copies_lift_alike(*case)
 
